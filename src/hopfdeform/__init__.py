@@ -16,7 +16,6 @@ from .core import (
     TensorElement,
     add,
     antipode,
-    approx_eq,
     check_structure,
     comul,
     counit,

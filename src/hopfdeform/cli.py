@@ -283,8 +283,6 @@ def main(argv=None) -> int:
         elif os.environ.get("HOPFDEFORM_SEED"):
             cfg.seed = int(os.environ["HOPFDEFORM_SEED"])
         if args.samples is not None:
-            if args.samples < 1:
-                raise ConfigError("--samples must be >= 1")
             cfg.sample_budget = args.samples
         if args.tolerance is not None:
             cfg.tolerances["law"] = args.tolerance
@@ -293,12 +291,9 @@ def main(argv=None) -> int:
                 cfg.t_grid = [float(t) for t in args.t_grid.split(",") if t.strip()]
             except ValueError as exc:
                 raise ConfigError(f"cannot parse --t-grid {args.t_grid!r}") from exc
-            if not cfg.t_grid:
-                raise ConfigError("--t-grid must name at least one value")
         if args.command is not None:
-            if args.command not in COMMANDS:
-                raise ConfigError(f"unknown command {args.command!r}; choose from {COMMANDS}")
             cfg.command = args.command
+        cfg.check()
 
         report = run_config(cfg)
     except ConfigError as exc:

@@ -26,7 +26,7 @@ from .convolution import (
     mu_n_map,
     tuple_counit,
 )
-from .report import Report
+from .report import Report, fold_residuals
 
 DEFAULT_TOL = 1e-8
 DEFAULT_SAMPLES = 200
@@ -93,11 +93,10 @@ def commuting_residual(f: Cochain, sampler, samples: int = DEFAULT_SAMPLES) -> f
     mu_n = mu_n_map(f.instance, f.arity)
     lhs = functional_conv_map(f, mu_n)
     rhs = map_conv_functional(mu_n, f)
-    res = 0.0
-    for _ in range(samples):
-        keys = sampler.keys(f.arity)
-        res = max(res, (lhs.value(keys) - rhs.value(keys)).norm_inf())
-    return res
+    return fold_residuals(
+        (lhs.value(keys) - rhs.value(keys)).norm_inf()
+        for keys in (sampler.keys(f.arity) for _ in range(samples))
+    )[1]
 
 
 def is_commuting(f: Cochain, sampler, samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL) -> bool:
@@ -106,10 +105,7 @@ def is_commuting(f: Cochain, sampler, samples: int = DEFAULT_SAMPLES, tol: float
 
 def cocycle_residual(f: Cochain, sampler, samples: int = DEFAULT_SAMPLES) -> float:
     df = coboundary(f)
-    res = 0.0
-    for _ in range(samples):
-        res = max(res, abs(df.value(sampler.keys(f.arity + 1))))
-    return res
+    return fold_residuals(abs(df.value(sampler.keys(f.arity + 1))) for _ in range(samples))[1]
 
 
 def is_cocycle(f: Cochain, sampler, samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL) -> bool:
@@ -119,11 +115,10 @@ def is_cocycle(f: Cochain, sampler, samples: int = DEFAULT_SAMPLES, tol: float =
 def hermitian_residual(f: Cochain, sampler, samples: int = DEFAULT_SAMPLES) -> float:
     sign = hermitian_sign(f.arity)
     tilde = hermitian_conjugate(f)
-    res = 0.0
-    for _ in range(samples):
-        keys = sampler.keys(f.arity)
-        res = max(res, abs(tilde.value(keys) - sign * f.value(keys)))
-    return res
+    return fold_residuals(
+        abs(tilde.value(keys) - sign * f.value(keys))
+        for keys in (sampler.keys(f.arity) for _ in range(samples))
+    )[1]
 
 
 def is_hermitian(f: Cochain, sampler, samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL) -> bool:
@@ -199,10 +194,9 @@ def validate_generator(
     if witness is not None:
         dw = coboundary(witness)
         w_sampler = sampler.spawn(19)
-        w_res = 0.0
-        for _ in range(samples):
-            keys = w_sampler.keys(2)
-            w_res = max(w_res, abs(dw.value(keys) - L.value(keys)))
+        _, w_res = fold_residuals(
+            abs(dw.value(keys) - L.value(keys)) for keys in (w_sampler.keys(2) for _ in range(samples))
+        )
         residuals["witness"] = w_res
         witness_matches = w_res <= tol
 
@@ -268,9 +262,10 @@ def subcomplex_stability(
 
     dd = coboundary(df)
     dd_sampler = sampler.spawn(47)
-    dd_res = 0.0
-    for _ in range(samples):
-        dd_res = max(dd_res, abs(dd.value(dd_sampler.keys(f.arity + 2))))
-    report.add("d_squared_zero", "∂∘∂ = 0", samples, dd_res, tol)
+    report.add_residuals(
+        "d_squared_zero", "∂∘∂ = 0",
+        (abs(dd.value(dd_sampler.keys(f.arity + 2))) for _ in range(samples)),
+        tol,
+    )
 
     return report

@@ -17,17 +17,19 @@ Descriptor shapes:
 """
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass, field
 
 from .core import BialgebraInstance
+from .cohomology import DEFAULT_TOL
 from .convolution import Cochain, cochain_scale, zero_cochain
+from .deformation import DEFAULT_T_GRID
 from . import instances as inst_mod
 
 COMMANDS = ("validate", "deform", "antipode", "split", "trivial-check", "full-report")
 
-DEFAULT_T_GRID = [-1.0, -0.5, 0.0, 0.5, 1.0]
-DEFAULT_TOLERANCES = {"law": 1e-8, "strict": 1e-12, "eq": 1e-9, "prune": 1e-12}
+DEFAULT_TOLERANCES = {"law": DEFAULT_TOL, "strict": 1e-12, "eq": 1e-9, "prune": 1e-12}
 DEFAULT_SAMPLER = {"coord_bound": 5, "max_degree": 4, "max_support": 3}
 
 
@@ -35,12 +37,21 @@ class ConfigError(Exception):
     """The run configuration cannot be parsed or resolved."""
 
 
+def _check_finite(value, what: str) -> None:
+    """Reject a value that is not a number, or is NaN or infinite."""
+    if not (isinstance(value, (int, float, complex)) and cmath.isfinite(value)):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+
+
 def parse_complex(value) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"cannot read {value!r} as a complex scalar")
+        z = complex(value)
+    elif isinstance(value, (list, tuple)) and len(value) == 2:
+        z = complex(float(value[0]), float(value[1]))
+    else:
+        raise ConfigError(f"cannot read {value!r} as a complex scalar")
+    _check_finite(z, "every complex scalar")
+    return z
 
 
 def encode_complex(z: complex) -> list:
@@ -93,13 +104,21 @@ class RunConfig:
             command=str(raw.get("command", "full-report")),
             tabulate=[list(p) for p in raw.get("tabulate", [])],
         )
-        if not cfg.t_grid:
-            raise ConfigError("t_grid must not be empty")
-        if cfg.sample_budget < 1:
-            raise ConfigError("sample_budget must be >= 1")
-        if cfg.command not in COMMANDS:
-            raise ConfigError(f"unknown command {cfg.command!r}; choose from {COMMANDS}")
+        cfg.check()
         return cfg
+
+    def check(self) -> None:
+        """Reject settings no run can use, after parsing and after any override."""
+        if not self.t_grid:
+            raise ConfigError("t_grid must not be empty")
+        for t in self.t_grid:
+            _check_finite(t, "every t_grid value")
+        if self.sample_budget < 1:
+            raise ConfigError("sample_budget must be >= 1")
+        for name, tol in self.tolerances.items():
+            _check_finite(tol, f"tolerance {name!r}")
+        if self.command not in COMMANDS:
+            raise ConfigError(f"unknown command {self.command!r}; choose from {COMMANDS}")
 
     def to_dict(self) -> dict:
         return {

@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 from .core import (
@@ -36,6 +37,7 @@ from .core import (
     Element,
     InstanceMismatchError,
     Kind,
+    Memo,
     TensorElement,
     _acc,
     _same_instance,
@@ -53,22 +55,7 @@ def tuple_comul_terms(instance: BialgebraInstance, keys: tuple):
     Returns ``(left_tuple, right_tuple, coeff)`` triples; for n = 1 this
     is the plain coproduct, for n = 2 the Λ expansion.
     """
-    cache = instance._tuple_comul_cache
-    hit = cache.get(keys)
-    if hit is not None:
-        return hit
-    parts = [instance.comul_terms(k) for k in keys]
-    out = []
-    for combo in itertools.product(*parts):
-        left = tuple(t[0] for t in combo)
-        right = tuple(t[1] for t in combo)
-        coeff = 1.0 + 0j
-        for t in combo:
-            coeff *= t[2]
-        out.append((left, right, coeff))
-    out = tuple(out)
-    cache[keys] = out
-    return out
+    return instance.tuple_comul_terms(keys)
 
 
 def tuple_counit(instance: BialgebraInstance, keys: tuple) -> complex:
@@ -86,10 +73,14 @@ class Cochain:
     """Scalar-valued multilinear functional given by a rule on basis tuples.
 
     Arity 0 is a single scalar (the empty tuple).  Values are memoized per
-    basis tuple; rules must be pure.
+    basis tuple; rules must be pure.  Convolution powers, Taylor
+    coefficients of the exponential and its strategy are memoized too.
     """
 
-    __slots__ = ("instance", "arity", "name", "_rule", "_cache", "_pow_cache", "_exp_cache", "_finite_zero")
+    __slots__ = (
+        "instance", "arity", "name", "_cache", "_powers", "_exp_cache", "_plan", "_finite_zero",
+        "__weakref__",
+    )
 
     def __init__(self, instance, arity: int, rule, name: str = "f"):
         if arity < 0:
@@ -97,19 +88,28 @@ class Cochain:
         self.instance = instance
         self.arity = arity
         self.name = name
-        self._rule = rule
-        self._cache: dict = {}
-        self._pow_cache: dict = {}
-        self._exp_cache: dict = {}
+        self._cache = Memo(lambda keys: complex(rule(keys)))
+        # these memos, and the powers they hold, see this cochain through a
+        # weak proxy: a cycle would keep a dropped cochain, and the memos of
+        # its instance, alive until the next full garbage collection
+        me = weakref.proxy(self)
+        self._powers = Memo(
+            lambda k: convolve_functionals(me, me if k == 2 else me._powers[k - 1], name=f"{name}^{k}")
+        )
+        self._exp_cache = Memo(lambda keys: _exp_coeffs(me, keys))
+        self._plan: ConvExpPlan | None = None
         self._finite_zero: bool | None = None
 
     def value(self, keys: tuple) -> complex:
-        keys = tuple(keys)
-        hit = self._cache.get(keys)
-        if hit is None:
-            hit = complex(self._rule(keys))
-            self._cache[keys] = hit
-        return hit
+        return self._cache[tuple(keys)]
+
+    def power(self, k: int) -> "Cochain":
+        """The k-th convolution power f^{⋆k} for k >= 1.
+
+        For k >= 2 it reads f through a weak reference, so it is valid only
+        while f is alive.
+        """
+        return self if k == 1 else self._powers[k]
 
     def eval_mixed(self, args) -> complex:
         """Evaluate with each slot either a basis key or an :class:`Element`."""
@@ -264,21 +264,7 @@ def conv_power(f: Cochain, k: int, keys: tuple) -> complex:
     """k-th convolution power f^{⋆k} on a basis tuple (f^{⋆0} is the counit)."""
     if k == 0:
         return tuple_counit(f.instance, keys)
-    if k == 1:
-        return f.value(keys)
-    keys = tuple(keys)
-    memo = f._pow_cache
-    hit = memo.get((k, keys))
-    if hit is not None:
-        return hit
-    total = 0j
-    for left, right, c in tuple_comul_terms(f.instance, keys):
-        v = f.value(left)
-        if v == 0:
-            continue
-        total += c * v * conv_power(f, k - 1, right)
-    memo[(k, keys)] = total
-    return total
+    return f.power(k).value(keys)
 
 
 def conv_exp_coeffs(f: Cochain, keys: tuple) -> tuple:
@@ -286,45 +272,31 @@ def conv_exp_coeffs(f: Cochain, keys: tuple) -> tuple:
 
     The list has length deg(u)+1; higher convolution powers vanish exactly.
     """
-    keys = tuple(keys)
-    hit = f._exp_cache.get(keys)
-    if hit is not None:
-        return hit
+    return f._exp_cache[tuple(keys)]
+
+
+def _exp_coeffs(f: Cochain, keys: tuple) -> tuple:
     d = tuple_degree(f.instance, keys)
-    coeffs = tuple(conv_power(f, k, keys) / math.factorial(k) for k in range(d + 1))
-    f._exp_cache[keys] = coeffs
-    return coeffs
+    return tuple(conv_power(f, k, keys) / math.factorial(k) for k in range(d + 1))
 
 
-def conv_exp(f: Cochain, t: float, u, plan: ConvExpPlan | None = None) -> complex:
+def conv_exp(f: Cochain, t: float, u) -> complex:
     """Evaluate ``e_⋆^{tf}`` at u (a basis tuple or a TensorElement)."""
     if isinstance(u, TensorElement):
         if u.rank != f.arity:
             raise InstanceMismatchError(f"cochain arity {f.arity} vs tensor rank {u.rank}")
-        if plan is None:
-            plan = plan_conv_exp(f)
-        return sum((c * conv_exp(f, t, keys, plan) for keys, c in u.terms.items()), 0j)
+        return sum((c * conv_exp(f, t, keys) for keys, c in u.terms.items()), 0j)
+    if f._plan is None:
+        f._plan = plan_conv_exp(f)
     keys = tuple(u)
-    if plan is None:
-        plan = plan_conv_exp(f)
-    if plan.strategy == "closed_form_grouplike":
+    if f._plan.strategy == "closed_form_grouplike":
         return cmath.exp(t * f.value(keys))
-    if plan.strategy == "degree_truncated":
+    if f._plan.strategy == "degree_truncated":
         total = 0j
         for c in reversed(conv_exp_coeffs(f, keys)):
             total = total * t + c
         return total
     return tuple_counit(f.instance, keys)
-
-
-def conv_exp_functional(f: Cochain, t: float, name=None) -> Cochain:
-    plan = plan_conv_exp(f)
-    return Cochain(
-        f.instance,
-        f.arity,
-        lambda ks: conv_exp(f, t, ks, plan),
-        name or f"exp({t}*{f.name})",
-    )
 
 
 # -- linear maps into the algebra ---------------------------------------------
@@ -337,7 +309,7 @@ class LinMap:
     and extended linearly.
     """
 
-    __slots__ = ("instance", "rank", "name", "_rule", "_cache")
+    __slots__ = ("instance", "rank", "name", "_cache")
 
     def __init__(self, instance, rank: int, rule, name: str = "A"):
         if rank < 1:
@@ -345,16 +317,10 @@ class LinMap:
         self.instance = instance
         self.rank = rank
         self.name = name
-        self._rule = rule
-        self._cache: dict = {}
+        self._cache = Memo(rule)
 
     def value(self, keys: tuple) -> Element:
-        keys = tuple(keys)
-        hit = self._cache.get(keys)
-        if hit is None:
-            hit = self._rule(keys)
-            self._cache[keys] = hit
-        return hit
+        return self._cache[tuple(keys)]
 
     def __call__(self, x) -> Element:
         if isinstance(x, Element):
@@ -430,26 +396,16 @@ def convolve_maps(A: LinMap, B: LinMap, product=None, name=None) -> LinMap:
 
 def map_conv_functional(A: LinMap, f: Cochain, name=None) -> LinMap:
     """A ⋆ f for scalar f: u ↦ Σ A(u₍₁₎)·f(u₍₂₎)."""
-    _same_instance(A, f)
-    if A.rank != f.arity:
-        raise InstanceMismatchError(f"map rank {A.rank} vs cochain arity {f.arity}")
-    inst = A.instance
-
-    def rule(keys):
-        acc: dict = {}
-        for left, right, c in tuple_comul_terms(inst, keys):
-            v = f.value(right)
-            if v == 0:
-                continue
-            for k, w in A.value(left).terms.items():
-                _acc(acc, k, c * v * w)
-        return Element(inst, acc)
-
-    return LinMap(inst, A.rank, rule, name or f"({A.name}*{f.name})")
+    return _scalar_convolution(A, f, 1, name or f"({A.name}*{f.name})")
 
 
 def functional_conv_map(f: Cochain, A: LinMap, name=None) -> LinMap:
     """f ⋆ A for scalar f: u ↦ Σ f(u₍₁₎)·A(u₍₂₎)."""
+    return _scalar_convolution(A, f, 0, name or f"({f.name}*{A.name})")
+
+
+def _scalar_convolution(A: LinMap, f: Cochain, f_leg: int, name: str) -> LinMap:
+    """Convolution of A with a scalar f that reads leg ``f_leg`` of Δ."""
     _same_instance(A, f)
     if A.rank != f.arity:
         raise InstanceMismatchError(f"map rank {A.rank} vs cochain arity {f.arity}")
@@ -457,15 +413,16 @@ def functional_conv_map(f: Cochain, A: LinMap, name=None) -> LinMap:
 
     def rule(keys):
         acc: dict = {}
-        for left, right, c in tuple_comul_terms(inst, keys):
-            v = f.value(left)
+        for legs in tuple_comul_terms(inst, keys):
+            v = f.value(legs[f_leg])
             if v == 0:
                 continue
-            for k, w in A.value(right).terms.items():
+            c = legs[2]
+            for k, w in A.value(legs[1 - f_leg]).terms.items():
                 _acc(acc, k, c * v * w)
         return Element(inst, acc)
 
-    return LinMap(inst, A.rank, rule, name or f"({f.name}*{A.name})")
+    return LinMap(inst, A.rank, rule, name)
 
 
 def r_phi(phi: Cochain, name=None) -> LinMap:

@@ -20,7 +20,7 @@ import itertools
 import math
 from typing import Callable
 
-from .report import Report
+from .report import Report, fold_residuals
 
 EPS_EQ = 1e-9
 EPS_PRUNE = 1e-12
@@ -42,10 +42,6 @@ class Kind(enum.Enum):
     GROUPLIKE_BASIS = "grouplike_basis"
     GRADED_CONNECTED = "graded_connected"
     FINITE = "finite"
-
-
-def approx_eq(a, b, tol: float = EPS_EQ) -> bool:
-    return abs(complex(a) - complex(b)) <= tol
 
 
 def format_scalar(z) -> str:
@@ -71,6 +67,20 @@ def _clean_terms(terms, prune: float):
 def _acc(acc: dict, key, value) -> None:
     cur = acc.get(key)
     acc[key] = value if cur is None else cur + value
+
+
+class Memo(dict):
+    """A dict that fills a missing key with ``compute(key)`` and keeps it."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: Callable):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
 
 
 class BialgebraInstance:
@@ -111,8 +121,6 @@ class BialgebraInstance:
         self.cocommutative = cocommutative
         self.eq_eps = eq_eps
         self.prune_eps = prune_eps
-        self._mul = mul_basis
-        self._comul = comul_basis
         self._counit = counit_basis
         self._antipode = antipode_basis
         self._star = star_basis
@@ -121,12 +129,16 @@ class BialgebraInstance:
         self._key_str = key_str or repr
         self._key_sort = key_sort or (lambda k: k)
         self._basis_iter = basis_iter
-        self._mul_cache: dict = {}
-        self._comul_cache: dict = {}
-        self._antipode_cache: dict = {}
-        self._star_cache: dict = {}
-        self._tuple_comul_cache: dict = {}
-        self._iter_comul_cache: dict = {}
+        # the memos close over the rules and each other, never over the
+        # instance, so an instance is freed as soon as its last user drops it
+        comul = self._comul_cache = Memo(
+            lambda k: tuple((a, b, complex(c)) for a, b, c in comul_basis(k))
+        )
+        self._mul_cache = Memo(lambda pair: tuple((k, complex(c)) for k, c in mul_basis(*pair)))
+        self._antipode_cache = Memo(lambda k: tuple((kk, complex(c)) for kk, c in antipode_basis(k)))
+        self._star_cache = Memo(lambda k: tuple((kk, complex(c)) for kk, c in star_basis(k)))
+        self._tuple_comul_cache = Memo(lambda keys: _expand_tuple_comul(comul, keys))
+        self._iter_comul_cache = Memo(lambda key_n: _expand_iterated_comul(comul, *key_n))
 
     # -- capabilities ------------------------------------------------------
 
@@ -149,37 +161,25 @@ class BialgebraInstance:
     # -- basis-level rules (memoized) --------------------------------------
 
     def mul_terms(self, k1, k2):
-        hit = self._mul_cache.get((k1, k2))
-        if hit is None:
-            hit = tuple((k, complex(c)) for k, c in self._mul(k1, k2))
-            self._mul_cache[(k1, k2)] = hit
-        return hit
+        return self._mul_cache[k1, k2]
 
     def comul_terms(self, k):
-        hit = self._comul_cache.get(k)
-        if hit is None:
-            hit = tuple((a, b, complex(c)) for a, b, c in self._comul(k))
-            self._comul_cache[k] = hit
-        return hit
+        return self._comul_cache[k]
+
+    def tuple_comul_terms(self, keys: tuple):
+        """The coproduct of a basis tuple as ``(left_tuple, right_tuple, coeff)`` triples."""
+        return self._tuple_comul_cache[keys]
 
     def counit_key(self, k) -> complex:
         return complex(self._counit(k))
 
     def antipode_terms(self, k):
         self.require_antipode()
-        hit = self._antipode_cache.get(k)
-        if hit is None:
-            hit = tuple((kk, complex(c)) for kk, c in self._antipode(k))
-            self._antipode_cache[k] = hit
-        return hit
+        return self._antipode_cache[k]
 
     def star_terms(self, k):
         self.require_star()
-        hit = self._star_cache.get(k)
-        if hit is None:
-            hit = tuple((kk, complex(c)) for kk, c in self._star(k))
-            self._star_cache[k] = hit
-        return hit
+        return self._star_cache[k]
 
     def degree_key(self, k) -> int:
         if self._degree is None:
@@ -411,25 +411,36 @@ def star_key(instance: BialgebraInstance, k) -> Element:
     return Element(instance, dict(instance.star_terms(k)))
 
 
+def _expand_tuple_comul(comul: Memo, keys: tuple) -> tuple:
+    parts = [comul[k] for k in keys]
+    out = []
+    for combo in itertools.product(*parts):
+        left = tuple(t[0] for t in combo)
+        right = tuple(t[1] for t in combo)
+        coeff = 1.0 + 0j
+        for t in combo:
+            coeff *= t[2]
+        out.append((left, right, coeff))
+    return tuple(out)
+
+
 def iterated_comul_terms(instance: BialgebraInstance, key, n: int):
     """Expansion of the n-fold coproduct of a basis key as ``(keys, coeff)``.
 
     Uses the recursion that peels one tensor factor from the left; by
     coassociativity any other bracketing gives the same expansion.
     """
+    return instance._iter_comul_cache[key, n]
+
+
+def _expand_iterated_comul(comul: Memo, key, n: int) -> tuple:
     if n == 1:
         return (((key,), 1.0 + 0j),)
-    cache = instance._iter_comul_cache
-    hit = cache.get((key, n))
-    if hit is not None:
-        return hit
     acc: dict = {}
-    for k1, k2, w in instance.comul_terms(key):
-        for rest, c in iterated_comul_terms(instance, k2, n - 1):
+    for k1, k2, w in comul[key]:
+        for rest, c in _expand_iterated_comul(comul, k2, n - 1):
             _acc(acc, (k1,) + rest, w * c)
-    out = tuple(acc.items())
-    cache[(key, n)] = out
-    return out
+    return tuple(acc.items())
 
 
 def iterated_comul(a: Element, n: int):
@@ -593,98 +604,89 @@ def check_structure(instance: BialgebraInstance, sampler, tol: float = 1e-8) -> 
     report = Report(name=f"structure:{instance.name}")
     triples = [(sampler.element(), sampler.element(), sampler.element()) for _ in range(sampler.budget)]
 
-    res = 0.0
-    for a, b, c in triples:
-        res = max(res, (mul(mul(a, b), c) - mul(a, mul(b, c))).norm_inf())
-    report.add("associativity", "(a*b)*c = a*(b*c)", len(triples), res, tol)
+    assoc = ((mul(mul(a, b), c) - mul(a, mul(b, c))).norm_inf() for a, b, c in triples)
+    report.add_residuals("associativity", "(a*b)*c = a*(b*c)", assoc, tol)
 
     one = instance.unit_element()
-    res = 0.0
-    for a, _, _ in triples:
-        res = max(res, (mul(one, a) - a).norm_inf(), (mul(a, one) - a).norm_inf())
-    report.add("unit", "1*a = a = a*1", len(triples), res, 1e-12)
+    unit = (((mul(one, a) - a).norm_inf(), (mul(a, one) - a).norm_inf()) for a, _, _ in triples)
+    report.add_residuals("unit", "1*a = a = a*1", unit, 1e-12)
 
-    res = 0.0
-    for a, _, _ in triples:
-        u = comul(a)
-        res = max(res, (tensor_expand_slot(u, 0) - tensor_expand_slot(u, 1)).norm_inf())
-    report.add("coassociativity", "(Delta(x)id)Delta = (id(x)Delta)Delta", len(triples), res, tol)
+    coproducts = (comul(a) for a, _, _ in triples)
+    coassoc = ((tensor_expand_slot(u, 0) - tensor_expand_slot(u, 1)).norm_inf() for u in coproducts)
+    report.add_residuals("coassociativity", "(Delta(x)id)Delta = (id(x)Delta)Delta", coassoc, tol)
 
-    res = 0.0
-    for a, _, _ in triples:
-        u = comul(a)
-        left = tensor_contract_slot(u, 0)
-        right = tensor_contract_slot(u, 1)
-        res = max(res, (left - a).norm_inf(), (right - a).norm_inf())
-    report.add("counit", "(delta(x)id)Delta = id = (id(x)delta)Delta", len(triples), res, 1e-12)
+    def counit_residuals():
+        for a, _, _ in triples:
+            u = comul(a)
+            left = tensor_contract_slot(u, 0)
+            right = tensor_contract_slot(u, 1)
+            yield (left - a).norm_inf(), (right - a).norm_inf()
 
-    res = 0.0
-    for a, b, _ in triples:
-        res = max(res, (comul(mul(a, b)) - tensor_mul(comul(a), comul(b))).norm_inf())
-    report.add("comul_homomorphism", "Delta(ab) = Delta(a)Delta(b)", len(triples), res, tol)
+    report.add_residuals("counit", "(delta(x)id)Delta = id = (id(x)delta)Delta", counit_residuals(), 1e-12)
 
-    res = 0.0
-    for a, b, _ in triples:
-        res = max(res, abs(counit(mul(a, b)) - counit(a) * counit(b)))
-    report.add("counit_homomorphism", "delta(ab) = delta(a)delta(b)", len(triples), res, tol)
+    hom = ((comul(mul(a, b)) - tensor_mul(comul(a), comul(b))).norm_inf() for a, b, _ in triples)
+    report.add_residuals("comul_homomorphism", "Delta(ab) = Delta(a)Delta(b)", hom, tol)
+
+    hom = (abs(counit(mul(a, b)) - counit(a) * counit(b)) for a, b, _ in triples)
+    report.add_residuals("counit_homomorphism", "delta(ab) = delta(a)delta(b)", hom, tol)
 
     if instance.kind is Kind.GROUPLIKE_BASIS:
-        res = 0.0
-        for _ in range(sampler.budget):
-            k = sampler.key()
-            terms = instance.comul_terms(k)
-            exact = len(terms) == 1 and terms[0] == (k, k, 1.0 + 0j)
-            res = max(res, 0.0 if exact else 1.0, abs(instance.counit_key(k) - 1.0))
-        report.add("grouplike_basis", "Delta(b) = b(x)b and delta(b) = 1 on basis keys", sampler.budget, res, 0.0)
+        def grouplike_residuals():
+            for _ in range(sampler.budget):
+                k = sampler.key()
+                terms = instance.comul_terms(k)
+                exact = len(terms) == 1 and terms[0] == (k, k, 1.0 + 0j)
+                yield 0.0 if exact else 1.0, abs(instance.counit_key(k) - 1.0)
+
+        report.add_residuals(
+            "grouplike_basis", "Delta(b) = b(x)b and delta(b) = 1 on basis keys", grouplike_residuals(), 0.0
+        )
 
     if instance.kind is Kind.GRADED_CONNECTED:
-        res = 0.0 if instance.degree_key(instance.unit) == 0 else 1.0
-        for _ in range(sampler.budget):
-            k1, k2 = sampler.key(), sampler.key()
-            d1, d2 = instance.degree_key(k1), instance.degree_key(k2)
-            for k, _ in instance.mul_terms(k1, k2):
-                if instance.degree_key(k) != d1 + d2:
-                    res = 1.0
-            for a, b, _ in instance.comul_terms(k1):
-                if instance.degree_key(a) + instance.degree_key(b) != d1:
-                    res = 1.0
+        def grading_residuals():
+            for _ in range(sampler.budget):
+                k1, k2 = sampler.key(), sampler.key()
+                d1, d2 = instance.degree_key(k1), instance.degree_key(k2)
+                products = instance.mul_terms(k1, k2)
+                coproduct = instance.comul_terms(k1)
+                graded = all(instance.degree_key(k) == d1 + d2 for k, _ in products) and all(
+                    instance.degree_key(a) + instance.degree_key(b) == d1 for a, b, _ in coproduct
+                )
+                yield 0.0 if graded else 1.0
+
+        samples, res = fold_residuals(grading_residuals())
         report.add(
             "grading",
             "deg(1) = 0; the product adds degrees; the coproduct preserves them",
-            sampler.budget,
-            res,
+            samples,
+            res if instance.degree_key(instance.unit) == 0 else 1.0,
             0.0,
         )
 
     if instance.cocommutative:
-        res = 0.0
-        for a, _, _ in triples:
-            u = comul(a)
-            res = max(res, (tensor_flip(u) - u).norm_inf())
-        report.add("cocommutativity", "tau∘Delta = Delta", len(triples), res, 1e-12)
+        coproducts = (comul(a) for a, _, _ in triples)
+        cocomm = ((tensor_flip(u) - u).norm_inf() for u in coproducts)
+        report.add_residuals("cocommutativity", "tau∘Delta = Delta", cocomm, 1e-12)
 
     if instance.has_antipode:
-        res = 0.0
-        for a, _, _ in triples:
-            u = comul(a)
-            lhs = tensor_mul_all(tensor_apply(u, (instance.antipode_terms, None)))
-            rhs = tensor_mul_all(tensor_apply(u, (None, instance.antipode_terms)))
-            target = scale(counit(a), one)
-            res = max(res, (lhs - target).norm_inf(), (rhs - target).norm_inf())
-        report.add("antipode", "mul(S(x)id)Delta = delta*1 = mul(id(x)S)Delta", len(triples), res, tol)
+        def antipode_residuals():
+            for a, _, _ in triples:
+                u = comul(a)
+                lhs = tensor_mul_all(tensor_apply(u, (instance.antipode_terms, None)))
+                rhs = tensor_mul_all(tensor_apply(u, (None, instance.antipode_terms)))
+                target = scale(counit(a), one)
+                yield (lhs - target).norm_inf(), (rhs - target).norm_inf()
+
+        report.add_residuals("antipode", "mul(S(x)id)Delta = delta*1 = mul(id(x)S)Delta", antipode_residuals(), tol)
         report.add(
             "antipode_unit", "S(1) = 1", 1, (antipode(one) - one).norm_inf(), 1e-12
         )
 
     if instance.has_star:
-        res = 0.0
-        for a, _, _ in triples:
-            res = max(res, (star(star(a)) - a).norm_inf())
-        report.add("star_involutive", "(a*)* = a", len(triples), res, 1e-12)
+        involutive = ((star(star(a)) - a).norm_inf() for a, _, _ in triples)
+        report.add_residuals("star_involutive", "(a*)* = a", involutive, 1e-12)
 
-        res = 0.0
-        for a, b, _ in triples:
-            res = max(res, (star(mul(a, b)) - mul(star(b), star(a))).norm_inf())
-        report.add("star_antihomomorphism", "(ab)* = b* a*", len(triples), res, tol)
+        antihom = ((star(mul(a, b)) - mul(star(b), star(a))).norm_inf() for a, b, _ in triples)
+        report.add_residuals("star_antihomomorphism", "(ab)* = b* a*", antihom, tol)
 
     return report

@@ -278,6 +278,8 @@ def make_primitive_bilinear_cocycle(
     M = np.asarray(M, dtype=complex)
     if M.shape != (n, n):
         raise AlgebraError(f"matrix shape {M.shape} does not match {n} generators")
+    if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
+        raise AlgebraError("matrix entries must be finite")
 
     def rule(keys):
         k1, k2 = keys

@@ -11,6 +11,22 @@ import json
 from dataclasses import dataclass, field
 
 
+def fold_residuals(residuals) -> tuple[int, float]:
+    """Count a stream of samples and keep its largest residual.
+
+    Each item is one sample's residual, or a tuple of its residuals.  A
+    NaN residual is kept as the result, so the law it belongs to fails.
+    """
+    samples = 0
+    worst = 0.0
+    for item in residuals:
+        samples += 1
+        for r in item if isinstance(item, tuple) else (item,):
+            if r > worst or r != r:
+                worst = r
+    return samples, worst
+
+
 @dataclass
 class LawResult:
     law_id: str
@@ -48,6 +64,11 @@ class Report:
         )
         self.results.append(res)
         return res
+
+    def add_residuals(self, law_id, statement, residuals, tolerance) -> LawResult:
+        """Record a law from its sample stream, folded by :func:`fold_residuals`."""
+        samples, worst = fold_residuals(residuals)
+        return self.add(law_id, statement, samples, worst, tolerance)
 
     def add_flag(self, law_id, statement, passed, samples=0) -> LawResult:
         """Record a boolean law (residual 0/1 against tolerance 0.5)."""

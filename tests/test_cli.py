@@ -108,8 +108,28 @@ def test_exit_2_on_bad_json(tmp_path, capsys):
     assert main(["--config", str(path)]) == 2
 
 
-def test_exit_2_on_unknown_instance(tmp_path):
-    assert main(["--config", _write(tmp_path, {"instance": {"type": "nope"}, "cocycle": {"type": "zero"}})]) == 2
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param({"instance": {"type": "nope"}, "cocycle": {"type": "zero"}}, id="unknown_instance"),
+        pytest.param(
+            {
+                "instance": {"type": "symmetric_star", "generators": ["x", "y"]},
+                "cocycle": {"type": "primitive_bilinear", "matrix": [[float("nan"), 1.0], [0.0, 0.0]]},
+            },
+            id="primitive_bilinear_nan_entry",
+        ),
+        pytest.param(
+            {
+                "instance": {"type": "group_algebra_zd", "d": 1},
+                "cocycle": {"type": "z_polynomial", "coeffs": [[2, 1, [float("nan"), 0.0]]]},
+            },
+            id="z_polynomial_nan_coefficient",
+        ),
+    ],
+)
+def test_exit_2_on_unknown_instance(payload, tmp_path):
+    assert main(["--config", _write(tmp_path, payload)]) == 2
 
 
 def test_exit_2_on_unknown_command(tmp_path):
@@ -251,5 +271,14 @@ def test_trivial_check_with_pbw_witness(tmp_path):
     assert main(["--config", _write(tmp_path, cfg)]) == 0
 
 
-def test_usage_error_without_inputs():
-    assert main([]) == 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param([], id="no_inputs"),
+        pytest.param(["--example", "z-cubic", "--t-grid=nan,1"], id="t_grid_nan"),
+        pytest.param(["--example", "z-cubic", "--t-grid=inf"], id="t_grid_inf"),
+        pytest.param(["--example", "z-cubic", "--tolerance", "nan"], id="tolerance_nan"),
+    ],
+)
+def test_usage_error_without_inputs(argv):
+    assert main(argv) == 2

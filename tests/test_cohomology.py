@@ -1,9 +1,12 @@
 """Coboundary operator, classifying predicates, sub-complex stability."""
+import math
+
 import numpy as np
 import pytest
 
 import hopfdeform as hd
 from hopfdeform.cohomology import (
+    cocycle_residual,
     commuting_residual,
     hermitian_conjugate,
     hermitian_sign,
@@ -149,6 +152,24 @@ def test_validate_generator_rejects_non_cocycle(z1):
     L = hd.make_z_polynomial_cocycle(z1, [(1, 0, 1.0)])
     sampler = hd.ElementSampler(z1, seed=37, coord_bound=2)
     cls = hd.validate_generator(L, sampler)
+    assert not cls.cocycle
+    assert not cls.is_generator()
+
+
+def test_cocycle_residual_keeps_nan(z1):
+    f = hd.Cochain(z1, 2, lambda ks: math.nan, name="nan")
+    sampler = hd.ElementSampler(z1, seed=43, coord_bound=2)
+    assert math.isnan(cocycle_residual(f, sampler, samples=10))
+
+
+def test_validate_generator_rejects_nan_cocycle_residual(z1):
+    # zero on every pair the commuting check reaches with coord_bound 1, NaN
+    # on the larger pairs the coboundary reaches, so only the cocycle law sees it
+    L = hd.Cochain(z1, 2, lambda ks: math.nan if abs(ks[0][0]) + abs(ks[1][0]) > 2 else 0.0)
+    sampler = hd.ElementSampler(z1, seed=47, coord_bound=1)
+    cls = hd.validate_generator(L, sampler, samples=40)
+    assert cls.normalized and cls.commuting
+    assert math.isnan(cls.residuals["cocycle"])
     assert not cls.cocycle
     assert not cls.is_generator()
 

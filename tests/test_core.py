@@ -267,3 +267,12 @@ def test_counit_is_linear_on_z2(terms):
         e = e + z2.basis_element(key, c)
         total += c
     assert abs(hd.counit(e) - total) < 1e-9
+
+
+def test_nan_residual_fails_its_law():
+    report = hd.Report(name="nan")
+    law = report.add_residuals("law", "a NaN sample", iter([0.0, math.nan, 0.5]), 1.0)
+    assert law.samples == 3
+    assert math.isnan(law.max_residual)
+    assert not law.passed
+    assert not report.overall_pass

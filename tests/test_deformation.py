@@ -156,6 +156,13 @@ def test_make_trivial_deformation_rejects_bad_witness(cubic):
         hd.make_trivial_deformation(D, bad_psi)
 
 
+def test_make_trivial_deformation_rejects_nan_witness(cubic):
+    inst, D, _, _ = cubic
+    nan_psi = hd.Cochain(inst, 1, lambda ks: 0.0 if ks[0] == (0,) else math.nan, name="nan")
+    with pytest.raises(hd.GeneratorValidationError):
+        hd.make_trivial_deformation(D, nan_psi)
+
+
 def test_sigma_values_cubic(cubic):
     _, D, _, _ = cubic
     sig = D.sigma()

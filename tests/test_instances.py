@@ -42,6 +42,11 @@ def test_zd_matrix_nonfinite_rejected(z2):
         hd.make_zd_matrix_cocycle(z2, [[np.inf, 0], [0, 0]])
 
 
+def test_primitive_bilinear_nonfinite_rejected(osc):
+    with pytest.raises(hd.AlgebraError):
+        hd.make_primitive_bilinear_cocycle(osc, [[0, np.nan], [0, 0]])
+
+
 def test_z_cubic_values(z1):
     L, psi = hd.make_z_cubic_coboundary(z1)
     assert L.value(((1,), (1,))) == 2.0
