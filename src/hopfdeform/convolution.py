@@ -299,6 +299,11 @@ def conv_exp(f: Cochain, t: float, u) -> complex:
     return tuple_counit(f.instance, keys)
 
 
+def exp_cochain(f: Cochain, t: float) -> Cochain:
+    """The functional ``e_⋆^{tf}``, memoized per basis tuple."""
+    return Cochain(f.instance, f.arity, lambda keys: conv_exp(f, t, keys), name=f"exp({t:g}{f.name})")
+
+
 # -- linear maps into the algebra ---------------------------------------------
 
 

@@ -13,6 +13,11 @@ consistently throughout:
 so for trivial deformations σ = ψ + ψ∘S and S_t = Φ₋t∘S∘Φ₋t.  Deformed
 antipodes in general are S_t = S ⋆ e_⋆^{−tσ} with σ = L∘(id⊗S)∘Δ.
 
+The three maps are one construction, a base map convolved with a
+convolution exponential: μ_t = μ ⋆ e_⋆^{tL} on the tensor square,
+S_t = S ⋆ e_⋆^{−tσ} and Φ_t = id ⋆ e_⋆^{tψ}.  Each is built once per t
+per deformation and memoized there.
+
 Every theorem-shaped statement is realized as a sampled law check that
 reports a max residual against a tolerance; the verification suites never
 raise on failure.  Suites walk their sample streams in a fixed order, so
@@ -20,11 +25,14 @@ reports are deterministic for a given (seed, budget).
 """
 from __future__ import annotations
 
+import weakref
+
 from .core import (
     AlgebraError,
     BialgebraInstance,
     Element,
     Kind,
+    Memo,
     TensorElement,
     _acc,
     antipode,
@@ -39,10 +47,15 @@ from .core import (
 from .convolution import (
     Cochain,
     LinMap,
+    antipode_map,
     cochain_scale,
     cochain_sub,
     conv_exp,
     convolve_maps,
+    exp_cochain,
+    map_conv_functional,
+    mu_n_map,
+    r_phi,
     tuple_comul_terms,
 )
 from .cohomology import (
@@ -65,8 +78,8 @@ class SplitPreconditionError(AlgebraError):
 class Deformation:
     """A validated generator together with its instance.
 
-    Carries lazily computed data (σ) and the sampler used for internal
-    consistency assertions.
+    Carries lazily computed data (σ, and μ_t and S_t once per t) and the
+    sampler used for internal consistency assertions.
     """
 
     def __init__(self, instance: BialgebraInstance, generator: Cochain,
@@ -76,6 +89,18 @@ class Deformation:
         self.classifier = classifier
         self._sampler = sampler
         self._sigma: Cochain | None = None
+        mu = mu_n_map(instance, 2)
+        self._mul_maps = Memo(
+            lambda t: map_conv_functional(mu, exp_cochain(generator, t), name=f"mul_{t:g}")
+        )
+        # S_t reads σ through a weak proxy: a memo that held the deformation
+        # would make a cycle, left for the next full garbage collection
+        me = weakref.proxy(self)
+        self._antipodes = Memo(
+            lambda t: map_conv_functional(
+                antipode_map(instance), exp_cochain(me.sigma(), -t), name=f"S_{t:g}"
+            )
+        )
 
     def sigma(self, tol: float = DEFAULT_TOL) -> Cochain:
         """σ = L∘(id⊗S)∘Δ; the flipped form L∘(S⊗id)∘Δ must agree."""
@@ -115,6 +140,7 @@ class TrivialDeformation:
     def __init__(self, deformation: Deformation, psi: Cochain):
         self.deformation = deformation
         self.psi = psi
+        self._phis = Memo(lambda t: r_phi(exp_cochain(psi, t), name=f"Phi_{t:g}"))
 
     @property
     def instance(self):
@@ -159,16 +185,8 @@ def make_trivial_deformation(
 
 
 def deformed_mul_pair(D: Deformation, t: float, ka, kb) -> Element:
-    """μ_t on a pair of basis keys, through the Λ expansion."""
-    inst = D.instance
-    acc: dict = {}
-    for left, right, c in tuple_comul_terms(inst, (ka, kb)):
-        w = c * conv_exp(D.generator, t, right)
-        if w == 0:
-            continue
-        for k, v in inst.mul_terms(left[0], left[1]):
-            _acc(acc, k, w * v)
-    return Element(inst, acc)
+    """μ_t on a pair of basis keys."""
+    return D._mul_maps[t].value((ka, kb))
 
 
 def deformed_mul(D: Deformation, t: float, a: Element, b: Element) -> Element:
@@ -184,9 +202,8 @@ def deformed_mul(D: Deformation, t: float, a: Element, b: Element) -> Element:
 
 
 def deformed_mul_map(D: Deformation, t: float) -> LinMap:
-    return LinMap(
-        D.instance, 2, lambda ks: deformed_mul_pair(D, t, ks[0], ks[1]), name=f"mul_{t:g}"
-    )
+    """μ_t = μ ⋆ e_⋆^{tL} on the tensor square, built once per t."""
+    return D._mul_maps[t]
 
 
 def deformed_convolution(D: Deformation, t: float, A: LinMap, B: LinMap) -> LinMap:
@@ -227,38 +244,13 @@ def sigma_functional(D: Deformation, sampler, samples: int = 60, tol: float = DE
 
 
 def deformed_antipode(D: Deformation, t: float) -> LinMap:
-    """S_t = S ⋆ e_⋆^{−tσ}."""
-    inst = D.instance
-    inst.require_antipode()
-    sig = D.sigma()
-
-    def rule(keys):
-        acc: dict = {}
-        for k1, k2, c in inst.comul_terms(keys[0]):
-            w = c * conv_exp(sig, -t, (k2,))
-            if w == 0:
-                continue
-            for k, v in inst.antipode_terms(k1):
-                _acc(acc, k, w * v)
-        return Element(inst, acc)
-
-    return LinMap(inst, 1, rule, name=f"S_{t:g}")
+    """S_t = S ⋆ e_⋆^{−tσ}, built once per t."""
+    return D._antipodes[t]
 
 
 def phi_map(T: TrivialDeformation, t: float) -> LinMap:
-    """Φ_t = id ⋆ e_⋆^{tψ}, the conjugating one-parameter group."""
-    inst = T.instance
-    psi = T.psi
-
-    def rule(keys):
-        acc: dict = {}
-        for k1, k2, c in inst.comul_terms(keys[0]):
-            w = c * conv_exp(psi, t, (k2,))
-            if w != 0:
-                _acc(acc, k1, w)
-        return Element(inst, acc)
-
-    return LinMap(inst, 1, rule, name=f"Phi_{t:g}")
+    """Φ_t = id ⋆ e_⋆^{tψ}, the conjugating one-parameter group, built once per t."""
+    return T._phis[t]
 
 
 def as_tensor1(a: Element) -> TensorElement:
@@ -421,14 +413,12 @@ def check_hopf_deformation(
     L = D.generator
     sig = D.sigma()
 
-    s_maps = {t: deformed_antipode(D, t) for t in sorted(set(t_grid).union({0.0}))}
-
     per = _per_case(samples, len(t_grid))
     s_inv = sampler.spawn(201)
 
     def inverse_residuals():
         for t in t_grid:
-            St = s_maps[t]
+            St = deformed_antipode(D, t)
             for _ in range(per):
                 a = s_inv.element()
                 target = scale(counit(a), one)
@@ -449,13 +439,15 @@ def check_hopf_deformation(
     )
 
     report.add_residuals(
-        "antipode_unit", "S_t(1) = 1", ((s_maps[t](one) - one).norm_inf() for t in t_grid), 1e-12
+        "antipode_unit", "S_t(1) = 1",
+        ((deformed_antipode(D, t)(one) - one).norm_inf() for t in t_grid),
+        1e-12,
     )
 
     zero_samples = sampler.spawn(203).elements(max(1, samples // 4))
     report.add_residuals(
         "antipode_at_zero", "S_0 = S",
-        ((s_maps[0.0](a) - antipode(a)).norm_inf() for a in zero_samples),
+        ((deformed_antipode(D, 0.0)(a) - antipode(a)).norm_inf() for a in zero_samples),
         1e-12,
     )
 
@@ -463,7 +455,7 @@ def check_hopf_deformation(
 
     def antihom_residuals():
         for t in t_grid:
-            St = s_maps[t]
+            St = deformed_antipode(D, t)
             for _ in range(per):
                 a, b = s_anti.element(), s_anti.element()
                 lhs = St(deformed_mul(D, -t, a, b))
@@ -483,8 +475,7 @@ def check_hopf_deformation(
 
     def coantihom_residuals():
         for t, r in pairs:
-            Str = deformed_antipode(D, t + r)
-            St, Sr = s_maps[t], s_maps[r]
+            Str, St, Sr = deformed_antipode(D, t + r), deformed_antipode(D, t), deformed_antipode(D, r)
             for _ in range(per_pair):
                 a = s_coanti.element()
                 lhs = comul(Str(a))
@@ -507,7 +498,7 @@ def check_hopf_deformation(
 
         def involution_residuals():
             for t in t_grid:
-                St, Sm = s_maps[t], deformed_antipode(D, -t)
+                St, Sm = deformed_antipode(D, t), deformed_antipode(D, -t)
                 for _ in range(per):
                     a = s_inv2.element()
                     yield (St(Sm(a)) - a).norm_inf()
@@ -644,10 +635,8 @@ def check_trivial_deformation(
         sub = check_trivial_conjugation(T, t, sampler.spawn(310 + i), per, tol)
         report.merge(sub, prefix=f"t={t:g}:")
 
-    phis = {t: phi_map(T, t) for t in sorted(set(t_grid))}
-
     report.add_residuals(
-        "phi_unit", "Phi_t(1) = 1", ((phis[t](one) - one).norm_inf() for t in t_grid), 1e-12
+        "phi_unit", "Phi_t(1) = 1", ((phi_map(T, t)(one) - one).norm_inf() for t in t_grid), 1e-12
     )
 
     pairs = _grid_pairs(t_grid)
@@ -656,10 +645,10 @@ def check_trivial_deformation(
 
     def group_residuals():
         for t, s in pairs:
-            phi_ts = phi_map(T, t + s)
+            phi_t, phi_s, phi_ts = phi_map(T, t), phi_map(T, s), phi_map(T, t + s)
             for _ in range(per_pair):
                 a = s_group.element()
-                yield (phis[t](phis[s](a)) - phi_ts(a)).norm_inf()
+                yield (phi_t(phi_s(a)) - phi_ts(a)).norm_inf()
 
     report.add_residuals("phi_group_law", "Phi_t∘Phi_s = Phi_{t+s}", group_residuals(), tol)
 
@@ -667,10 +656,10 @@ def check_trivial_deformation(
 
     def inverse_residuals():
         for t in t_grid:
-            phi_mt = phi_map(T, -t)
+            phi_t, phi_mt = phi_map(T, t), phi_map(T, -t)
             for _ in range(per):
                 a = s_invert.element()
-                yield (phis[t](phi_mt(a)) - a).norm_inf()
+                yield (phi_t(phi_mt(a)) - a).norm_inf()
 
     report.add_residuals("phi_inverse", "Phi_t∘Phi_{−t} = id", inverse_residuals(), tol)
 
@@ -709,9 +698,7 @@ def check_trivial_deformation(
         const_elems = s_const.elements(max(1, samples // max(1, len(t_grid))))
         rows = []
         for t in t_grid:
-            St = deformed_antipode(D, t)
-            phi_t = phis[t]
-            phi_mt = phi_map(T, -t)
+            St, phi_t, phi_mt = deformed_antipode(D, t), phi_map(T, t), phi_map(T, -t)
             for a in const_elems:
                 rows.append((
                     (St(a) - antipode(a)).norm_inf(),
