@@ -499,17 +499,6 @@ def tensor_flip(u: TensorElement) -> TensorElement:
     return TensorElement(u.instance, 2, {(b, a): c for (a, b), c in u.terms.items()})
 
 
-def tensor_counit(u: TensorElement) -> complex:
-    inst = u.instance
-    total = 0j
-    for keys, c in u.terms.items():
-        w = c
-        for k in keys:
-            w *= inst.counit_key(k)
-        total += w
-    return total
-
-
 def tensor_apply(u: TensorElement, slot_maps) -> TensorElement:
     """Apply per-slot linear basis maps; ``None`` leaves a slot unchanged.
 

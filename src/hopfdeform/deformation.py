@@ -42,6 +42,7 @@ from .core import (
     mul,
     scale,
     star,
+    tensor_apply,
     tensor_flip,
 )
 from .convolution import (
@@ -251,20 +252,6 @@ def deformed_antipode(D: Deformation, t: float) -> LinMap:
 def phi_map(T: TrivialDeformation, t: float) -> LinMap:
     """Φ_t = id ⋆ e_⋆^{tψ}, the conjugating one-parameter group, built once per t."""
     return T._phis[t]
-
-
-def as_tensor1(a: Element) -> TensorElement:
-    return TensorElement(a.instance, 1, {(k,): c for k, c in a.terms.items()})
-
-
-def antipode_second_slot(u: TensorElement) -> TensorElement:
-    """(id⊗S) applied to a rank-2 tensor."""
-    inst = u.instance
-    acc: dict = {}
-    for (k1, k2), c in u.terms.items():
-        for k, w in inst.antipode_terms(k2):
-            _acc(acc, (k1, k), c * w)
-    return TensorElement(inst, 2, acc)
 
 
 # -- verification suites ---------------------------------------------------------
@@ -511,9 +498,9 @@ def check_hopf_deformation(
         for t in t_grid:
             for _ in range(per):
                 a = s_sig.element()
-                transported = antipode_second_slot(comul(a))
+                transported = tensor_apply(comul(a), (None, inst.antipode_terms))
                 lhs = conv_exp(L, t, transported)
-                rhs = conv_exp(sig, t, as_tensor1(a))
+                rhs = sum((c * conv_exp(sig, t, (k,)) for k, c in a.terms.items()), 0j)
                 yield abs(lhs - rhs)
 
     report.add_residuals(
