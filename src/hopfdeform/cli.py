@@ -281,7 +281,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         elif os.environ.get("HOPFDEFORM_SEED"):
-            cfg.seed = int(os.environ["HOPFDEFORM_SEED"])
+            try:
+                cfg.seed = int(os.environ["HOPFDEFORM_SEED"])
+            except ValueError as exc:
+                raise ConfigError(f"HOPFDEFORM_SEED is not an integer: {exc}") from exc
         if args.samples is not None:
             cfg.sample_budget = args.samples
         if args.tolerance is not None:

@@ -91,19 +91,22 @@ class RunConfig:
             raise ConfigError(f"unknown configuration fields: {sorted(unknown)}")
         if "instance" not in raw or "cocycle" not in raw:
             raise ConfigError("configuration needs 'instance' and 'cocycle' descriptors")
-        cfg = cls(
-            instance=dict(raw["instance"]),
-            cocycle=dict(raw["cocycle"]),
-            witness=dict(raw["witness"]) if raw.get("witness") else None,
-            t_grid=[float(t) for t in raw.get("t_grid", DEFAULT_T_GRID)],
-            seed=int(raw.get("seed", 20240817)),
-            sample_budget=int(raw.get("sample_budget", 200)),
-            tolerances={**DEFAULT_TOLERANCES, **raw.get("tolerances", {})},
-            sampler={**DEFAULT_SAMPLER, **raw.get("sampler", {})},
-            require_star=bool(raw.get("require_star", False)),
-            command=str(raw.get("command", "full-report")),
-            tabulate=[list(p) for p in raw.get("tabulate", [])],
-        )
+        try:
+            cfg = cls(
+                instance=dict(raw["instance"]),
+                cocycle=dict(raw["cocycle"]),
+                witness=dict(raw["witness"]) if raw.get("witness") else None,
+                t_grid=[float(t) for t in raw.get("t_grid", DEFAULT_T_GRID)],
+                seed=int(raw.get("seed", 20240817)),
+                sample_budget=int(raw.get("sample_budget", 200)),
+                tolerances={**DEFAULT_TOLERANCES, **raw.get("tolerances", {})},
+                sampler={k: int(v) for k, v in {**DEFAULT_SAMPLER, **raw.get("sampler", {})}.items()},
+                require_star=bool(raw.get("require_star", False)),
+                command=str(raw.get("command", "full-report")),
+                tabulate=[list(p) for p in raw.get("tabulate", [])],
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"cannot read a configuration value: {exc}") from exc
         cfg.check()
         return cfg
 

@@ -19,6 +19,9 @@ def _write(tmp_path, payload) -> str:
     return str(path)
 
 
+_ZERO_ON_Z = {"instance": {"type": "group_algebra_zd", "d": 1}, "cocycle": {"type": "zero"}}
+
+
 def _fast(config: dict, samples: int = 30) -> dict:
     config = dict(config)
     config["sample_budget"] = samples
@@ -126,6 +129,11 @@ def test_exit_2_on_bad_json(tmp_path, capsys):
             },
             id="z_polynomial_nan_coefficient",
         ),
+        pytest.param({**_ZERO_ON_Z, "sample_budget": "ten"}, id="sample_budget_not_int"),
+        pytest.param({**_ZERO_ON_Z, "seed": "x"}, id="seed_not_int"),
+        pytest.param({**_ZERO_ON_Z, "sampler": {"coord_bound": "a"}}, id="coord_bound_not_int"),
+        pytest.param({**_ZERO_ON_Z, "t_grid": ["a"]}, id="t_grid_not_number"),
+        pytest.param({**_ZERO_ON_Z, "instance": 3}, id="instance_not_object"),
     ],
 )
 def test_exit_2_on_unknown_instance(payload, tmp_path):
@@ -272,13 +280,16 @@ def test_trivial_check_with_pbw_witness(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, env_seed",
     [
-        pytest.param([], id="no_inputs"),
-        pytest.param(["--example", "z-cubic", "--t-grid=nan,1"], id="t_grid_nan"),
-        pytest.param(["--example", "z-cubic", "--t-grid=inf"], id="t_grid_inf"),
-        pytest.param(["--example", "z-cubic", "--tolerance", "nan"], id="tolerance_nan"),
+        pytest.param([], None, id="no_inputs"),
+        pytest.param(["--example", "z-cubic", "--t-grid=nan,1"], None, id="t_grid_nan"),
+        pytest.param(["--example", "z-cubic", "--t-grid=inf"], None, id="t_grid_inf"),
+        pytest.param(["--example", "z-cubic", "--tolerance", "nan"], None, id="tolerance_nan"),
+        pytest.param(["--example", "z-cubic"], "abc", id="env_seed_not_int"),
     ],
 )
-def test_usage_error_without_inputs(argv):
+def test_usage_error_without_inputs(argv, env_seed, monkeypatch):
+    if env_seed is not None:
+        monkeypatch.setenv("HOPFDEFORM_SEED", env_seed)
     assert main(argv) == 2
