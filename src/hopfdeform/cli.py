@@ -17,7 +17,13 @@ import json
 import os
 import sys
 
-from .core import CapabilityMissingError, check_structure, format_element, format_scalar
+from .core import (
+    CapabilityMissingError,
+    NonFiniteError,
+    check_structure,
+    format_element,
+    format_scalar,
+)
 from .cohomology import validate_generator
 from .config import (
     COMMANDS,
@@ -119,7 +125,21 @@ def _tabulate_antipode(cfg: RunConfig, instance, D: Deformation) -> list:
 
 
 def run_config(cfg: RunConfig) -> Report:
-    """Resolve descriptors, run the configured command, return the report."""
+    """Resolve descriptors, run the configured command, return the report.
+
+    A value that overflows or turns NaN ends the run as the failed law
+    ``non_finite``, beside the laws recorded before it.
+    """
+    report = Report(name=cfg.command)
+    try:
+        _run_command(cfg, report)
+    except NonFiniteError as exc:
+        report.add_flag("non_finite", "every computed value is finite", False)
+        report.extras["non_finite"] = str(exc)
+    return report
+
+
+def _run_command(cfg: RunConfig, report: Report) -> None:
     instance = build_instance(cfg.instance, cfg.tolerances)
     cocycle = build_cocycle(cfg.cocycle, instance)
     witness = build_witness(cfg.witness, instance, cocycle) if cfg.witness else None
@@ -140,7 +160,6 @@ def run_config(cfg: RunConfig) -> Report:
     strict = cfg.tolerances["strict"]
     samples = cfg.sample_budget
 
-    report = Report(name=cfg.command)
     classifier = validate_generator(
         cocycle,
         sampler.spawn(1),
@@ -152,10 +171,10 @@ def run_config(cfg: RunConfig) -> Report:
     _classifier_laws(report, classifier, cfg, samples)
 
     if cfg.command == "validate":
-        return report
+        return
     if not classifier.is_generator(require_star=cfg.require_star):
         report.extras["aborted"] = "generator validation failed; no deformation was built"
-        return report
+        return
 
     D = Deformation(instance, cocycle, classifier, sampler.spawn(2))
     suite_sampler = sampler.spawn(3)
@@ -163,14 +182,14 @@ def run_config(cfg: RunConfig) -> Report:
     if cfg.command == "deform":
         report.merge(check_deformation_axioms(D, suite_sampler, cfg.t_grid, samples, tol))
         report.extras["tabulation"] = _tabulate(cfg, instance, D)
-        return report
+        return
 
     if cfg.command == "antipode":
         instance.require_antipode()
         report.merge(check_hopf_deformation(D, suite_sampler, cfg.t_grid, samples, tol))
         report.extras["tabulation"] = _tabulate(cfg, instance, D)
         report.extras["antipode_tabulation"] = _tabulate_antipode(cfg, instance, D)
-        return report
+        return
 
     if cfg.command == "split":
         instance.require_antipode()
@@ -181,14 +200,14 @@ def run_config(cfg: RunConfig) -> Report:
         except SplitPreconditionError as exc:
             report.add_flag("sigma_circ_s", "σ = σ∘S on samples", False, samples=samples)
             report.extras["split_precondition_failure"] = str(exc)
-            return report
+            return
         report.merge(sub)
-        return report
+        return
 
     if cfg.command == "trivial-check":
         T = TrivialDeformation(D, witness)
         report.merge(check_trivial_deformation(T, suite_sampler, cfg.t_grid, samples, tol))
-        return report
+        return
 
     # full-report
     report.merge(check_structure(instance, sampler.spawn(4), tol), prefix="structure:")
@@ -224,7 +243,6 @@ def run_config(cfg: RunConfig) -> Report:
     report.extras["tabulation"] = _tabulate(cfg, instance, D)
     if instance.has_antipode:
         report.extras["antipode_tabulation"] = _tabulate_antipode(cfg, instance, D)
-    return report
 
 
 def report_json(cfg: RunConfig, report: Report) -> str:

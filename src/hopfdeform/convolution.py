@@ -38,6 +38,7 @@ from .core import (
     InstanceMismatchError,
     Kind,
     Memo,
+    NonFiniteError,
     TensorElement,
     _acc,
     _same_instance,
@@ -290,7 +291,12 @@ def conv_exp(f: Cochain, t: float, u) -> complex:
         f._plan = plan_conv_exp(f)
     keys = tuple(u)
     if f._plan.strategy == "closed_form_grouplike":
-        return cmath.exp(t * f.value(keys))
+        z = t * f.value(keys)
+        try:
+            return cmath.exp(z)
+        except (OverflowError, ValueError) as exc:
+            # OverflowError: e^z overflows; ValueError: z itself overflowed
+            raise NonFiniteError(f"non-finite exp(t*{f.name}) at t={t!r} on {keys!r}") from exc
     if f._plan.strategy == "degree_truncated":
         total = 0j
         for c in reversed(conv_exp_coeffs(f, keys)):

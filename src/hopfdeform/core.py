@@ -38,6 +38,10 @@ class CapabilityMissingError(AlgebraError):
     """The instance does not provide the requested structure map."""
 
 
+class NonFiniteError(AlgebraError):
+    """A computed coefficient or exponential overflowed or became NaN."""
+
+
 class Kind(enum.Enum):
     GROUPLIKE_BASIS = "grouplike_basis"
     GRADED_CONNECTED = "graded_connected"
@@ -57,7 +61,7 @@ def _clean_terms(terms, prune: float):
     for key, raw in terms.items():
         z = complex(raw)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise AlgebraError(f"non-finite coefficient {raw!r} at basis key {key!r}")
+            raise NonFiniteError(f"non-finite coefficient {raw!r} at basis key {key!r}")
         if abs(z) < prune:
             continue
         out[key] = z

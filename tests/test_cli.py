@@ -293,3 +293,21 @@ def test_usage_error_without_inputs(argv, env_seed, monkeypatch):
     if env_seed is not None:
         monkeypatch.setenv("HOPFDEFORM_SEED", env_seed)
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param({"t_grid": [1e300]}, id="exp_overflow"),
+        pytest.param({"sampler": {"coord_bound": 40}, "command": "deform"}, id="coefficient_overflow"),
+    ],
+)
+def test_non_finite_value_fails_its_law(change, tmp_path, capsys):
+    cfg = json.loads((DATA / "zd_matrix_small.json").read_text(encoding="utf-8"))
+    cfg.update(change)
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, cfg), "--json-out", str(out)]) == 1
+    assert "[FAIL] non_finite" in capsys.readouterr().out
+    report = json.loads(out.read_text())["report"]
+    assert report["results"][-1]["law_id"] == "non_finite"
+    assert report["extras"]["non_finite"].startswith("non-finite ")
