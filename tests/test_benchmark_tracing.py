@@ -14,8 +14,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import run  # noqa: E402
 import tracer  # noqa: E402
 
-# no built-in example is a finite instance, so none takes this strategy
-UNREACHED_STRATEGIES = {"zero_functional"}
+# no built-in example is a finite instance; this job takes the finite strategy
+H4_ZERO = {
+    "instance": {"type": "sweedler_h4"},
+    "cocycle": {"type": "zero"},
+    "command": "full-report",
+    "sample_budget": 10,
+    "t_grid": [-1.0, 0.0, 1.0],
+}
 
 
 def test_every_traced_name_of_a_layer_metric_is_called():
@@ -24,6 +30,7 @@ def test_every_traced_name_of_a_layer_metric_is_called():
         raw = example_config(name)
         raw["sample_budget"] = 10
         jobs.append(raw)
+    jobs.append(H4_ZERO)
     batches = run.Batches(jobs, examples=True)
     tr = tracer.Tracer()
     with tr:
@@ -38,5 +45,4 @@ def test_every_traced_name_of_a_layer_metric_is_called():
     uncalled = sorted({name for name in read if stats(name)["calls"] == 0})
     assert uncalled == []
 
-    strategies = set(tracer.STRATEGIES.values()) - UNREACHED_STRATEGIES
-    assert all(tr.tags[s] > 0 for s in strategies), dict(tr.tags)
+    assert all(tr.tags[s] > 0 for s in tracer.STRATEGIES.values()), dict(tr.tags)

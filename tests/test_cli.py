@@ -1,4 +1,5 @@
 """Front-end behaviour: exit codes, determinism, golden report, registry."""
+import gc
 import json
 import os
 from pathlib import Path
@@ -311,3 +312,17 @@ def test_non_finite_value_fails_its_law(change, tmp_path, capsys):
     report = json.loads(out.read_text())["report"]
     assert report["results"][-1]["law_id"] == "non_finite"
     assert report["extras"]["non_finite"].startswith("non-finite ")
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_a_run_leaves_no_reference_cycle(name):
+    # a memo that held its owner would keep every memo of a finished run
+    # alive until the next full collection
+    cfg = RunConfig.from_dict(_fast(example_config(name), samples=25))
+    gc.collect()
+    gc.disable()
+    try:
+        run_config(cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -376,6 +376,14 @@ def test_deformed_mul_map_wraps_pair_rule(cubic):
     assert abs(m(u).coeff((2,)) - math.exp(1.0)) < 1e-12
 
 
+def test_structure_maps_are_built_once_per_t(cubic):
+    _, D, T, _ = cubic
+    for t in (-0.5, 0.0, 1.0):
+        assert deformed_mul_map(D, t) is deformed_mul_map(D, t)
+        assert hd.deformed_antipode(D, t) is hd.deformed_antipode(D, t)
+        assert hd.phi_map(T, t) is hd.phi_map(T, t)
+
+
 def test_split_precondition_error_message():
     # a nonzero generator on H4 has no certificate, so drive the check with a
     # handcrafted deformation whose sigma fails sigma = sigma∘S
