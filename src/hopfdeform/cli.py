@@ -17,13 +17,7 @@ import json
 import os
 import sys
 
-from .core import (
-    CapabilityMissingError,
-    NonFiniteError,
-    check_structure,
-    format_element,
-    format_scalar,
-)
+from .core import CapabilityMissingError, NonFiniteError, check_structure, format_element, format_scalar
 from .cohomology import validate_generator
 from .config import (
     COMMANDS,
