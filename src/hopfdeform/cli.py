@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .core import CapabilityMissingError, NonFiniteError, check_structure, format_element, format_scalar
@@ -292,11 +291,6 @@ def main(argv=None) -> int:
 
         if args.seed is not None:
             cfg.seed = args.seed
-        elif os.environ.get("HOPFDEFORM_SEED"):
-            try:
-                cfg.seed = int(os.environ["HOPFDEFORM_SEED"])
-            except ValueError as exc:
-                raise ConfigError(f"HOPFDEFORM_SEED is not an integer: {exc}") from exc
         if args.samples is not None:
             cfg.sample_budget = args.samples
         if args.tolerance is not None:

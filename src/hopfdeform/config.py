@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import os
 from dataclasses import dataclass, field
 
 from .core import BialgebraInstance
@@ -91,13 +92,18 @@ class RunConfig:
             raise ConfigError(f"unknown configuration fields: {sorted(unknown)}")
         if "instance" not in raw or "cocycle" not in raw:
             raise ConfigError("configuration needs 'instance' and 'cocycle' descriptors")
+        env_seed = os.environ.get("HOPFDEFORM_SEED")
+        try:
+            default_seed = int(env_seed) if env_seed else 20240817
+        except ValueError as exc:
+            raise ConfigError(f"HOPFDEFORM_SEED is not an integer: {exc}") from exc
         try:
             cfg = cls(
                 instance=dict(raw["instance"]),
                 cocycle=dict(raw["cocycle"]),
                 witness=dict(raw["witness"]) if raw.get("witness") else None,
                 t_grid=[float(t) for t in raw.get("t_grid", DEFAULT_T_GRID)],
-                seed=int(raw.get("seed", 20240817)),
+                seed=int(raw.get("seed", default_seed)),
                 sample_budget=int(raw.get("sample_budget", 200)),
                 tolerances={**DEFAULT_TOLERANCES, **raw.get("tolerances", {})},
                 sampler={k: int(v) for k, v in {**DEFAULT_SAMPLER, **raw.get("sampler", {})}.items()},
@@ -118,6 +124,9 @@ class RunConfig:
             _check_finite(t, "every t_grid value")
         if self.sample_budget < 1:
             raise ConfigError("sample_budget must be >= 1")
+        for name, low in (("coord_bound", 0), ("max_degree", 0), ("max_support", 1)):
+            if self.sampler[name] < low:
+                raise ConfigError(f"sampler {name} must be >= {low}")
         for name, tol in self.tolerances.items():
             _check_finite(tol, f"tolerance {name!r}")
         if self.command not in COMMANDS:
@@ -155,29 +164,31 @@ def load_config(path: str) -> RunConfig:
 
 def build_instance(desc: dict, tolerances: dict | None = None) -> BialgebraInstance:
     kind = desc.get("type")
-    if kind == "group_algebra_zd":
-        d = int(desc.get("d", 1))
-        inst = inst_mod.group_algebra_zd(d, with_star=bool(desc.get("star", True)))
-    elif kind == "symmetric_star":
-        gens = desc.get("generators")
-        if not gens:
-            raise ConfigError("symmetric_star needs a non-empty 'generators' list")
-        involution = None
-        if desc.get("involution"):
-            involution = {}
-            for pair in desc["involution"]:
-                if len(pair) != 2:
-                    raise ConfigError(f"involution entries are pairs, got {pair!r}")
-                involution[pair[0]] = pair[1]
-                involution[pair[1]] = pair[0]
-        try:
+    try:
+        if kind == "group_algebra_zd":
+            d = int(desc.get("d", 1))
+            inst = inst_mod.group_algebra_zd(d, with_star=bool(desc.get("star", True)))
+        elif kind == "symmetric_star":
+            gens = desc.get("generators")
+            if not gens:
+                raise ConfigError("symmetric_star needs a non-empty 'generators' list")
+            involution = None
+            if desc.get("involution"):
+                involution = {}
+                for pair in desc["involution"]:
+                    if len(pair) != 2:
+                        raise ConfigError(f"involution entries are pairs, got {pair!r}")
+                    involution[pair[0]] = pair[1]
+                    involution[pair[1]] = pair[0]
             inst = inst_mod.symmetric_star_algebra(gens, involution=involution)
-        except Exception as exc:
-            raise ConfigError(str(exc)) from exc
-    elif kind == "sweedler_h4":
-        inst = inst_mod.sweedler_h4()
-    else:
-        raise ConfigError(f"unknown instance type {kind!r}")
+        elif kind == "sweedler_h4":
+            inst = inst_mod.sweedler_h4()
+        else:
+            raise ConfigError(f"unknown instance type {kind!r}")
+    except ConfigError:
+        raise
+    except Exception as exc:
+        raise ConfigError(f"cannot build instance {kind!r}: {exc}") from exc
     if tolerances:
         inst.eq_eps = float(tolerances.get("eq", inst.eq_eps))
         inst.prune_eps = float(tolerances.get("prune", inst.prune_eps))
@@ -237,14 +248,11 @@ def build_witness(desc: dict, instance: BialgebraInstance, cocycle: Cochain) -> 
 
 def parse_key(instance: BialgebraInstance, raw):
     """Read a basis key from its JSON form (list of ints, or name string)."""
-    if isinstance(raw, str):
-        key = raw
-    elif isinstance(raw, list):
-        key = tuple(int(a) for a in raw)
-    else:
+    if not isinstance(raw, (str, list)):
         raise ConfigError(f"cannot read basis key {raw!r}")
     try:
+        key = raw if isinstance(raw, str) else tuple(int(a) for a in raw)
         instance.check_key(key)
     except Exception as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"cannot read basis key {raw!r}: {exc}") from exc
     return key

@@ -20,10 +20,9 @@ from it) deterministic.
 from __future__ import annotations
 
 import ast
+import cmath
 import itertools
 import math
-
-import numpy as np
 
 from .core import AlgebraError, BialgebraInstance, Element, Kind
 from .convolution import Cochain
@@ -216,20 +215,30 @@ def sweedler_h4(name: str = "sweedler_h4") -> BialgebraInstance:
 # -- cocycles ------------------------------------------------------------------
 
 
+def _square_matrix(M, n: int) -> tuple:
+    """Read an n×n nested sequence of finite numbers as a tuple of rows of complex."""
+    try:
+        rows = tuple(tuple(complex(v) for v in row) for row in M)
+    except (TypeError, ValueError) as exc:
+        raise AlgebraError(f"cannot read the matrix: {exc}") from exc
+    if [len(row) for row in rows] != [n] * n:
+        raise AlgebraError(f"matrix rows of lengths {[len(row) for row in rows]} do not make {n}×{n}")
+    if not all(cmath.isfinite(v) for row in rows for v in row):
+        raise AlgebraError("matrix entries must be finite")
+    return rows
+
+
 def make_zd_matrix_cocycle(instance: BialgebraInstance, A, name: str | None = None) -> Cochain:
     """L(k, l) = k·A·lᵀ on the grouplike basis of Z^d."""
     if instance.kind is not Kind.GROUPLIKE_BASIS:
         raise AlgebraError("matrix cocycles live on group algebra instances")
-    d = len(instance.unit)
-    A = np.asarray(A, dtype=complex)
-    if A.shape != (d, d):
-        raise AlgebraError(f"matrix shape {A.shape} does not match dimension {d}")
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
-        raise AlgebraError("matrix entries must be finite")
+    columns = tuple(zip(*_square_matrix(A, len(instance.unit))))
 
     def rule(keys):
+        # (k·A)·lᵀ, each sum in index order from 0j: this order fixes the last bit of L
         k, l = keys
-        return complex(np.asarray(k, dtype=float) @ A @ np.asarray(l, dtype=float))
+        row = [sum((ki * a for ki, a in zip(k, col)), 0j) for col in columns]
+        return sum((r * lj for r, lj in zip(row, l)), 0j)
 
     return Cochain(instance, 2, rule, name or "matrix_cocycle")
 
@@ -274,18 +283,13 @@ def make_primitive_bilinear_cocycle(
     """
     if instance.kind is not Kind.GRADED_CONNECTED:
         raise AlgebraError("primitive bilinear cocycles live on graded connected instances")
-    n = len(instance.unit)
-    M = np.asarray(M, dtype=complex)
-    if M.shape != (n, n):
-        raise AlgebraError(f"matrix shape {M.shape} does not match {n} generators")
-    if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
-        raise AlgebraError("matrix entries must be finite")
+    M = _square_matrix(M, len(instance.unit))
 
     def rule(keys):
         k1, k2 = keys
         if sum(k1) != 1 or sum(k2) != 1:
             return 0j
-        return complex(M[k1.index(1), k2.index(1)])
+        return M[k1.index(1)][k2.index(1)]
 
     return Cochain(instance, 2, rule, name or "primitive_bilinear")
 

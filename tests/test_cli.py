@@ -21,6 +21,7 @@ def _write(tmp_path, payload) -> str:
 
 
 _ZERO_ON_Z = {"instance": {"type": "group_algebra_zd", "d": 1}, "cocycle": {"type": "zero"}}
+_ZERO_ON_OSC = {"instance": {"type": "symmetric_star", "generators": ["x", "xstar"]}, "cocycle": {"type": "zero"}}
 
 
 def _fast(config: dict, samples: int = 30) -> dict:
@@ -81,6 +82,15 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["config"]["seed"] == 777
 
 
+def test_config_seed_wins_over_env_seed(tmp_path, monkeypatch):
+    cfg = _fast(example_config("z-cubic"), samples=20)
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "r.json"
+    monkeypatch.setenv("HOPFDEFORM_SEED", "5")
+    assert main(["--config", path, "--json-out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["seed"] == 1102
+
+
 @pytest.mark.parametrize(
     "name, exit_code",
     [
@@ -135,6 +145,22 @@ def test_exit_2_on_bad_json(tmp_path, capsys):
         pytest.param({**_ZERO_ON_Z, "sampler": {"coord_bound": "a"}}, id="coord_bound_not_int"),
         pytest.param({**_ZERO_ON_Z, "t_grid": ["a"]}, id="t_grid_not_number"),
         pytest.param({**_ZERO_ON_Z, "instance": 3}, id="instance_not_object"),
+        pytest.param({**_ZERO_ON_Z, "instance": {"type": "group_algebra_zd", "d": "x"}}, id="d_not_int"),
+        pytest.param({**_ZERO_ON_Z, "instance": {"type": "group_algebra_zd", "d": 0}}, id="d_zero"),
+        pytest.param({**_ZERO_ON_Z, "instance": {"type": "group_algebra_zd", "d": -2}}, id="d_negative"),
+        pytest.param(
+            {
+                "instance": {"type": "group_algebra_zd", "d": 2},
+                "cocycle": {"type": "zero"},
+                "command": "deform",
+                "sample_budget": 5,
+                "tabulate": [[["a", "b"], [0, 1]]],
+            },
+            id="tabulate_key_not_int",
+        ),
+        pytest.param({**_ZERO_ON_Z, "sampler": {"coord_bound": -1}}, id="coord_bound_negative"),
+        pytest.param({**_ZERO_ON_OSC, "sampler": {"max_support": 0}}, id="max_support_zero"),
+        pytest.param({**_ZERO_ON_OSC, "sampler": {"max_degree": -1}}, id="max_degree_negative"),
     ],
 )
 def test_exit_2_on_unknown_instance(payload, tmp_path):

@@ -32,9 +32,23 @@ def test_zd_matrix_off_diagonal(z2):
     assert L.value(((0, 1), (1, 0))) == 0.0
 
 
-def test_zd_matrix_shape_mismatch(z2):
+_BAD_2X2 = [
+    pytest.param([[1.0]], id="wrong_size"),
+    pytest.param([[1.0, 2.0], [3.0]], id="ragged"),
+    pytest.param([["a", 0], [0, 0]], id="non_numeric"),
+]
+
+
+@pytest.mark.parametrize("M", _BAD_2X2)
+def test_zd_matrix_shape_mismatch(z2, M):
     with pytest.raises(hd.AlgebraError):
-        hd.make_zd_matrix_cocycle(z2, [[1.0]])
+        hd.make_zd_matrix_cocycle(z2, M)
+
+
+@pytest.mark.parametrize("M", _BAD_2X2)
+def test_primitive_bilinear_shape_mismatch(osc, M):
+    with pytest.raises(hd.AlgebraError):
+        hd.make_primitive_bilinear_cocycle(osc, M)
 
 
 def test_zd_matrix_nonfinite_rejected(z2):
