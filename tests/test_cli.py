@@ -1,5 +1,6 @@
 """Front-end behaviour: exit codes, determinism, golden report, registry."""
 import gc
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -107,6 +108,25 @@ def test_golden_report_bytes(name, exit_code, tmp_path):
     code = main(["--config", str(DATA / f"{name}.json"), "--json-out", str(out)])
     assert code == exit_code
     assert out.read_bytes() == (GOLDEN / f"{name}.report.json").read_bytes()
+
+
+# sha256 of report_json for each built-in example's full-report at budget 200,
+# which reaches the high-degree pairs the budget-25 goldens never build
+BUDGET_200_DIGESTS = {
+    "group-hermitian": "df51b8cc5b96f55abe9e10baefa5b9c8f96e68498b62682ca5af12c544ddc3a7",
+    "oscillator": "2e56d6f6725270a1e084e4b3c1482051d7c87760ddd5eb9eb03c96f7c94c974d",
+    "z-cubic": "26ab55408aea399fd168895e37c45d639e8f02173788d34784d3bdecf8c43527",
+    "zd-matrix": "1abd8886a8d63cca47659e880d3cb9ff62690da3a0f2a0f1a1576975e3e42066",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_200_DIGESTS))
+def test_budget_200_report_digest(name):
+    raw = example_config(name)
+    raw["sample_budget"] = 200
+    cfg = RunConfig.from_dict(raw)
+    text = report_json(cfg, run_config(cfg))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BUDGET_200_DIGESTS[name]
 
 
 def test_list_examples(capsys):
