@@ -74,13 +74,14 @@ class Cochain:
     """Scalar-valued multilinear functional given by a rule on basis tuples.
 
     Arity 0 is a single scalar (the empty tuple).  Values are memoized per
-    basis tuple; rules must be pure.  Convolution powers, Taylor
-    coefficients of the exponential and its strategy are memoized too.
+    basis tuple; rules must be pure.  The nonzero legs of each tuple's
+    coproduct, convolution powers, Taylor coefficients of the exponential
+    and its strategy are memoized too.
     """
 
     __slots__ = (
-        "instance", "arity", "name", "_cache", "_powers", "_exp_cache", "_plan", "_finite_zero",
-        "__weakref__",
+        "instance", "arity", "name", "_cache", "_legs", "_powers", "_exp_cache", "_plan",
+        "_finite_zero", "__weakref__",
     )
 
     def __init__(self, instance, arity: int, rule, name: str = "f"):
@@ -89,7 +90,8 @@ class Cochain:
         self.instance = instance
         self.arity = arity
         self.name = name
-        self._cache = Memo(lambda keys: complex(rule(keys)))
+        values = self._cache = Memo(lambda keys: complex(rule(keys)))
+        self._legs = Memo(lambda keys: _nonzero_legs(instance, values, keys))
         # these memos, and the powers they hold, see this cochain through a
         # weak proxy: a cycle would keep a dropped cochain, and the memos of
         # its instance, alive until the next full garbage collection
@@ -210,21 +212,31 @@ def _check_pair(f: Cochain, g: Cochain) -> None:
         raise InstanceMismatchError(f"mixed cochain arities {f.arity} and {g.arity}")
 
 
+def _nonzero_legs(instance: BialgebraInstance, values: Memo, keys: tuple) -> tuple:
+    """The legs of Δ(u) on which f(u₍₁₎) ≠ 0, as ``(coeff, f(left), right)``."""
+    legs = []
+    for left, right, c in tuple_comul_terms(instance, keys):
+        v = values[left]
+        if v != 0:
+            legs.append((c, v, right))
+    return tuple(legs)
+
+
 def convolve_functionals(f: Cochain, g: Cochain, name=None) -> Cochain:
-    """(f ⋆ g)(u) = Σ f(u₍₁₎) g(u₍₂₎) over the tensor-power coproduct."""
+    """(f ⋆ g)(u) = Σ f(u₍₁₎) g(u₍₂₎) over the tensor-power coproduct.
+
+    It walks f's memoized nonzero legs of u, so the powers f^{⋆k} share one
+    coproduct expansion and one reading of f per tuple.
+    """
     _check_pair(f, g)
-    inst = f.instance
 
     def rule(keys):
         total = 0j
-        for left, right, c in tuple_comul_terms(inst, keys):
-            v = f.value(left)
-            if v == 0:
-                continue
+        for c, v, right in f._legs[keys]:
             total += c * v * g.value(right)
         return total
 
-    return Cochain(inst, f.arity, rule, name or f"({f.name}*{g.name})")
+    return Cochain(f.instance, f.arity, rule, name or f"({f.name}*{g.name})")
 
 
 # -- convolution powers and exponentials --------------------------------------
@@ -250,6 +262,12 @@ def plan_conv_exp(f: Cochain) -> ConvExpPlan:
     raise CapabilityMissingError(
         f"no termination certificate for exp of {f.name!r} on finite instance {inst.name!r}"
     )
+
+
+def _strategy(f: Cochain) -> str:
+    if f._plan is None:
+        f._plan = plan_conv_exp(f)
+    return f._plan.strategy
 
 
 def _finite_zero_certificate(f: Cochain) -> bool:
@@ -287,17 +305,16 @@ def conv_exp(f: Cochain, t: float, u) -> complex:
         if u.rank != f.arity:
             raise InstanceMismatchError(f"cochain arity {f.arity} vs tensor rank {u.rank}")
         return sum((c * conv_exp(f, t, keys) for keys, c in u.terms.items()), 0j)
-    if f._plan is None:
-        f._plan = plan_conv_exp(f)
+    strategy = _strategy(f)
     keys = tuple(u)
-    if f._plan.strategy == "closed_form_grouplike":
+    if strategy == "closed_form_grouplike":
         z = t * f.value(keys)
         try:
             return cmath.exp(z)
         except (OverflowError, ValueError) as exc:
             # OverflowError: e^z overflows; ValueError: z itself overflowed
             raise NonFiniteError(f"non-finite exp(t*{f.name}) at t={t!r} on {keys!r}") from exc
-    if f._plan.strategy == "degree_truncated":
+    if strategy == "degree_truncated":
         total = 0j
         for c in reversed(conv_exp_coeffs(f, keys)):
             total = total * t + c
@@ -305,9 +322,19 @@ def conv_exp(f: Cochain, t: float, u) -> complex:
     return tuple_counit(f.instance, keys)
 
 
-def exp_cochain(f: Cochain, t: float) -> Cochain:
-    """The functional ``e_⋆^{tf}``, memoized per basis tuple."""
-    return Cochain(f.instance, f.arity, lambda keys: conv_exp(f, t, keys), name=f"exp({t:g}{f.name})")
+def exp_vanishes(f: Cochain, keys: tuple) -> bool:
+    """Whether ``e_⋆^{tf}`` is exactly 0 on a basis tuple for every t.
+
+    So it is where the degree-truncated polynomial has only zero
+    coefficients, or where the counit (the finite strategy) is zero.  A
+    grouplike closed form is never identically zero.
+    """
+    strategy = _strategy(f)
+    if strategy == "degree_truncated":
+        return not any(conv_exp_coeffs(f, keys))
+    if strategy == "zero_functional":
+        return tuple_counit(f.instance, keys) == 0
+    return False
 
 
 # -- linear maps into the algebra ---------------------------------------------
@@ -434,6 +461,45 @@ def _scalar_convolution(A: LinMap, f: Cochain, f_leg: int, name: str) -> LinMap:
         return Element(inst, acc)
 
     return LinMap(inst, A.rank, rule, name)
+
+
+def map_conv_exp(A: LinMap, f: Cochain) -> Memo:
+    """The maps ``A ⋆ e_⋆^{tf}: u ↦ Σ A(u₍₁₎)·e_⋆^{tf}(u₍₂₎)``, memoized per t.
+
+    t enters only through the scalar exponential, so every map shares one
+    expansion per basis tuple, computed once for all t: each leg's
+    coefficient, its right leg and the terms of A on its left leg.  Legs
+    on which the exponential vanishes for every t are left out.  Each map
+    is still memoized per tuple, and sums ``c·e·w`` in the order of the legs.
+    """
+    _same_instance(A, f)
+    if A.rank != f.arity:
+        raise InstanceMismatchError(f"map rank {A.rank} vs cochain arity {f.arity}")
+    inst = A.instance
+
+    def expand(keys):
+        return tuple(
+            (c, right, A.value(left).terms)
+            for left, right, c in tuple_comul_terms(inst, keys)
+            if not exp_vanishes(f, right)
+        )
+
+    legs = Memo(expand)
+
+    def build(t):
+        def rule(keys):
+            acc: dict = {}
+            for c, right, terms in legs[keys]:
+                v = conv_exp(f, t, right)
+                if v == 0:
+                    continue
+                for k, w in terms.items():
+                    _acc(acc, k, c * v * w)
+            return Element(inst, acc)
+
+        return LinMap(inst, A.rank, rule, f"({A.name}*exp({t:g}{f.name}))")
+
+    return Memo(build)
 
 
 def r_phi(phi: Cochain, name=None) -> LinMap:

@@ -15,8 +15,11 @@ antipodes in general are S_t = S ⋆ e_⋆^{−tσ} with σ = L∘(id⊗S)∘Δ.
 
 The three maps are one construction, a base map convolved with a
 convolution exponential: μ_t = μ ⋆ e_⋆^{tL} on the tensor square,
-S_t = S ⋆ e_⋆^{−tσ} and Φ_t = id ⋆ e_⋆^{tψ}.  Each is built once per t
-per deformation and memoized there.
+S_t = S ⋆ e_⋆^{−tσ} and Φ_t = id ⋆ e_⋆^{tψ}
+(:func:`~hopfdeform.convolution.map_conv_exp`).  t enters only through the
+scalar exponential, so each basis tuple's coproduct expansion is computed
+once and shared by every t; the map for each t is still built once per
+deformation and memoized there.
 
 Every theorem-shaped statement is realized as a sampled law check that
 reports a max residual against a tolerance; the verification suites never
@@ -24,8 +27,6 @@ raise on failure.  Suites walk their sample streams in a fixed order, so
 reports are deterministic for a given (seed, budget).
 """
 from __future__ import annotations
-
-import weakref
 
 from .core import (
     AlgebraError,
@@ -53,10 +54,9 @@ from .convolution import (
     cochain_sub,
     conv_exp,
     convolve_maps,
-    exp_cochain,
-    map_conv_functional,
+    identity_map,
+    map_conv_exp,
     mu_n_map,
-    r_phi,
     tuple_comul_terms,
 )
 from .cohomology import (
@@ -90,18 +90,9 @@ class Deformation:
         self.classifier = classifier
         self._sampler = sampler
         self._sigma: Cochain | None = None
-        mu = mu_n_map(instance, 2)
-        self._mul_maps = Memo(
-            lambda t: map_conv_functional(mu, exp_cochain(generator, t), name=f"mul_{t:g}")
-        )
-        # S_t reads σ through a weak proxy: a memo that held the deformation
-        # would make a cycle, left for the next full garbage collection
-        me = weakref.proxy(self)
-        self._antipodes = Memo(
-            lambda t: map_conv_functional(
-                antipode_map(instance), exp_cochain(me.sigma(), -t), name=f"S_{t:g}"
-            )
-        )
+        self._mul_maps = map_conv_exp(mu_n_map(instance, 2), generator)
+        # S ⋆ e_⋆^{sσ} per s, built on first use since σ is computed lazily
+        self._antipode_maps: Memo | None = None
 
     def sigma(self, tol: float = DEFAULT_TOL) -> Cochain:
         """σ = L∘(id⊗S)∘Δ; the flipped form L∘(S⊗id)∘Δ must agree."""
@@ -141,7 +132,7 @@ class TrivialDeformation:
     def __init__(self, deformation: Deformation, psi: Cochain):
         self.deformation = deformation
         self.psi = psi
-        self._phis = Memo(lambda t: r_phi(exp_cochain(psi, t), name=f"Phi_{t:g}"))
+        self._phis = map_conv_exp(identity_map(psi.instance), psi)
 
     @property
     def instance(self):
@@ -246,7 +237,9 @@ def sigma_functional(D: Deformation, sampler, samples: int = 60, tol: float = DE
 
 def deformed_antipode(D: Deformation, t: float) -> LinMap:
     """S_t = S ⋆ e_⋆^{−tσ}, built once per t."""
-    return D._antipodes[t]
+    if D._antipode_maps is None:
+        D._antipode_maps = map_conv_exp(antipode_map(D.instance), D.sigma())
+    return D._antipode_maps[-t]
 
 
 def phi_map(T: TrivialDeformation, t: float) -> LinMap:

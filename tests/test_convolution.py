@@ -1,4 +1,5 @@
 """Star products, convolution exponentials, and the R operators."""
+import itertools
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from hopfdeform.convolution import (
     tensor_cochain,
     compose_mul,
     tuple_comul_terms,
+    tuple_counit,
     unit_counit_map,
     mu_n_map,
 )
@@ -135,6 +137,43 @@ def test_conv_exp_group_law(osc, z1, cubic):
         for left, right, c in tuple_comul_terms(osc, u):
             rhs += c * hd.conv_exp(M, s, left) * hd.conv_exp(M, t, right)
         assert abs(lhs - rhs) < 1e-12
+
+
+def _power_by_recursion(f, k, u):
+    """f^{⋆k}(u) = Σ c·f(u₍₁₎)·f^{⋆(k−1)}(u₍₂₎) over the full Λ expansion."""
+    if k == 0:
+        return tuple_counit(f.instance, u)
+    if k == 1:
+        return f.value(u)
+    total = 0j
+    for left, right, c in tuple_comul_terms(f.instance, u):
+        v = f.value(left)
+        if v == 0:
+            continue
+        total += c * v * _power_by_recursion(f, k - 1, right)
+    return total
+
+
+def test_conv_power_matches_the_direct_recursion_exactly(osc, cubic):
+    L, psi = cubic
+    M = hd.oscillator_cocycle(osc)
+    trivializer = hd.make_trivializing_functional(osc, M)
+
+    def irregular_rule(keys):
+        # non-dyadic values, so a different summation order shows in the bits
+        h = sum(i * e for i, e in enumerate(itertools.chain(*keys), 1))
+        return complex(math.sin(1.3 * h), math.cos(0.7 * h) - 1.0)
+
+    irregular = hd.Cochain(osc, 2, irregular_rule, name="irregular")
+    sampler = hd.ElementSampler(osc, seed=89, max_degree=4, budget=1)
+    cases = [(f, sampler.keys(2)) for f in (M, irregular) for _ in range(25)]
+    cases += [(trivializer, sampler.keys(1)) for _ in range(25)]
+    cases += [(L, ((k,), (k - 2,))) for k in range(-3, 4)] + [(psi, ((k,),)) for k in range(-3, 4)]
+    for f, u in cases:
+        # on the oscillator, one power past the degree, where they vanish
+        top = sum(map(sum, u)) + 1 if f.instance is osc else 3
+        for k in range(top + 1):
+            assert hd.conv_power(f, k, u) == _power_by_recursion(f, k, u), (f.name, k, u)
 
 
 def test_conv_exp_requires_normalized_on_graded(osc):

@@ -1,12 +1,20 @@
 """Deformed products, conjugation, deformed antipodes, splitting, star laws."""
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import hopfdeform as hd
-from hopfdeform.convolution import unit_counit_map
-from hopfdeform.deformation import deformed_mul_map
+from hopfdeform.convolution import (
+    antipode_map,
+    conv_exp,
+    identity_map,
+    map_conv_functional,
+    mu_n_map,
+    unit_counit_map,
+)
+from hopfdeform.deformation import DEFAULT_T_GRID, deformed_mul_map
 
 
 @pytest.fixture(scope="module")
@@ -382,6 +390,54 @@ def test_structure_maps_are_built_once_per_t(cubic):
         assert deformed_mul_map(D, t) is deformed_mul_map(D, t)
         assert hd.deformed_antipode(D, t) is hd.deformed_antipode(D, t)
         assert hd.phi_map(T, t) is hd.phi_map(T, t)
+
+
+def _old_construction(base, f, t):
+    """A ⋆ e_⋆^{tf} through a per-t memoized exponential cochain."""
+    return map_conv_functional(base, hd.Cochain(f.instance, f.arity, lambda u: conv_exp(f, t, u)))
+
+
+def _h4_zero():
+    inst = hd.sweedler_h4()
+    sampler = hd.ElementSampler(inst, seed=59, budget=40)
+    D = hd.make_deformation(inst, hd.zero_cochain(inst, 2), sampler)
+    return inst, D, hd.make_trivial_deformation(D, hd.zero_cochain(inst, 1))
+
+
+def _irregular_oscillator():
+    # non-dyadic entries, so a different summation order shows in the bits
+    inst = hd.symmetric_star_algebra(("x", "xstar"))
+    L = hd.make_primitive_bilinear_cocycle(inst, [[0.3, 0.7 + 0.1j], [-0.1, 0.45]])
+    D = hd.make_deformation(inst, L, hd.ElementSampler(inst, seed=61, budget=40))
+    # any normalized ψ exercises the degree-truncated Φ_t
+    psi = hd.make_trivializing_functional(inst, L)
+    return inst, D, hd.make_trivial_deformation(D, psi, check=False)
+
+
+@pytest.mark.parametrize("which", ["oscillator", "zd_matrix", "cubic", "h4_zero"])
+def test_structure_maps_match_the_per_t_exponential_exactly(which, request):
+    if which == "h4_zero":
+        inst, D, T = _h4_zero()
+        pairs = list(itertools.product(inst.basis_keys(), repeat=2))
+    else:
+        if which == "oscillator":
+            inst, D, T = _irregular_oscillator()
+        else:
+            fixture = request.getfixturevalue(which)
+            inst, D = fixture[0], fixture[1]
+            T = fixture[2] if which == "cubic" else None
+        keys = hd.ElementSampler(inst, seed=83, coord_bound=3, max_degree=5, budget=1)
+        pairs = [keys.keys(2) for _ in range(60)]
+    mu, S, ident = mu_n_map(inst, 2), antipode_map(inst), identity_map(inst)
+    for t in DEFAULT_T_GRID:
+        checks = [(deformed_mul_map(D, t), _old_construction(mu, D.generator, t), pairs)]
+        singles = [pair[:1] for pair in pairs] + [pair[1:] for pair in pairs]
+        checks.append((hd.deformed_antipode(D, t), _old_construction(S, D.sigma(), -t), singles))
+        if T is not None:
+            checks.append((hd.phi_map(T, t), _old_construction(ident, T.psi, t), singles))
+        for new, old, tuples in checks:
+            for u in tuples:
+                assert list(new.value(u).terms.items()) == list(old.value(u).terms.items()), (t, u)
 
 
 def test_split_precondition_error_message():
