@@ -44,6 +44,16 @@ def _check_finite(value, what: str) -> None:
         raise ConfigError(f"{what} must be a finite number, got {value!r}")
 
 
+def read_int(value, what: str) -> int:
+    """Read an integer field; ``2.0`` reads as 2, a bool or ``2.5`` is rejected."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from exc
+
+
 def parse_complex(value) -> complex:
     if isinstance(value, (int, float)):
         z = complex(value)
@@ -103,10 +113,13 @@ class RunConfig:
                 cocycle=dict(raw["cocycle"]),
                 witness=dict(raw["witness"]) if raw.get("witness") else None,
                 t_grid=[float(t) for t in raw.get("t_grid", DEFAULT_T_GRID)],
-                seed=int(raw.get("seed", default_seed)),
-                sample_budget=int(raw.get("sample_budget", 200)),
+                seed=read_int(raw.get("seed", default_seed), "seed"),
+                sample_budget=read_int(raw.get("sample_budget", 200), "sample_budget"),
                 tolerances={**DEFAULT_TOLERANCES, **raw.get("tolerances", {})},
-                sampler={k: int(v) for k, v in {**DEFAULT_SAMPLER, **raw.get("sampler", {})}.items()},
+                sampler={
+                    k: read_int(v, f"sampler {k}")
+                    for k, v in {**DEFAULT_SAMPLER, **raw.get("sampler", {})}.items()
+                },
                 require_star=bool(raw.get("require_star", False)),
                 command=str(raw.get("command", "full-report")),
                 tabulate=[list(p) for p in raw.get("tabulate", [])],
@@ -166,7 +179,7 @@ def build_instance(desc: dict, tolerances: dict | None = None) -> BialgebraInsta
     kind = desc.get("type")
     try:
         if kind == "group_algebra_zd":
-            d = int(desc.get("d", 1))
+            d = read_int(desc.get("d", 1), "instance d")
             inst = inst_mod.group_algebra_zd(d, with_star=bool(desc.get("star", True)))
         elif kind == "symmetric_star":
             gens = desc.get("generators")
@@ -201,14 +214,18 @@ def build_cocycle(desc: dict, instance: BialgebraInstance) -> Cochain:
         if kind == "zd_matrix":
             return inst_mod.make_zd_matrix_cocycle(instance, parse_matrix(desc["matrix"]))
         if kind == "z_polynomial":
-            coeffs = [(int(p), int(q), parse_complex(c)) for p, q, c in desc["coeffs"]]
+            coeffs = [
+                (read_int(p, "z_polynomial exponent"), read_int(q, "z_polynomial exponent"), parse_complex(c))
+                for p, q, c in desc["coeffs"]
+            ]
             return inst_mod.make_z_polynomial_cocycle(instance, coeffs)
         if kind == "primitive_bilinear":
             return inst_mod.make_primitive_bilinear_cocycle(instance, parse_matrix(desc["matrix"]))
         if kind == "grouplike_table":
             table = {}
             for k, l, c in desc.get("entries", []):
-                table[(tuple(int(a) for a in k), tuple(int(a) for a in l))] = parse_complex(c)
+                key_pair = tuple(tuple(read_int(a, "grouplike_table exponent") for a in key) for key in (k, l))
+                table[key_pair] = parse_complex(c)
             return inst_mod.make_grouplike_expression_cochain(
                 instance, desc.get("expr", ""), arity=2, table=table or None
             )
@@ -251,7 +268,7 @@ def parse_key(instance: BialgebraInstance, raw):
     if not isinstance(raw, (str, list)):
         raise ConfigError(f"cannot read basis key {raw!r}")
     try:
-        key = raw if isinstance(raw, str) else tuple(int(a) for a in raw)
+        key = raw if isinstance(raw, str) else tuple(read_int(a, "basis key coordinate") for a in raw)
         instance.check_key(key)
     except Exception as exc:
         raise ConfigError(f"cannot read basis key {raw!r}: {exc}") from exc

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from hopfdeform.cli import main, run_config, report_json
-from hopfdeform.config import RunConfig
+from hopfdeform.config import RunConfig, build_instance
 from hopfdeform.registry import example_config, example_names
 
 DATA = Path(__file__).parent / "data"
@@ -23,6 +23,7 @@ def _write(tmp_path, payload) -> str:
 
 _ZERO_ON_Z = {"instance": {"type": "group_algebra_zd", "d": 1}, "cocycle": {"type": "zero"}}
 _ZERO_ON_OSC = {"instance": {"type": "symmetric_star", "generators": ["x", "xstar"]}, "cocycle": {"type": "zero"}}
+_ZD_SMALL = json.loads((DATA / "zd_matrix_small.json").read_text(encoding="utf-8"))
 
 
 def _fast(config: dict, samples: int = 30) -> dict:
@@ -181,10 +182,31 @@ def test_exit_2_on_bad_json(tmp_path, capsys):
         pytest.param({**_ZERO_ON_Z, "sampler": {"coord_bound": -1}}, id="coord_bound_negative"),
         pytest.param({**_ZERO_ON_OSC, "sampler": {"max_support": 0}}, id="max_support_zero"),
         pytest.param({**_ZERO_ON_OSC, "sampler": {"max_degree": -1}}, id="max_degree_negative"),
+        # a bool or a non-integral number in an integer field is not truncated
+        pytest.param({**_ZD_SMALL, "instance": {"type": "group_algebra_zd", "d": 2.7}}, id="d_not_integral"),
+        pytest.param({**_ZERO_ON_Z, "instance": {"type": "group_algebra_zd", "d": True}}, id="d_bool"),
+        pytest.param({**_ZD_SMALL, "sample_budget": 25.9}, id="sample_budget_not_integral"),
+        pytest.param({**_ZD_SMALL, "seed": 424242.5}, id="seed_not_integral"),
+        pytest.param({**_ZD_SMALL, "sampler": {"coord_bound": 1.5}}, id="coord_bound_not_integral"),
+        pytest.param({**_ZD_SMALL, "tabulate": [[[1, 0.5], [0, 1]]]}, id="tabulate_key_not_integral"),
+        pytest.param(
+            {**_ZD_SMALL, "cocycle": {"type": "grouplike_table", "entries": [[[1, 0.5], [0, 1], 0.0]]}},
+            id="grouplike_table_key_not_integral",
+        ),
+        pytest.param(
+            {**_ZERO_ON_Z, "cocycle": {"type": "z_polynomial", "coeffs": [[2.5, 1, 0.0]]}},
+            id="z_polynomial_exponent_not_integral",
+        ),
     ],
 )
 def test_exit_2_on_unknown_instance(payload, tmp_path):
     assert main(["--config", _write(tmp_path, payload)]) == 2
+
+
+def test_integral_floats_read_as_integers():
+    cfg = RunConfig.from_dict({**_ZD_SMALL, "sample_budget": 25.0, "sampler": {"coord_bound": 2.0}})
+    assert cfg.to_dict() == RunConfig.from_dict(_ZD_SMALL).to_dict()
+    assert build_instance({"type": "group_algebra_zd", "d": 2.0}).unit == (0, 0)
 
 
 def test_exit_2_on_unknown_command(tmp_path):
