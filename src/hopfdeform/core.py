@@ -60,11 +60,14 @@ def _clean_terms(terms, prune: float):
     out = {}
     for key, raw in terms.items():
         z = complex(raw)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        try:
+            size = abs(z)
+        except OverflowError:  # both parts finite, the modulus is not
+            size = math.inf
+        if not size < math.inf:
             raise NonFiniteError(f"non-finite coefficient {raw!r} at basis key {key!r}")
-        if abs(z) < prune:
-            continue
-        out[key] = z
+        if size >= prune:
+            out[key] = z
     return out
 
 

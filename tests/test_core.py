@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hopfdeform as hd
-from hopfdeform.core import tensor_contract_slot, tensor_expand_slot
+from hopfdeform.core import NonFiniteError, tensor_contract_slot, tensor_expand_slot
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +158,17 @@ def test_capability_missing():
 def test_nonfinite_coefficient_rejected(z2):
     with pytest.raises(hd.AlgebraError):
         z2.element({(0, 0): float("nan")})
+
+
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), complex(float("inf"), 0.0), complex(1.7e308, 1.7e308)],
+    ids=["nan", "inf", "modulus_overflow"],
+)
+def test_nonfinite_coefficient_raises_non_finite_error(value):
+    z1 = hd.group_algebra_zd(1)
+    with pytest.raises(NonFiniteError, match="non-finite coefficient"):
+        z1.element({(1,): value})
 
 
 def test_pruning_threshold(z2):
