@@ -21,6 +21,12 @@ decision of the whole package:
 
 Both strategies are defined for every real t, so negative deformation
 parameters need no special treatment anywhere downstream.
+
+t enters a map ``A ⋆ e_⋆^{tf}`` only through the scalar exponential, so
+:func:`map_conv_exp` expands each basis tuple once and shares that
+expansion among the maps for every t, each of which is still memoized.
+Likewise each :class:`Cochain` keeps, per tuple, the legs of the coproduct
+on which it is nonzero, and all its convolution powers walk that list.
 """
 from __future__ import annotations
 
@@ -322,12 +328,12 @@ def conv_exp(f: Cochain, t: float, u) -> complex:
     return tuple_counit(f.instance, keys)
 
 
-def exp_vanishes(f: Cochain, keys: tuple) -> bool:
+def _exp_vanishes(f: Cochain, keys: tuple) -> bool:
     """Whether ``e_⋆^{tf}`` is exactly 0 on a basis tuple for every t.
 
-    So it is where the degree-truncated polynomial has only zero
-    coefficients, or where the counit (the finite strategy) is zero.  A
-    grouplike closed form is never identically zero.
+    True where the degree-truncated polynomial has only zero coefficients
+    or the counit (the finite strategy) is zero; a grouplike closed form
+    never vanishes for every t.
     """
     strategy = _strategy(f)
     if strategy == "degree_truncated":
@@ -481,7 +487,7 @@ def map_conv_exp(A: LinMap, f: Cochain) -> Memo:
         return tuple(
             (c, right, A.value(left).terms)
             for left, right, c in tuple_comul_terms(inst, keys)
-            if not exp_vanishes(f, right)
+            if not _exp_vanishes(f, right)
         )
 
     legs = Memo(expand)
