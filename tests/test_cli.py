@@ -130,6 +130,29 @@ def test_budget_200_report_digest(name):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BUDGET_200_DIGESTS[name]
 
 
+# sha256 of report_json for Sweedler H4 with the zero cocycle and witness at
+# budget 40: the only non-cocommutative instance, so these pin the Hopf suite
+# without the involution law and the trivial suite outside the group algebras
+H4_DIGESTS = {
+    "full-report": "9a51a6dbd186a25f1b61d3b0a98c3a62d20b618d3bccf8d5ecde3276a59ebc6e",
+    "trivial-check": "706fd0b312e289c112cae0ac31270a8e46cd2aedcbab870da2561f2fab49c33a",
+}
+
+
+@pytest.mark.parametrize("command", sorted(H4_DIGESTS))
+def test_h4_report_digest(command):
+    cfg = RunConfig.from_dict({
+        "instance": {"type": "sweedler_h4"},
+        "cocycle": {"type": "zero"},
+        "witness": {"type": "zero"},
+        "seed": 20240817,
+        "sample_budget": 40,
+        "command": command,
+    })
+    text = report_json(cfg, run_config(cfg))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == H4_DIGESTS[command]
+
+
 def test_list_examples(capsys):
     assert main(["--list-examples"]) == 0
     out = capsys.readouterr().out
