@@ -17,8 +17,8 @@ Descriptor shapes:
 """
 from __future__ import annotations
 
-import cmath
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -38,12 +38,6 @@ class ConfigError(Exception):
     """The run configuration cannot be parsed or resolved."""
 
 
-def _check_finite(value, what: str) -> None:
-    """Reject a value that is not a number, or is NaN or infinite."""
-    if not (isinstance(value, (int, float, complex)) and cmath.isfinite(value)):
-        raise ConfigError(f"{what} must be a finite number, got {value!r}")
-
-
 def read_int(value, what: str) -> int:
     """Read an integer field; ``2.0`` reads as 2, a bool or ``2.5`` is rejected."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
@@ -54,20 +48,24 @@ def read_int(value, what: str) -> int:
         raise ConfigError(f"{what} must be an integer, got {value!r}") from exc
 
 
+def read_float(value, what: str) -> float:
+    """Read a real number field; a bool, a non-number, NaN or an infinity is rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
+
+
 def parse_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        z = complex(value)
-    elif isinstance(value, (list, tuple)) and len(value) == 2:
-        z = complex(float(value[0]), float(value[1]))
-    else:
+    """Read an ``[re, im]`` pair or a plain real number."""
+    pair = value if isinstance(value, (list, tuple)) else (value, 0.0)
+    if len(pair) != 2:
         raise ConfigError(f"cannot read {value!r} as a complex scalar")
-    _check_finite(z, "every complex scalar")
-    return z
-
-
-def encode_complex(z: complex) -> list:
-    z = complex(z)
-    return [z.real + 0.0, z.imag + 0.0]
+    return complex(*(read_float(x, "every complex scalar") for x in pair))
 
 
 def parse_matrix(rows) -> list:
@@ -112,7 +110,7 @@ class RunConfig:
                 instance=dict(raw["instance"]),
                 cocycle=dict(raw["cocycle"]),
                 witness=dict(raw["witness"]) if raw.get("witness") else None,
-                t_grid=[float(t) for t in raw.get("t_grid", DEFAULT_T_GRID)],
+                t_grid=[read_float(t, "every t_grid value") for t in raw.get("t_grid", DEFAULT_T_GRID)],
                 seed=read_int(raw.get("seed", default_seed), "seed"),
                 sample_budget=read_int(raw.get("sample_budget", 200), "sample_budget"),
                 tolerances={**DEFAULT_TOLERANCES, **raw.get("tolerances", {})},
@@ -120,7 +118,7 @@ class RunConfig:
                     k: read_int(v, f"sampler {k}")
                     for k, v in {**DEFAULT_SAMPLER, **raw.get("sampler", {})}.items()
                 },
-                require_star=bool(raw.get("require_star", False)),
+                require_star=raw.get("require_star", False),
                 command=str(raw.get("command", "full-report")),
                 tabulate=[list(p) for p in raw.get("tabulate", [])],
             )
@@ -134,14 +132,20 @@ class RunConfig:
         if not self.t_grid:
             raise ConfigError("t_grid must not be empty")
         for t in self.t_grid:
-            _check_finite(t, "every t_grid value")
+            read_float(t, "every t_grid value")
         if self.sample_budget < 1:
             raise ConfigError("sample_budget must be >= 1")
         for name, low in (("coord_bound", 0), ("max_degree", 0), ("max_support", 1)):
             if self.sampler[name] < low:
                 raise ConfigError(f"sampler {name} must be >= {low}")
+        unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
+        if unknown:
+            raise ConfigError(f"unknown tolerances: {sorted(unknown)}")
         for name, tol in self.tolerances.items():
-            _check_finite(tol, f"tolerance {name!r}")
+            if read_float(tol, f"tolerance {name!r}") < 0:
+                raise ConfigError(f"tolerance {name!r} must be >= 0, got {tol!r}")
+        if not isinstance(self.require_star, bool):
+            raise ConfigError(f"require_star must be true or false, got {self.require_star!r}")
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}; choose from {COMMANDS}")
 
@@ -180,7 +184,10 @@ def build_instance(desc: dict, tolerances: dict | None = None) -> BialgebraInsta
     try:
         if kind == "group_algebra_zd":
             d = read_int(desc.get("d", 1), "instance d")
-            inst = inst_mod.group_algebra_zd(d, with_star=bool(desc.get("star", True)))
+            with_star = desc.get("star", True)
+            if not isinstance(with_star, bool):
+                raise ConfigError(f"instance star must be true or false, got {with_star!r}")
+            inst = inst_mod.group_algebra_zd(d, with_star=with_star)
         elif kind == "symmetric_star":
             gens = desc.get("generators")
             if not gens:

@@ -7,7 +7,6 @@ byte-identical output.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -112,9 +111,6 @@ class Report:
             "results": [r.to_dict() for r in self.results],
             "extras": self.extras,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def summary_lines(self) -> list[str]:
         lines = []

@@ -23,6 +23,11 @@ def _write(tmp_path, payload) -> str:
 
 _ZERO_ON_Z = {"instance": {"type": "group_algebra_zd", "d": 1}, "cocycle": {"type": "zero"}}
 _ZERO_ON_OSC = {"instance": {"type": "symmetric_star", "generators": ["x", "xstar"]}, "cocycle": {"type": "zero"}}
+_NON_COCYCLE_ON_Z = {
+    "instance": {"type": "group_algebra_zd", "d": 1},
+    "cocycle": {"type": "z_polynomial", "coeffs": [[1, 0, [0.001, 0]]]},
+    "command": "validate",
+}
 _ZD_SMALL = json.loads((DATA / "zd_matrix_small.json").read_text(encoding="utf-8"))
 
 
@@ -220,6 +225,26 @@ def test_exit_2_on_bad_json(tmp_path, capsys):
             {**_ZERO_ON_Z, "cocycle": {"type": "z_polynomial", "coeffs": [[2.5, 1, 0.0]]}},
             id="z_polynomial_exponent_not_integral",
         ),
+        # a bool is not a number, and a tolerance must be a known, non-negative one;
+        # read as 1.0, the bool tolerance would pass this failing validate run
+        pytest.param({**_NON_COCYCLE_ON_Z, "tolerances": {"law": True}}, id="tolerance_bool"),
+        pytest.param({**_NON_COCYCLE_ON_Z, "tolerances": {"lawx": 1.0}}, id="tolerance_unknown_key"),
+        pytest.param({**_ZERO_ON_Z, "tolerances": {"law": -1e-8}}, id="tolerance_negative"),
+        pytest.param({**_ZERO_ON_Z, "tolerances": {"strict": "1e-12"}}, id="tolerance_not_number"),
+        pytest.param({**_ZERO_ON_Z, "t_grid": [True]}, id="t_grid_bool"),
+        pytest.param(
+            {**_ZERO_ON_Z, "cocycle": {"type": "z_polynomial", "coeffs": [[2, 1, True]]}},
+            id="complex_scalar_bool",
+        ),
+        pytest.param(
+            {**_ZERO_ON_Z, "cocycle": {"type": "z_polynomial", "coeffs": [[2, 1, [0.5, False]]]}},
+            id="complex_pair_entry_bool",
+        ),
+        pytest.param({**_ZERO_ON_Z, "require_star": "no"}, id="require_star_not_bool"),
+        pytest.param(
+            {**_ZERO_ON_Z, "instance": {"type": "group_algebra_zd", "d": 1, "star": "no"}},
+            id="instance_star_not_bool",
+        ),
     ],
 )
 def test_exit_2_on_unknown_instance(payload, tmp_path):
@@ -296,6 +321,7 @@ def test_tolerance_override_takes_effect(tmp_path):
     path = _write(tmp_path, cfg)
     assert main(["--config", path]) == 0
     assert main(["--config", path, "--tolerance", "1e-30"]) == 1
+    assert main(["--config", path, "--tolerance=-1e-8"]) == 2
 
 
 def test_split_command_reports_parts(tmp_path):

@@ -1,17 +1,22 @@
 """The narrative demo scripts must stay runnable."""
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("0*.py"))
+ROOT = Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_cleanly(script):
+    # the scripts import the package from the checkout, installed or not
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, timeout=180
+        [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=180
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
