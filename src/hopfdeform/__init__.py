@@ -86,6 +86,6 @@ from .deformation import (
     split_cocommutative,
     star_deformation_check,
 )
-from .report import LawResult, Report
+from .report import Law, LawResult, Report, run_laws
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from .convolution import (
     mu_n_map,
     tuple_counit,
 )
-from .report import Report, fold_residuals
+from .report import Law, Report, fold_residuals, run_laws
 
 DEFAULT_TOL = 1e-8
 DEFAULT_SAMPLES = 200
@@ -261,11 +261,9 @@ def subcomplex_stability(
             report.add_flag("hermitian_stable", "f not in the hermitian class; nothing to check", True)
 
     dd = coboundary(df)
-    dd_sampler = sampler.spawn(47)
-    report.add_residuals(
-        "d_squared_zero", "∂∘∂ = 0",
-        (abs(dd.value(dd_sampler.keys(f.arity + 2))) for _ in range(samples)),
-        tol,
-    )
+    run_laws(report, sampler, [
+        Law("d_squared_zero", "∂∘∂ = 0", lambda _, u: abs(dd.value(u)), tol,
+            per_case=samples, salt=47, draw=lambda s: (s.keys(f.arity + 2),)),
+    ])
 
     return report

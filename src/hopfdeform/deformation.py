@@ -67,7 +67,7 @@ from .cohomology import (
     compose_antipode_flip,
     validate_generator,
 )
-from .report import Report, fold_residuals
+from .report import Law, Report, fold_residuals, run_laws
 
 DEFAULT_T_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
@@ -270,102 +270,65 @@ def check_deformation_axioms(
     """Unitality, associativity, coalgebra compatibility, counit semigroup,
     and recovery of the generator as the derivative of δ∘μ_t at 0."""
     inst = D.instance
-    report = Report(name=f"deformation_axioms:{D.generator.name}")
+    L = D.generator
     one = inst.unit_element()
 
+    def unitality(t, a):
+        return (deformed_mul(D, t, one, a) - a).norm_inf(), (deformed_mul(D, t, a, one) - a).norm_inf()
+
+    def associativity(t, a, b, c):
+        lhs = deformed_mul(D, t, deformed_mul(D, t, a, b), c)
+        return (lhs - deformed_mul(D, t, a, deformed_mul(D, t, b, c))).norm_inf()
+
+    def coalgebra_compatibility(ts, a, b):
+        t, s = ts
+        lhs = comul(deformed_mul(D, t + s, a, b))
+        acc: dict = {}
+        for ka, ca in a.terms.items():
+            for kb, cb in b.terms.items():
+                for left, right, c in tuple_comul_terms(inst, (ka, kb)):
+                    w = ca * cb * c
+                    e1 = deformed_mul_pair(D, t, left[0], left[1])
+                    e2 = deformed_mul_pair(D, s, right[0], right[1])
+                    for k1, w1 in e1.terms.items():
+                        for k2, w2 in e2.terms.items():
+                            _acc(acc, (k1, k2), w * w1 * w2)
+        return (lhs - TensorElement(inst, 2, acc)).norm_inf()
+
+    def counit_semigroup(ts, u):
+        t, s = ts
+        lhs = conv_exp(L, t + s, u)
+        rhs = 0j
+        for left, right, c in tuple_comul_terms(inst, u):
+            rhs += c * conv_exp(L, t, left) * conv_exp(L, s, right)
+        return abs(lhs - rhs)
+
+    def generator_derivative(h, u):
+        a = Element(inst, {u[0]: 1.0})
+        b = Element(inst, {u[1]: 1.0})
+        fd = (counit(deformed_mul(D, h, a, b)) - counit(a) * counit(b)) / h
+        return abs(fd - L.value(u))
+
     per = _per_case(samples, len(t_grid))
-    s_unit = sampler.spawn(101)
-
-    def unit_residuals():
-        for t in t_grid:
-            for _ in range(per):
-                a = s_unit.element()
-                yield (
-                    (deformed_mul(D, t, one, a) - a).norm_inf(),
-                    (deformed_mul(D, t, a, one) - a).norm_inf(),
-                )
-
-    report.add_residuals("unitality", "mu_t(1(x)a) = a = mu_t(a(x)1)", unit_residuals(), 1e-12)
-
-    s_assoc = sampler.spawn(103)
-
-    def assoc_residuals():
-        for t in t_grid:
-            for _ in range(per):
-                a, b, c = s_assoc.element(), s_assoc.element(), s_assoc.element()
-                lhs = deformed_mul(D, t, deformed_mul(D, t, a, b), c)
-                rhs = deformed_mul(D, t, a, deformed_mul(D, t, b, c))
-                yield (lhs - rhs).norm_inf()
-
-    report.add_residuals(
-        "associativity", "mu_t(mu_t(a(x)b)(x)c) = mu_t(a(x)mu_t(b(x)c))", assoc_residuals(), tol
-    )
-
     pairs = _grid_pairs(t_grid)
     per_pair = _per_case(samples, len(pairs))
-    s_co = sampler.spawn(107)
-
-    def coalgebra_residuals():
-        for t, s in pairs:
-            for _ in range(per_pair):
-                a, b = s_co.element(), s_co.element()
-                lhs = comul(deformed_mul(D, t + s, a, b))
-                acc: dict = {}
-                for ka, ca in a.terms.items():
-                    for kb, cb in b.terms.items():
-                        for left, right, c in tuple_comul_terms(inst, (ka, kb)):
-                            w = ca * cb * c
-                            e1 = deformed_mul_pair(D, t, left[0], left[1])
-                            e2 = deformed_mul_pair(D, s, right[0], right[1])
-                            for k1, w1 in e1.terms.items():
-                                for k2, w2 in e2.terms.items():
-                                    _acc(acc, (k1, k2), w * w1 * w2)
-                yield (lhs - TensorElement(inst, 2, acc)).norm_inf()
-
-    report.add_residuals(
-        "coalgebra_compatibility",
-        "Delta∘mu_{t+s} = (mu_t(x)mu_s)∘Lambda",
-        coalgebra_residuals(),
-        tol,
-    )
-
-    s_semi = sampler.spawn(109)
-    L = D.generator
-
-    def semigroup_residuals():
-        for t, s in pairs:
-            for _ in range(per_pair):
-                u = s_semi.keys(2)
-                lhs = conv_exp(L, t + s, u)
-                rhs = 0j
-                for left, right, c in tuple_comul_terms(inst, u):
-                    rhs += c * conv_exp(L, t, left) * conv_exp(L, s, right)
-                yield abs(lhs - rhs)
-
-    report.add_residuals(
-        "counit_semigroup",
-        "delta∘mu_{t+s} = (delta∘mu_t) ⋆ (delta∘mu_s)",
-        semigroup_residuals(),
-        tol,
-    )
-
-    s_fd = sampler.spawn(113)
-    fd_keys = [s_fd.keys(2) for _ in range(samples)]
-    for h in fd_steps:
-        def fd_residuals():
-            for u in fd_keys:
-                a = Element(inst, {u[0]: 1.0})
-                b = Element(inst, {u[1]: 1.0})
-                fd = (counit(deformed_mul(D, h, a, b)) - counit(a) * counit(b)) / h
-                yield abs(fd - L.value(u))
-
-        report.add_residuals(
-            f"generator_derivative_h={h:g}",
-            "(delta∘mu_h − delta(x)delta)/h → L as h → 0",
-            fd_residuals(),
-            fd_factor * h,
-        )
-
+    report = Report(name=f"deformation_axioms:{L.name}")
+    run_laws(report, sampler, [
+        Law("unitality", "mu_t(1(x)a) = a = mu_t(a(x)1)", unitality, 1e-12,
+            cases=t_grid, per_case=per, salt=101, draw=lambda s: s.elements(1)),
+        Law("associativity", "mu_t(mu_t(a(x)b)(x)c) = mu_t(a(x)mu_t(b(x)c))", associativity, tol,
+            cases=t_grid, per_case=per, salt=103, draw=lambda s: s.elements(3)),
+        Law("coalgebra_compatibility", "Delta∘mu_{t+s} = (mu_t(x)mu_s)∘Lambda", coalgebra_compatibility, tol,
+            cases=pairs, per_case=per_pair, salt=107, draw=lambda s: s.elements(2)),
+        Law("counit_semigroup", "delta∘mu_{t+s} = (delta∘mu_t) ⋆ (delta∘mu_s)", counit_semigroup, tol,
+            cases=pairs, per_case=per_pair, salt=109, draw=lambda s: (s.keys(2),)),
+        *(
+            Law(f"generator_derivative_h={h:g}", "(delta∘mu_h − delta(x)delta)/h → L as h → 0",
+                generator_derivative, fd_factor * h,
+                cases=(h,), per_case=samples, salt=113, draw=lambda s: (s.keys(2),))
+            for h in fd_steps
+        ),
+    ])
     return report
 
 
@@ -388,157 +351,94 @@ def check_hopf_deformation(
     """
     inst = D.instance
     inst.require_antipode()
-    report = Report(name=f"hopf_deformation:{D.generator.name}")
     one = inst.unit_element()
     L = D.generator
     sig = D.sigma()
 
+    def antipode_identity(t, a):
+        St = deformed_antipode(D, t)
+        target = scale(counit(a), one)
+        lhs = inst.zero_element()
+        rhs = inst.zero_element()
+        for (k1, k2), c in comul(a).terms.items():
+            e1 = Element(inst, {k1: 1.0})
+            e2 = Element(inst, {k2: 1.0})
+            lhs = lhs + scale(c, deformed_mul(D, t, St(e1), e2))
+            rhs = rhs + scale(c, deformed_mul(D, t, e1, St(e2)))
+        return (lhs - target).norm_inf(), (rhs - target).norm_inf()
+
+    def antipode_unit(t):
+        return (deformed_antipode(D, t)(one) - one).norm_inf()
+
+    def antipode_at_zero(t, a):
+        return (deformed_antipode(D, t)(a) - antipode(a)).norm_inf()
+
+    def algebra_antihomomorphism(t, a, b):
+        St = deformed_antipode(D, t)
+        return (St(deformed_mul(D, -t, a, b)) - deformed_mul(D, t, St(b), St(a))).norm_inf()
+
+    def coalgebra_antihomomorphism(tr, a):
+        t, r = tr
+        lhs = comul(deformed_antipode(D, t + r)(a))
+        St, Sr = deformed_antipode(D, t), deformed_antipode(D, r)
+        acc: dict = {}
+        for (k1, k2), c in tensor_flip(comul(a)).terms.items():
+            for ka, wa in St.value((k1,)).terms.items():
+                for kb, wb in Sr.value((k2,)).terms.items():
+                    _acc(acc, (ka, kb), c * wa * wb)
+        return (lhs - TensorElement(inst, 2, acc)).norm_inf()
+
+    def cocommutative_involution(t, a):
+        return (deformed_antipode(D, t)(deformed_antipode(D, -t)(a)) - a).norm_inf()
+
+    def exp_transport(t, a):
+        transported = tensor_apply(comul(a), (None, inst.antipode_terms))
+        lhs = conv_exp(L, t, transported)
+        return abs(lhs - sum((c * conv_exp(sig, t, (k,)) for k, c in a.terms.items()), 0j))
+
+    def sigma_commuting(_, a):
+        acc_l: dict = {}
+        acc_r: dict = {}
+        for (k1, k2), c in comul(a).terms.items():
+            _acc(acc_l, k2, c * sig.value((k1,)))
+            _acc(acc_r, k1, c * sig.value((k2,)))
+        return (Element(inst, acc_l) - Element(inst, acc_r)).norm_inf()
+
+    def sigma_derivative(h, u):
+        a = Element(inst, {u[0]: 1.0})
+        fd = (counit(deformed_antipode(D, h)(a)) - counit(antipode(a))) / h
+        return abs(fd + sig.value(u))
+
     per = _per_case(samples, len(t_grid))
-    s_inv = sampler.spawn(201)
-
-    def inverse_residuals():
-        for t in t_grid:
-            St = deformed_antipode(D, t)
-            for _ in range(per):
-                a = s_inv.element()
-                target = scale(counit(a), one)
-                lhs = inst.zero_element()
-                rhs = inst.zero_element()
-                for (k1, k2), c in comul(a).terms.items():
-                    e1 = Element(inst, {k1: 1.0})
-                    e2 = Element(inst, {k2: 1.0})
-                    lhs = lhs + scale(c, deformed_mul(D, t, St(e1), e2))
-                    rhs = rhs + scale(c, deformed_mul(D, t, e1, St(e2)))
-                yield (lhs - target).norm_inf(), (rhs - target).norm_inf()
-
-    report.add_residuals(
-        "antipode_identity",
-        "mu_t∘(S_t(x)id)∘Delta = delta·1 = mu_t∘(id(x)S_t)∘Delta (two-sided inverse)",
-        inverse_residuals(),
-        tol,
-    )
-
-    report.add_residuals(
-        "antipode_unit", "S_t(1) = 1",
-        ((deformed_antipode(D, t)(one) - one).norm_inf() for t in t_grid),
-        1e-12,
-    )
-
-    zero_samples = sampler.spawn(203).elements(max(1, samples // 4))
-    report.add_residuals(
-        "antipode_at_zero", "S_0 = S",
-        ((deformed_antipode(D, 0.0)(a) - antipode(a)).norm_inf() for a in zero_samples),
-        1e-12,
-    )
-
-    s_anti = sampler.spawn(205)
-
-    def antihom_residuals():
-        for t in t_grid:
-            St = deformed_antipode(D, t)
-            for _ in range(per):
-                a, b = s_anti.element(), s_anti.element()
-                lhs = St(deformed_mul(D, -t, a, b))
-                rhs = deformed_mul(D, t, St(b), St(a))
-                yield (lhs - rhs).norm_inf()
-
-    report.add_residuals(
-        "algebra_antihomomorphism",
-        "S_t∘mu_{−t} = mu_t∘(S_t(x)S_t)∘tau",
-        antihom_residuals(),
-        tol,
-    )
-
     pairs = _grid_pairs(t_grid)
-    per_pair = _per_case(samples, len(pairs))
-    s_coanti = sampler.spawn(207)
-
-    def coantihom_residuals():
-        for t, r in pairs:
-            Str, St, Sr = deformed_antipode(D, t + r), deformed_antipode(D, t), deformed_antipode(D, r)
-            for _ in range(per_pair):
-                a = s_coanti.element()
-                lhs = comul(Str(a))
-                acc: dict = {}
-                for (k1, k2), c in tensor_flip(comul(a)).terms.items():
-                    for ka, wa in St.value((k1,)).terms.items():
-                        for kb, wb in Sr.value((k2,)).terms.items():
-                            _acc(acc, (ka, kb), c * wa * wb)
-                yield (lhs - TensorElement(inst, 2, acc)).norm_inf()
-
-    report.add_residuals(
-        "coalgebra_antihomomorphism",
-        "Delta∘S_{t+r} = (S_t(x)S_r)∘tau∘Delta",
-        coantihom_residuals(),
-        tol,
-    )
-
-    if inst.cocommutative:
-        s_inv2 = sampler.spawn(209)
-
-        def involution_residuals():
-            for t in t_grid:
-                St, Sm = deformed_antipode(D, t), deformed_antipode(D, -t)
-                for _ in range(per):
-                    a = s_inv2.element()
-                    yield (St(Sm(a)) - a).norm_inf()
-
-        report.add_residuals("cocommutative_involution", "S_t∘S_{−t} = id", involution_residuals(), tol)
-
-    s_sig = sampler.spawn(211)
-
-    def transport_residuals():
-        for t in t_grid:
-            for _ in range(per):
-                a = s_sig.element()
-                transported = tensor_apply(comul(a), (None, inst.antipode_terms))
-                lhs = conv_exp(L, t, transported)
-                rhs = sum((c * conv_exp(sig, t, (k,)) for k, c in a.terms.items()), 0j)
-                yield abs(lhs - rhs)
-
-    report.add_residuals(
-        "exp_transport",
-        "e_⋆^{tL}∘(id(x)S)∘Delta = e_⋆^{tσ}",
-        transport_residuals(),
-        tol,
-    )
-
-    s_comm = sampler.spawn(213)
-
-    def sigma_commuting_residuals():
-        for _ in range(samples):
-            a = s_comm.element()
-            acc_l: dict = {}
-            acc_r: dict = {}
-            for (k1, k2), c in comul(a).terms.items():
-                _acc(acc_l, k2, c * sig.value((k1,)))
-                _acc(acc_r, k1, c * sig.value((k2,)))
-            yield (Element(inst, acc_l) - Element(inst, acc_r)).norm_inf()
-
-    report.add_residuals(
-        "sigma_commuting", "(σ(x)id)∘Delta = (id(x)σ)∘Delta", sigma_commuting_residuals(), tol
-    )
-
-    report.add("sigma_normalized", "σ(1) = 0", 1, abs(sig.value((inst.unit,))), 0.0)
-
-    s_fd = sampler.spawn(215)
-    fd_keys = [s_fd.keys(1) for _ in range(max(1, samples // 2))]
-    for h in fd_steps:
-        Sh = deformed_antipode(D, h)
-
-        def fd_residuals():
-            for u in fd_keys:
-                a = Element(inst, {u[0]: 1.0})
-                fd = (counit(Sh(a)) - counit(antipode(a))) / h
-                yield abs(fd + sig.value(u))
-
-        report.add_residuals(
-            f"sigma_derivative_h={h:g}",
-            "(delta∘S_h − delta∘S)/h → −σ as h → 0",
-            fd_residuals(),
-            fd_factor * h,
-        )
-
+    report = Report(name=f"hopf_deformation:{L.name}")
+    run_laws(report, sampler, [
+        Law("antipode_identity",
+            "mu_t∘(S_t(x)id)∘Delta = delta·1 = mu_t∘(id(x)S_t)∘Delta (two-sided inverse)",
+            antipode_identity, tol, cases=t_grid, per_case=per, salt=201, draw=lambda s: s.elements(1)),
+        Law("antipode_unit", "S_t(1) = 1", antipode_unit, 1e-12, cases=t_grid),
+        Law("antipode_at_zero", "S_0 = S", antipode_at_zero, 1e-12,
+            cases=(0.0,), per_case=max(1, samples // 4), salt=203, draw=lambda s: s.elements(1)),
+        Law("algebra_antihomomorphism", "S_t∘mu_{−t} = mu_t∘(S_t(x)S_t)∘tau", algebra_antihomomorphism, tol,
+            cases=t_grid, per_case=per, salt=205, draw=lambda s: s.elements(2)),
+        Law("coalgebra_antihomomorphism", "Delta∘S_{t+r} = (S_t(x)S_r)∘tau∘Delta", coalgebra_antihomomorphism,
+            tol, cases=pairs, per_case=_per_case(samples, len(pairs)), salt=207, draw=lambda s: s.elements(1)),
+        *(
+            [Law("cocommutative_involution", "S_t∘S_{−t} = id", cocommutative_involution, tol,
+                 cases=t_grid, per_case=per, salt=209, draw=lambda s: s.elements(1))]
+            if inst.cocommutative else []
+        ),
+        Law("exp_transport", "e_⋆^{tL}∘(id(x)S)∘Delta = e_⋆^{tσ}", exp_transport, tol,
+            cases=t_grid, per_case=per, salt=211, draw=lambda s: s.elements(1)),
+        Law("sigma_commuting", "(σ(x)id)∘Delta = (id(x)σ)∘Delta", sigma_commuting, tol,
+            per_case=samples, salt=213, draw=lambda s: s.elements(1)),
+        Law("sigma_normalized", "σ(1) = 0", lambda _: abs(sig.value((inst.unit,))), 0.0),
+        *(
+            Law(f"sigma_derivative_h={h:g}", "(delta∘S_h − delta∘S)/h → −σ as h → 0", sigma_derivative,
+                fd_factor * h, cases=(h,), per_case=max(1, samples // 2), salt=215, draw=lambda s: (s.keys(1),))
+            for h in fd_steps
+        ),
+    ])
     return report
 
 
@@ -552,46 +452,30 @@ def check_trivial_conjugation(
     """μ_t as conjugation of μ by Φ_t, plus the commutation of Φ_t with Δ."""
     D = T.deformation
     inst = T.instance
+
+    def conjugation(t, a, b):
+        lhs = deformed_mul(D, t, a, b)
+        phi_t = phi_map(T, t)
+        return (lhs - phi_map(T, -t)(mul(phi_t(a), phi_t(b)))).norm_inf()
+
+    def intertwining(t, a):
+        phi_t = phi_map(T, t)
+        acc_l: dict = {}
+        acc_r: dict = {}
+        for (k1, k2), c in comul(a).terms.items():
+            for k, w in phi_t.value((k1,)).terms.items():
+                _acc(acc_l, (k, k2), c * w)
+            for k, w in phi_t.value((k2,)).terms.items():
+                _acc(acc_r, (k1, k), c * w)
+        return (TensorElement(inst, 2, acc_l) - TensorElement(inst, 2, acc_r)).norm_inf()
+
     report = Report(name=f"trivial_conjugation:{D.generator.name}@t={t:g}")
-    phi_t = phi_map(T, t)
-    phi_mt = phi_map(T, -t)
-
-    s_conj = sampler.spawn(301)
-
-    def conjugation_residuals():
-        for _ in range(samples):
-            a, b = s_conj.element(), s_conj.element()
-            lhs = deformed_mul(D, t, a, b)
-            rhs = phi_mt(mul(phi_t(a), phi_t(b)))
-            yield (lhs - rhs).norm_inf()
-
-    report.add_residuals(
-        "conjugation",
-        "mu_t(a(x)b) = Phi_{−t}(mu(Phi_t(a)(x)Phi_t(b)))",
-        conjugation_residuals(),
-        tol,
-    )
-
-    s_int = sampler.spawn(303)
-
-    def intertwining_residuals():
-        for _ in range(samples):
-            a = s_int.element()
-            acc_l: dict = {}
-            acc_r: dict = {}
-            for (k1, k2), c in comul(a).terms.items():
-                for k, w in phi_t.value((k1,)).terms.items():
-                    _acc(acc_l, (k, k2), c * w)
-                for k, w in phi_t.value((k2,)).terms.items():
-                    _acc(acc_r, (k1, k), c * w)
-            yield (TensorElement(inst, 2, acc_l) - TensorElement(inst, 2, acc_r)).norm_inf()
-
-    report.add_residuals(
-        "intertwining",
-        "(Phi_t(x)id)∘Delta = (id(x)Phi_t)∘Delta",
-        intertwining_residuals(),
-        tol,
-    )
+    run_laws(report, sampler, [
+        Law("conjugation", "mu_t(a(x)b) = Phi_{−t}(mu(Phi_t(a)(x)Phi_t(b)))", conjugation, tol,
+            cases=(t,), per_case=samples, salt=301, draw=lambda s: s.elements(2)),
+        Law("intertwining", "(Phi_t(x)id)∘Delta = (id(x)Phi_t)∘Delta", intertwining, tol,
+            cases=(t,), per_case=samples, salt=303, draw=lambda s: s.elements(1)),
+    ])
     return report
 
 
@@ -615,91 +499,63 @@ def check_trivial_deformation(
         sub = check_trivial_conjugation(T, t, sampler.spawn(310 + i), per, tol)
         report.merge(sub, prefix=f"t={t:g}:")
 
-    report.add_residuals(
-        "phi_unit", "Phi_t(1) = 1", ((phi_map(T, t)(one) - one).norm_inf() for t in t_grid), 1e-12
-    )
+    def phi_group_law(ts, a):
+        t, s = ts
+        return (phi_map(T, t)(phi_map(T, s)(a)) - phi_map(T, t + s)(a)).norm_inf()
 
     pairs = _grid_pairs(t_grid)
-    per_pair = _per_case(samples, len(pairs))
-    s_group = sampler.spawn(331)
+    run_laws(report, sampler, [
+        Law("phi_unit", "Phi_t(1) = 1", lambda t: (phi_map(T, t)(one) - one).norm_inf(), 1e-12, cases=t_grid),
+        Law("phi_group_law", "Phi_t∘Phi_s = Phi_{t+s}", phi_group_law, tol,
+            cases=pairs, per_case=_per_case(samples, len(pairs)), salt=331, draw=lambda s: s.elements(1)),
+        Law("phi_inverse", "Phi_t∘Phi_{−t} = id", lambda t, a: (phi_map(T, t)(phi_map(T, -t)(a)) - a).norm_inf(),
+            tol, cases=t_grid, per_case=per, salt=337, draw=lambda s: s.elements(1)),
+    ])
+    if not inst.has_antipode:
+        return report
 
-    def group_residuals():
-        for t, s in pairs:
-            phi_t, phi_s, phi_ts = phi_map(T, t), phi_map(T, s), phi_map(T, t + s)
-            for _ in range(per_pair):
-                a = s_group.element()
-                yield (phi_t(phi_s(a)) - phi_ts(a)).norm_inf()
+    sig = D.sigma()
+    psi = T.psi
 
-    report.add_residuals("phi_group_law", "Phi_t∘Phi_s = Phi_{t+s}", group_residuals(), tol)
+    def antipode_conjugation(t, a):
+        phi_mt = phi_map(T, -t)
+        return (deformed_antipode(D, t)(a) - phi_mt(antipode(phi_mt(a)))).norm_inf()
 
-    s_invert = sampler.spawn(337)
+    def sigma_witness_formula(_, k):
+        rhs = psi.value(k) + psi.eval_mixed((antipode_key(inst, k[0]),))
+        return abs(sig.value(k) - rhs)
 
-    def inverse_residuals():
-        for t in t_grid:
-            phi_t, phi_mt = phi_map(T, t), phi_map(T, -t)
-            for _ in range(per):
-                a = s_invert.element()
-                yield (phi_t(phi_mt(a)) - a).norm_inf()
+    run_laws(report, sampler, [
+        Law("antipode_conjugation", "S_t = Phi_{−t}∘S∘Phi_{−t}", antipode_conjugation, tol,
+            cases=t_grid, per_case=per, salt=341, draw=lambda s: s.elements(1)),
+        Law("sigma_witness_formula", "σ = ψ + ψ∘S", sigma_witness_formula, tol,
+            per_case=samples, salt=347, draw=lambda s: (s.keys(1),)),
+    ])
 
-    report.add_residuals("phi_inverse", "Phi_t∘Phi_{−t} = id", inverse_residuals(), tol)
-
-    if inst.has_antipode:
-        sig = D.sigma()
-        psi = T.psi
-
-        s_anti = sampler.spawn(341)
-
-        def antipode_residuals():
-            for t in t_grid:
-                St = deformed_antipode(D, t)
-                phi_mt = phi_map(T, -t)
-                for _ in range(per):
-                    a = s_anti.element()
-                    yield (St(a) - phi_mt(antipode(phi_mt(a)))).norm_inf()
-
-        report.add_residuals(
-            "antipode_conjugation",
-            "S_t = Phi_{−t}∘S∘Phi_{−t}",
-            antipode_residuals(),
-            tol,
-        )
-
-        s_sig = sampler.spawn(347)
-
-        def witness_residuals():
-            for _ in range(samples):
-                k = s_sig.keys(1)
-                rhs = psi.value(k) + psi.eval_mixed((antipode_key(inst, k[0]),))
-                yield abs(sig.value(k) - rhs)
-
-        report.add_residuals("sigma_witness_formula", "σ = ψ + ψ∘S", witness_residuals(), tol)
-
-        s_const = sampler.spawn(353)
-        const_elems = s_const.elements(max(1, samples // max(1, len(t_grid))))
-        rows = []
-        for t in t_grid:
-            St, phi_t, phi_mt = deformed_antipode(D, t), phi_map(T, t), phi_map(T, -t)
-            for a in const_elems:
-                rows.append((
-                    (St(a) - antipode(a)).norm_inf(),
-                    (antipode(phi_t(a)) - phi_mt(antipode(a))).norm_inf(),
-                ))
-        _, res_const = fold_residuals(row[0] for row in rows)
-        _, res_crit = fold_residuals(row[1] for row in rows)
-        constant = res_const <= tol
-        criterion = res_crit <= tol
-        report.add_flag(
-            "constant_antipode_criterion",
-            "S_t = S for all grid t  iff  S∘Phi_t = Phi_{−t}∘S",
-            constant == criterion,
-            samples=len(const_elems) * len(t_grid),
-        )
-        report.extras["antipodes_constant"] = constant
-        report.extras["criterion_residuals"] = {
-            "s_t_minus_s": res_const,
-            "s_phi_commutation": res_crit,
-        }
-
+    const_elems = sampler.spawn(353).elements(max(1, samples // max(1, len(t_grid))))
+    rows = []
+    for t in t_grid:
+        St, phi_t, phi_mt = deformed_antipode(D, t), phi_map(T, t), phi_map(T, -t)
+        for a in const_elems:
+            rows.append((
+                (St(a) - antipode(a)).norm_inf(),
+                (antipode(phi_t(a)) - phi_mt(antipode(a))).norm_inf(),
+            ))
+    _, res_const = fold_residuals(row[0] for row in rows)
+    _, res_crit = fold_residuals(row[1] for row in rows)
+    constant = res_const <= tol
+    criterion = res_crit <= tol
+    report.add_flag(
+        "constant_antipode_criterion",
+        "S_t = S for all grid t  iff  S∘Phi_t = Phi_{−t}∘S",
+        constant == criterion,
+        samples=len(const_elems) * len(t_grid),
+    )
+    report.extras["antipodes_constant"] = constant
+    report.extras["criterion_residuals"] = {
+        "s_t_minus_s": res_const,
+        "s_phi_commutation": res_crit,
+    }
     return report
 
 
@@ -711,21 +567,16 @@ def star_deformation_check(
     tol: float = DEFAULT_TOL,
 ) -> Report:
     """(μ_t(a⊗b))* = μ_t(b*⊗a*) on samples, for each grid t."""
-    inst = D.instance
-    inst.require_star()
+    D.instance.require_star()
+
+    def star_compatibility(t, a, b):
+        return (star(deformed_mul(D, t, a, b)) - deformed_mul(D, t, star(b), star(a))).norm_inf()
+
     report = Report(name=f"star_deformation:{D.generator.name}")
-    per = _per_case(samples, len(t_grid))
-    s_star = sampler.spawn(401)
-
-    def star_residuals():
-        for t in t_grid:
-            for _ in range(per):
-                a, b = s_star.element(), s_star.element()
-                lhs = star(deformed_mul(D, t, a, b))
-                rhs = deformed_mul(D, t, star(b), star(a))
-                yield (lhs - rhs).norm_inf()
-
-    report.add_residuals("star_compatibility", "(mu_t(a(x)b))* = mu_t(b*(x)a*)", star_residuals(), tol)
+    run_laws(report, sampler, [
+        Law("star_compatibility", "(mu_t(a(x)b))* = mu_t(b*(x)a*)", star_compatibility, tol,
+            cases=t_grid, per_case=_per_case(samples, len(t_grid)), salt=401, draw=lambda s: s.elements(2)),
+    ])
     return report
 
 
@@ -767,26 +618,13 @@ def split_cocommutative(
 
     lss = compose_antipode_flip(L)
     dsig = coboundary(sig)
-    s_cb = sampler.spawn(503)
-    report.add_residuals(
-        "coboundary_of_sigma",
-        "∂σ = L + L∘(S(x)S)∘tau",
-        (
-            abs(dsig.value(keys) - (L.value(keys) + lss.value(keys)))
-            for keys in (s_cb.keys(2) for _ in range(samples))
-        ),
-        tol,
-    )
-
-    s_sum = sampler.spawn(509)
-    report.add_residuals(
-        "parts_sum", "L1 + L2 = L exactly",
-        (
-            abs(L1.value(keys) + L2.value(keys) - L.value(keys))
-            for keys in (s_sum.keys(2) for _ in range(samples))
-        ),
-        0.0,
-    )
+    run_laws(report, sampler, [
+        Law("coboundary_of_sigma", "∂σ = L + L∘(S(x)S)∘tau",
+            lambda _, u: abs(dsig.value(u) - (L.value(u) + lss.value(u))), tol,
+            per_case=samples, salt=503, draw=lambda s: (s.keys(2),)),
+        Law("parts_sum", "L1 + L2 = L exactly", lambda _, u: abs(L1.value(u) + L2.value(u) - L.value(u)), 0.0,
+            per_case=samples, salt=509, draw=lambda s: (s.keys(2),)),
+    ])
 
     classifier2 = validate_generator(L2, sampler.spawn(511), samples=samples, tol=tol)
     report.add_flag(
@@ -796,27 +634,19 @@ def split_cocommutative(
         samples=samples,
     )
 
+    def l2_constant_antipodes(case):
+        t, a = case
+        return (deformed_antipode(D2, t)(a) - antipode(a)).norm_inf()
+
     D2 = Deformation(inst, L2, classifier2, sampler.spawn(513))
     sig2 = D2.sigma()
-    s_sig2 = sampler.spawn(517)
-    report.add_residuals(
-        "l2_sigma_zero", "σ of the L2 deformation vanishes",
-        (abs(sig2.value(s_sig2.keys(1))) for _ in range(samples)),
-        tol,
-    )
-
-    s_const = sampler.spawn(519)
-    const_elems = s_const.elements(max(1, samples // max(1, len(t_grid))))
-
-    def constant_residuals():
-        for t in t_grid:
-            St = deformed_antipode(D2, t)
-            for a in const_elems:
-                yield (St(a) - antipode(a)).norm_inf()
-
-    report.add_residuals(
-        "l2_constant_antipodes", "the L2 deformation has S_t = S", constant_residuals(), tol
-    )
+    const_elems = sampler.spawn(519).elements(max(1, samples // max(1, len(t_grid))))
+    run_laws(report, sampler, [
+        Law("l2_sigma_zero", "σ of the L2 deformation vanishes", lambda _, k: abs(sig2.value(k)), tol,
+            per_case=samples, salt=517, draw=lambda s: (s.keys(1),)),
+        Law("l2_constant_antipodes", "the L2 deformation has S_t = S", l2_constant_antipodes, tol,
+            cases=[(t, a) for t in t_grid for a in const_elems]),
+    ])
 
     s_l1 = sampler.spawn(523)
     l1_keys = [s_l1.keys(2) for _ in range(samples)]
@@ -831,12 +661,10 @@ def split_cocommutative(
     if inst.kind is Kind.GROUPLIKE_BASIS and inst.has_star and D.classifier.hermitian:
         # on group algebras S agrees with * on the basis, so L1 is the real
         # part of L and the retained skew part is purely imaginary there
-        s_im = sampler.spawn(529)
-        report.add_residuals(
-            "skew_part_imaginary",
-            "hermitian L leaves a purely imaginary L2 on the basis",
-            (abs(L2.value(s_im.keys(2)).real) for _ in range(samples)),
-            strict_tol,
-        )
+        run_laws(report, sampler, [
+            Law("skew_part_imaginary", "hermitian L leaves a purely imaginary L2 on the basis",
+                lambda _, u: abs(L2.value(u).real), strict_tol,
+                per_case=samples, salt=529, draw=lambda s: (s.keys(2),)),
+        ])
 
     return L1, L2, report

@@ -3,11 +3,13 @@
 Every sampled verification produces one :class:`LawResult` per law; a
 :class:`Report` is an ordered collection of those plus free-form extras.
 Reports serialize to JSON with sorted keys so that identical inputs give
-byte-identical output.
+byte-identical output.  A suite declares its sampled laws as :class:`Law`
+records, and :func:`run_laws` draws, evaluates and folds them in order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 
 def fold_residuals(residuals) -> tuple[int, float]:
@@ -24,6 +26,36 @@ def fold_residuals(residuals) -> tuple[int, float]:
             if r > worst or r != r:
                 worst = r
     return samples, worst
+
+
+@dataclass(frozen=True)
+class Law:
+    """A sampled law: ``residual(case, *args)`` at each case, ``per_case`` times.
+
+    ``cases`` are grid points t, (t, s) pairs, fixed items, or ``(None,)``.
+    A law with a ``salt`` draws each sample's arguments as ``draw(stream)``
+    from its own stream ``sampler.spawn(salt)``, so laws sharing a salt see
+    the same draws; a law without one draws nothing.
+    """
+
+    law_id: str
+    statement: str
+    residual: Callable
+    tolerance: float
+    cases: Sequence = (None,)
+    per_case: int = 1
+    salt: int | None = None
+    draw: Callable = lambda stream: ()
+
+
+def run_laws(report: "Report", sampler, laws) -> None:
+    """Record each law in order, folding its residuals by :func:`fold_residuals`."""
+    for law in laws:
+        stream = None if law.salt is None else sampler.spawn(law.salt)
+        residuals = (
+            law.residual(case, *law.draw(stream)) for case in law.cases for _ in range(law.per_case)
+        )
+        report.add_residuals(law.law_id, law.statement, residuals, law.tolerance)
 
 
 @dataclass

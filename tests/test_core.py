@@ -287,3 +287,26 @@ def test_nan_residual_fails_its_law():
     assert math.isnan(law.max_residual)
     assert not law.passed
     assert not report.overall_pass
+
+    # through the law table: every case takes per_case samples, each drawn
+    # from the law's own salted stream, and the NaN case fails the law
+    sampler = hd.ElementSampler(hd.group_algebra_zd(1), seed=3)
+    drawn = []
+
+    def residual(case, key):
+        drawn.append(key)
+        return math.nan if case == 1.0 else 0.0
+
+    table = hd.Law("table", "a NaN case", residual, 1.0, cases=(0.0, 1.0), per_case=3, salt=7,
+                   draw=lambda s: (s.key(),))
+    hd.run_laws(report, sampler, [table])
+    law = report.results[-1]
+    assert law.samples == 6
+    assert math.isnan(law.max_residual)
+    assert not law.passed
+    stream = sampler.spawn(7)
+    assert drawn == [stream.key() for _ in range(6)]
+
+    # a law without a salt never touches the sampler, so None stands in for it
+    hd.run_laws(report, None, [hd.Law("fixed", "no draws", lambda case: case, 0.5, cases=(0.0, 0.25))])
+    assert (report.results[-1].samples, report.results[-1].passed) == (2, True)
