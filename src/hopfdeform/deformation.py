@@ -23,8 +23,10 @@ deformation and memoized there.
 
 Every theorem-shaped statement is realized as a sampled law check that
 reports a max residual against a tolerance; the verification suites never
-raise on failure.  Suites walk their sample streams in a fixed order, so
-reports are deterministic for a given (seed, budget).
+raise on failure.  Each suite is a table of :class:`~hopfdeform.report.Law`
+records, each with its own salt, cases and argument draw, and
+:func:`~hopfdeform.report.run_laws` records them in table order, so reports
+are deterministic for a given (seed, budget).
 """
 from __future__ import annotations
 
@@ -315,11 +317,11 @@ def check_deformation_axioms(
     report = Report(name=f"deformation_axioms:{L.name}")
     run_laws(report, sampler, [
         Law("unitality", "mu_t(1(x)a) = a = mu_t(a(x)1)", unitality, 1e-12,
-            cases=t_grid, per_case=per, salt=101, draw=lambda s: s.elements(1)),
+            cases=t_grid, per_case=per, salt=101, draw=lambda s: (s.element(),)),
         Law("associativity", "mu_t(mu_t(a(x)b)(x)c) = mu_t(a(x)mu_t(b(x)c))", associativity, tol,
-            cases=t_grid, per_case=per, salt=103, draw=lambda s: s.elements(3)),
+            cases=t_grid, per_case=per, salt=103, draw=lambda s: (s.element(), s.element(), s.element())),
         Law("coalgebra_compatibility", "Delta∘mu_{t+s} = (mu_t(x)mu_s)∘Lambda", coalgebra_compatibility, tol,
-            cases=pairs, per_case=per_pair, salt=107, draw=lambda s: s.elements(2)),
+            cases=pairs, per_case=per_pair, salt=107, draw=lambda s: (s.element(), s.element())),
         Law("counit_semigroup", "delta∘mu_{t+s} = (delta∘mu_t) ⋆ (delta∘mu_s)", counit_semigroup, tol,
             cases=pairs, per_case=per_pair, salt=109, draw=lambda s: (s.keys(2),)),
         *(
@@ -415,23 +417,23 @@ def check_hopf_deformation(
     run_laws(report, sampler, [
         Law("antipode_identity",
             "mu_t∘(S_t(x)id)∘Delta = delta·1 = mu_t∘(id(x)S_t)∘Delta (two-sided inverse)",
-            antipode_identity, tol, cases=t_grid, per_case=per, salt=201, draw=lambda s: s.elements(1)),
+            antipode_identity, tol, cases=t_grid, per_case=per, salt=201, draw=lambda s: (s.element(),)),
         Law("antipode_unit", "S_t(1) = 1", antipode_unit, 1e-12, cases=t_grid),
         Law("antipode_at_zero", "S_0 = S", antipode_at_zero, 1e-12,
-            cases=(0.0,), per_case=max(1, samples // 4), salt=203, draw=lambda s: s.elements(1)),
+            cases=(0.0,), per_case=max(1, samples // 4), salt=203, draw=lambda s: (s.element(),)),
         Law("algebra_antihomomorphism", "S_t∘mu_{−t} = mu_t∘(S_t(x)S_t)∘tau", algebra_antihomomorphism, tol,
-            cases=t_grid, per_case=per, salt=205, draw=lambda s: s.elements(2)),
+            cases=t_grid, per_case=per, salt=205, draw=lambda s: (s.element(), s.element())),
         Law("coalgebra_antihomomorphism", "Delta∘S_{t+r} = (S_t(x)S_r)∘tau∘Delta", coalgebra_antihomomorphism,
-            tol, cases=pairs, per_case=_per_case(samples, len(pairs)), salt=207, draw=lambda s: s.elements(1)),
+            tol, cases=pairs, per_case=_per_case(samples, len(pairs)), salt=207, draw=lambda s: (s.element(),)),
         *(
             [Law("cocommutative_involution", "S_t∘S_{−t} = id", cocommutative_involution, tol,
-                 cases=t_grid, per_case=per, salt=209, draw=lambda s: s.elements(1))]
+                 cases=t_grid, per_case=per, salt=209, draw=lambda s: (s.element(),))]
             if inst.cocommutative else []
         ),
         Law("exp_transport", "e_⋆^{tL}∘(id(x)S)∘Delta = e_⋆^{tσ}", exp_transport, tol,
-            cases=t_grid, per_case=per, salt=211, draw=lambda s: s.elements(1)),
+            cases=t_grid, per_case=per, salt=211, draw=lambda s: (s.element(),)),
         Law("sigma_commuting", "(σ(x)id)∘Delta = (id(x)σ)∘Delta", sigma_commuting, tol,
-            per_case=samples, salt=213, draw=lambda s: s.elements(1)),
+            per_case=samples, salt=213, draw=lambda s: (s.element(),)),
         Law("sigma_normalized", "σ(1) = 0", lambda _: abs(sig.value((inst.unit,))), 0.0),
         *(
             Law(f"sigma_derivative_h={h:g}", "(delta∘S_h − delta∘S)/h → −σ as h → 0", sigma_derivative,
@@ -472,9 +474,9 @@ def check_trivial_conjugation(
     report = Report(name=f"trivial_conjugation:{D.generator.name}@t={t:g}")
     run_laws(report, sampler, [
         Law("conjugation", "mu_t(a(x)b) = Phi_{−t}(mu(Phi_t(a)(x)Phi_t(b)))", conjugation, tol,
-            cases=(t,), per_case=samples, salt=301, draw=lambda s: s.elements(2)),
+            cases=(t,), per_case=samples, salt=301, draw=lambda s: (s.element(), s.element())),
         Law("intertwining", "(Phi_t(x)id)∘Delta = (id(x)Phi_t)∘Delta", intertwining, tol,
-            cases=(t,), per_case=samples, salt=303, draw=lambda s: s.elements(1)),
+            cases=(t,), per_case=samples, salt=303, draw=lambda s: (s.element(),)),
     ])
     return report
 
@@ -507,9 +509,9 @@ def check_trivial_deformation(
     run_laws(report, sampler, [
         Law("phi_unit", "Phi_t(1) = 1", lambda t: (phi_map(T, t)(one) - one).norm_inf(), 1e-12, cases=t_grid),
         Law("phi_group_law", "Phi_t∘Phi_s = Phi_{t+s}", phi_group_law, tol,
-            cases=pairs, per_case=_per_case(samples, len(pairs)), salt=331, draw=lambda s: s.elements(1)),
+            cases=pairs, per_case=_per_case(samples, len(pairs)), salt=331, draw=lambda s: (s.element(),)),
         Law("phi_inverse", "Phi_t∘Phi_{−t} = id", lambda t, a: (phi_map(T, t)(phi_map(T, -t)(a)) - a).norm_inf(),
-            tol, cases=t_grid, per_case=per, salt=337, draw=lambda s: s.elements(1)),
+            tol, cases=t_grid, per_case=per, salt=337, draw=lambda s: (s.element(),)),
     ])
     if not inst.has_antipode:
         return report
@@ -527,7 +529,7 @@ def check_trivial_deformation(
 
     run_laws(report, sampler, [
         Law("antipode_conjugation", "S_t = Phi_{−t}∘S∘Phi_{−t}", antipode_conjugation, tol,
-            cases=t_grid, per_case=per, salt=341, draw=lambda s: s.elements(1)),
+            cases=t_grid, per_case=per, salt=341, draw=lambda s: (s.element(),)),
         Law("sigma_witness_formula", "σ = ψ + ψ∘S", sigma_witness_formula, tol,
             per_case=samples, salt=347, draw=lambda s: (s.keys(1),)),
     ])
@@ -575,7 +577,8 @@ def star_deformation_check(
     report = Report(name=f"star_deformation:{D.generator.name}")
     run_laws(report, sampler, [
         Law("star_compatibility", "(mu_t(a(x)b))* = mu_t(b*(x)a*)", star_compatibility, tol,
-            cases=t_grid, per_case=_per_case(samples, len(t_grid)), salt=401, draw=lambda s: s.elements(2)),
+            cases=t_grid, per_case=_per_case(samples, len(t_grid)), salt=401,
+            draw=lambda s: (s.element(), s.element())),
     ])
     return report
 

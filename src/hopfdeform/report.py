@@ -48,13 +48,12 @@ class Law:
     draw: Callable = lambda stream: ()
 
 
-def run_laws(report: "Report", sampler, laws) -> None:
+def run_laws(report: Report, sampler, laws) -> None:
     """Record each law in order, folding its residuals by :func:`fold_residuals`."""
     for law in laws:
         stream = None if law.salt is None else sampler.spawn(law.salt)
-        residuals = (
-            law.residual(case, *law.draw(stream)) for case in law.cases for _ in range(law.per_case)
-        )
+        residual, draw, per_case = law.residual, law.draw, law.per_case
+        residuals = (residual(case, *draw(stream)) for case in law.cases for _ in range(per_case))
         report.add_residuals(law.law_id, law.statement, residuals, law.tolerance)
 
 
