@@ -26,7 +26,7 @@ from .convolution import (
     mu_n_map,
     tuple_counit,
 )
-from .report import Law, Report, fold_residuals, run_laws
+from .report import Law, Report, run_laws
 
 DEFAULT_TOL = 1e-8
 DEFAULT_SAMPLES = 200
@@ -93,10 +93,8 @@ def commuting_residual(f: Cochain, sampler, samples: int = DEFAULT_SAMPLES) -> f
     mu_n = mu_n_map(f.instance, f.arity)
     lhs = functional_conv_map(f, mu_n)
     rhs = map_conv_functional(mu_n, f)
-    return fold_residuals(
-        (lhs.value(keys) - rhs.value(keys)).norm_inf()
-        for keys in (sampler.keys(f.arity) for _ in range(samples))
-    )[1]
+    return Law("commuting", "f ⋆ mul = mul ⋆ f", lambda _, u: (lhs.value(u) - rhs.value(u)).norm_inf(), DEFAULT_TOL,
+               per_case=samples, draw=lambda s: (s.keys(f.arity),)).fold(sampler)[1]
 
 
 def is_commuting(f: Cochain, sampler, samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL) -> bool:
@@ -105,7 +103,8 @@ def is_commuting(f: Cochain, sampler, samples: int = DEFAULT_SAMPLES, tol: float
 
 def cocycle_residual(f: Cochain, sampler, samples: int = DEFAULT_SAMPLES) -> float:
     df = coboundary(f)
-    return fold_residuals(abs(df.value(sampler.keys(f.arity + 1))) for _ in range(samples))[1]
+    return Law("cocycle", "∂f = 0", lambda _, u: abs(df.value(u)), DEFAULT_TOL,
+               per_case=samples, draw=lambda s: (s.keys(f.arity + 1),)).fold(sampler)[1]
 
 
 def is_cocycle(f: Cochain, sampler, samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL) -> bool:
@@ -115,10 +114,8 @@ def is_cocycle(f: Cochain, sampler, samples: int = DEFAULT_SAMPLES, tol: float =
 def hermitian_residual(f: Cochain, sampler, samples: int = DEFAULT_SAMPLES) -> float:
     sign = hermitian_sign(f.arity)
     tilde = hermitian_conjugate(f)
-    return fold_residuals(
-        abs(tilde.value(keys) - sign * f.value(keys))
-        for keys in (sampler.keys(f.arity) for _ in range(samples))
-    )[1]
+    return Law("hermitian", "f̃ = ±f", lambda _, u: abs(tilde.value(u) - sign * f.value(u)), DEFAULT_TOL,
+               per_case=samples, draw=lambda s: (s.keys(f.arity),)).fold(sampler)[1]
 
 
 def is_hermitian(f: Cochain, sampler, samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL) -> bool:
@@ -193,10 +190,8 @@ def validate_generator(
     witness_matches = None
     if witness is not None:
         dw = coboundary(witness)
-        w_sampler = sampler.spawn(19)
-        _, w_res = fold_residuals(
-            abs(dw.value(keys) - L.value(keys)) for keys in (w_sampler.keys(2) for _ in range(samples))
-        )
+        w_res = Law("witness", "∂ψ = L", lambda _, u: abs(dw.value(u) - L.value(u)), tol,
+                    per_case=samples, salt=19, draw=lambda s: (s.keys(2),)).fold(sampler)[1]
         residuals["witness"] = w_res
         witness_matches = w_res <= tol
 

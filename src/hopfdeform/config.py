@@ -135,6 +135,9 @@ class RunConfig:
             read_float(t, "every t_grid value")
         if self.sample_budget < 1:
             raise ConfigError("sample_budget must be >= 1")
+        unknown = set(self.sampler) - set(DEFAULT_SAMPLER)
+        if unknown:
+            raise ConfigError(f"unknown sampler settings: {sorted(unknown)}")
         for name, low in (("coord_bound", 0), ("max_degree", 0), ("max_support", 1)):
             if self.sampler[name] < low:
                 raise ConfigError(f"sampler {name} must be >= {low}")
@@ -179,9 +182,25 @@ def load_config(path: str) -> RunConfig:
 # -- descriptor resolution -------------------------------------------------------
 
 
+# the fields each descriptor type reads besides "type"
+_DESCRIPTOR_FIELDS = {
+    "group_algebra_zd": ("d", "star"), "symmetric_star": ("generators", "involution"), "sweedler_h4": (),
+    "zd_matrix": ("matrix",), "z_polynomial": ("coeffs",), "primitive_bilinear": ("matrix",),
+    "grouplike_table": ("entries", "expr"), "grouplike_expression": ("expr",), "pbw_trivializer": (), "zero": (),
+}
+
+
+def _only_fields(desc: dict) -> None:
+    """Reject a field that the descriptor's type does not read; an unknown type is the caller's to reject."""
+    unknown = set(desc) - {"type", *_DESCRIPTOR_FIELDS.get(desc.get("type"), desc)}
+    if unknown:
+        raise ConfigError(f"unknown {desc['type']} descriptor fields: {sorted(unknown)}")
+
+
 def build_instance(desc: dict, tolerances: dict | None = None) -> BialgebraInstance:
     kind = desc.get("type")
     try:
+        _only_fields(desc)
         if kind == "group_algebra_zd":
             d = read_int(desc.get("d", 1), "instance d")
             with_star = desc.get("star", True)
@@ -218,6 +237,7 @@ def build_instance(desc: dict, tolerances: dict | None = None) -> BialgebraInsta
 def build_cocycle(desc: dict, instance: BialgebraInstance) -> Cochain:
     kind = desc.get("type")
     try:
+        _only_fields(desc)
         if kind == "zd_matrix":
             return inst_mod.make_zd_matrix_cocycle(instance, parse_matrix(desc["matrix"]))
         if kind == "z_polynomial":
@@ -250,6 +270,7 @@ def build_cocycle(desc: dict, instance: BialgebraInstance) -> Cochain:
 def build_witness(desc: dict, instance: BialgebraInstance, cocycle: Cochain) -> Cochain:
     kind = desc.get("type")
     try:
+        _only_fields(desc)
         if kind == "grouplike_expression":
             return inst_mod.make_grouplike_expression_cochain(
                 instance, desc["expr"], arity=1

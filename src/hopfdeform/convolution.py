@@ -96,7 +96,14 @@ class Cochain:
         self.instance = instance
         self.arity = arity
         self.name = name
-        values = self._cache = Memo(lambda keys: complex(rule(keys)))
+
+        def evaluate(keys):
+            try:
+                return complex(rule(keys))
+            except OverflowError as exc:  # an integer coordinate or power too large for a float
+                raise NonFiniteError(f"non-finite value of {name} on {keys!r}: {exc}") from exc
+
+        values = self._cache = Memo(evaluate)
         self._legs = Memo(lambda keys: _nonzero_legs(instance, values, keys))
         # these memos, and the powers they hold, see this cochain through a
         # weak proxy: a cycle would keep a dropped cochain, and the memos of

@@ -20,7 +20,7 @@ import itertools
 import math
 from typing import Callable
 
-from .report import Report, fold_residuals
+from .report import Law, Report, run_laws
 
 EPS_EQ = 1e-9
 EPS_PRUNE = 1e-12
@@ -595,94 +595,74 @@ def format_tensor(u: TensorElement) -> str:
 def check_structure(instance: BialgebraInstance, sampler, tol: float = 1e-8) -> Report:
     """Sampled verification of the bialgebra / Hopf / star axioms.
 
-    Failures never raise; they are recorded in the returned report.
+    Element triples, then grouplike keys or grading key pairs, are drawn
+    once as the laws' fixed cases.  Failures are recorded, never raised.
     """
-    report = Report(name=f"structure:{instance.name}")
     triples = [(sampler.element(), sampler.element(), sampler.element()) for _ in range(sampler.budget)]
-
-    assoc = ((mul(mul(a, b), c) - mul(a, mul(b, c))).norm_inf() for a, b, c in triples)
-    report.add_residuals("associativity", "(a*b)*c = a*(b*c)", assoc, tol)
-
-    one = instance.unit_element()
-    unit = (((mul(one, a) - a).norm_inf(), (mul(a, one) - a).norm_inf()) for a, _, _ in triples)
-    report.add_residuals("unit", "1*a = a = a*1", unit, 1e-12)
-
-    coproducts = (comul(a) for a, _, _ in triples)
-    coassoc = ((tensor_expand_slot(u, 0) - tensor_expand_slot(u, 1)).norm_inf() for u in coproducts)
-    report.add_residuals("coassociativity", "(Delta(x)id)Delta = (id(x)Delta)Delta", coassoc, tol)
-
-    def counit_residuals():
-        for a, _, _ in triples:
-            u = comul(a)
-            left = tensor_contract_slot(u, 0)
-            right = tensor_contract_slot(u, 1)
-            yield (left - a).norm_inf(), (right - a).norm_inf()
-
-    report.add_residuals("counit", "(delta(x)id)Delta = id = (id(x)delta)Delta", counit_residuals(), 1e-12)
-
-    hom = ((comul(mul(a, b)) - tensor_mul(comul(a), comul(b))).norm_inf() for a, b, _ in triples)
-    report.add_residuals("comul_homomorphism", "Delta(ab) = Delta(a)Delta(b)", hom, tol)
-
-    hom = (abs(counit(mul(a, b)) - counit(a) * counit(b)) for a, b, _ in triples)
-    report.add_residuals("counit_homomorphism", "delta(ab) = delta(a)delta(b)", hom, tol)
-
     if instance.kind is Kind.GROUPLIKE_BASIS:
-        def grouplike_residuals():
-            for _ in range(sampler.budget):
-                k = sampler.key()
-                terms = instance.comul_terms(k)
-                exact = len(terms) == 1 and terms[0] == (k, k, 1.0 + 0j)
-                yield 0.0 if exact else 1.0, abs(instance.counit_key(k) - 1.0)
+        keys = [sampler.key() for _ in range(sampler.budget)]
+    elif instance.kind is Kind.GRADED_CONNECTED:
+        keys = [(sampler.key(), sampler.key()) for _ in range(sampler.budget)]
+    one = instance.unit_element()
 
-        report.add_residuals(
-            "grouplike_basis", "Delta(b) = b(x)b and delta(b) = 1 on basis keys", grouplike_residuals(), 0.0
+    def on_triples(law_id, statement, residual, tolerance=tol):
+        return Law(law_id, statement, lambda abc: residual(*abc), tolerance, cases=triples)
+
+    def coassociativity(a, *_):
+        u = comul(a)
+        return (tensor_expand_slot(u, 0) - tensor_expand_slot(u, 1)).norm_inf()
+
+    def counit_law(a, *_):
+        u = comul(a)
+        return (tensor_contract_slot(u, 0) - a).norm_inf(), (tensor_contract_slot(u, 1) - a).norm_inf()
+
+    def grading(pair):
+        deg = instance.degree_key
+        d1, d2 = deg(pair[0]), deg(pair[1])
+        graded = all(deg(k) == d1 + d2 for k, _ in instance.mul_terms(*pair)) and all(
+            deg(a) + deg(b) == d1 for a, b, _ in instance.comul_terms(pair[0])
         )
+        return 0.0 if graded else 1.0, 0.0 if deg(instance.unit) == 0 else 1.0
 
+    def cocommutativity(a, *_):
+        u = comul(a)
+        return (tensor_flip(u) - u).norm_inf()
+
+    def antipode_law(a, *_):
+        u = comul(a)
+        target = scale(counit(a), one)
+        lhs = tensor_mul_all(tensor_apply(u, (instance.antipode_terms, None)))
+        rhs = tensor_mul_all(tensor_apply(u, (None, instance.antipode_terms)))
+        return (lhs - target).norm_inf(), (rhs - target).norm_inf()
+
+    laws = [
+        on_triples("associativity", "(a*b)*c = a*(b*c)",
+                   lambda a, b, c: (mul(mul(a, b), c) - mul(a, mul(b, c))).norm_inf()),
+        on_triples("unit", "1*a = a = a*1",
+                   lambda a, *_: ((mul(one, a) - a).norm_inf(), (mul(a, one) - a).norm_inf()), 1e-12),
+        on_triples("coassociativity", "(Delta(x)id)Delta = (id(x)Delta)Delta", coassociativity),
+        on_triples("counit", "(delta(x)id)Delta = id = (id(x)delta)Delta", counit_law, 1e-12),
+        on_triples("comul_homomorphism", "Delta(ab) = Delta(a)Delta(b)",
+                   lambda a, b, _: (comul(mul(a, b)) - tensor_mul(comul(a), comul(b))).norm_inf()),
+        on_triples("counit_homomorphism", "delta(ab) = delta(a)delta(b)",
+                   lambda a, b, _: abs(counit(mul(a, b)) - counit(a) * counit(b))),
+    ]
+    if instance.kind is Kind.GROUPLIKE_BASIS:
+        laws.append(Law("grouplike_basis", "Delta(b) = b(x)b and delta(b) = 1 on basis keys",
+                        lambda k: (0.0 if instance.comul_terms(k) == ((k, k, 1.0 + 0j),) else 1.0,
+                                   abs(instance.counit_key(k) - 1.0)), 0.0, cases=keys))
     if instance.kind is Kind.GRADED_CONNECTED:
-        def grading_residuals():
-            for _ in range(sampler.budget):
-                k1, k2 = sampler.key(), sampler.key()
-                d1, d2 = instance.degree_key(k1), instance.degree_key(k2)
-                products = instance.mul_terms(k1, k2)
-                coproduct = instance.comul_terms(k1)
-                graded = all(instance.degree_key(k) == d1 + d2 for k, _ in products) and all(
-                    instance.degree_key(a) + instance.degree_key(b) == d1 for a, b, _ in coproduct
-                )
-                yield 0.0 if graded else 1.0
-
-        samples, res = fold_residuals(grading_residuals())
-        report.add(
-            "grading",
-            "deg(1) = 0; the product adds degrees; the coproduct preserves them",
-            samples,
-            res if instance.degree_key(instance.unit) == 0 else 1.0,
-            0.0,
-        )
-
+        laws.append(Law("grading", "deg(1) = 0; the product adds degrees; the coproduct preserves them",
+                        grading, 0.0, cases=keys))
     if instance.cocommutative:
-        coproducts = (comul(a) for a, _, _ in triples)
-        cocomm = ((tensor_flip(u) - u).norm_inf() for u in coproducts)
-        report.add_residuals("cocommutativity", "tau∘Delta = Delta", cocomm, 1e-12)
-
+        laws.append(on_triples("cocommutativity", "tau∘Delta = Delta", cocommutativity, 1e-12))
     if instance.has_antipode:
-        def antipode_residuals():
-            for a, _, _ in triples:
-                u = comul(a)
-                lhs = tensor_mul_all(tensor_apply(u, (instance.antipode_terms, None)))
-                rhs = tensor_mul_all(tensor_apply(u, (None, instance.antipode_terms)))
-                target = scale(counit(a), one)
-                yield (lhs - target).norm_inf(), (rhs - target).norm_inf()
-
-        report.add_residuals("antipode", "mul(S(x)id)Delta = delta*1 = mul(id(x)S)Delta", antipode_residuals(), tol)
-        report.add(
-            "antipode_unit", "S(1) = 1", 1, (antipode(one) - one).norm_inf(), 1e-12
-        )
-
+        laws.append(on_triples("antipode", "mul(S(x)id)Delta = delta*1 = mul(id(x)S)Delta", antipode_law))
+        laws.append(Law("antipode_unit", "S(1) = 1", lambda _: (antipode(one) - one).norm_inf(), 1e-12))
     if instance.has_star:
-        involutive = ((star(star(a)) - a).norm_inf() for a, _, _ in triples)
-        report.add_residuals("star_involutive", "(a*)* = a", involutive, 1e-12)
-
-        antihom = ((star(mul(a, b)) - mul(star(b), star(a))).norm_inf() for a, b, _ in triples)
-        report.add_residuals("star_antihomomorphism", "(ab)* = b* a*", antihom, tol)
-
+        laws.append(on_triples("star_involutive", "(a*)* = a", lambda a, *_: (star(star(a)) - a).norm_inf(), 1e-12))
+        laws.append(on_triples("star_antihomomorphism", "(ab)* = b* a*",
+                               lambda a, b, _: (star(mul(a, b)) - mul(star(b), star(a))).norm_inf()))
+    report = Report(name=f"structure:{instance.name}")
+    run_laws(report, sampler, laws)
     return report

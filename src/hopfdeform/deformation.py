@@ -69,7 +69,7 @@ from .cohomology import (
     compose_antipode_flip,
     validate_generator,
 )
-from .report import Law, Report, fold_residuals, run_laws
+from .report import Law, Report, run_laws
 
 DEFAULT_T_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
@@ -164,10 +164,8 @@ def make_trivial_deformation(
             raise GeneratorValidationError("witness is not normalized")
         dpsi = coboundary(psi)
         L = deformation.generator
-        sampler = deformation._sampler.spawn(29)
-        _, res = fold_residuals(
-            abs(dpsi.value(keys) - L.value(keys)) for keys in (sampler.keys(2) for _ in range(samples))
-        )
+        res = Law("witness", "∂ψ = L", lambda _, u: abs(dpsi.value(u) - L.value(u)), tol,
+                  per_case=samples, salt=29, draw=lambda s: (s.keys(2),)).fold(deformation._sampler)[1]
         if not res <= tol:
             raise GeneratorValidationError(
                 f"coboundary of the witness misses the generator by {res:.3e}"
@@ -229,9 +227,8 @@ def sigma_functional(D: Deformation, sampler, samples: int = 60, tol: float = DE
 
     sig = Cochain(inst, 1, rule, name=f"sigma[{L.name}]")
     flip = Cochain(inst, 1, rule_flipped, name=f"sigma_flip[{L.name}]")
-    _, res = fold_residuals(
-        abs(sig.value(keys) - flip.value(keys)) for keys in (sampler.keys(1) for _ in range(samples))
-    )
+    res = Law("sigma_flip", "L∘(id(x)S)∘Delta = L∘(S(x)id)∘Delta", lambda _, k: abs(sig.value(k) - flip.value(k)),
+              tol, per_case=samples, draw=lambda s: (s.keys(1),)).fold(sampler)[1]
     if not res <= tol:
         raise AlgebraError(f"sigma and its flipped form disagree by {res:.3e}")
     return sig
@@ -535,16 +532,19 @@ def check_trivial_deformation(
     ])
 
     const_elems = sampler.spawn(353).elements(max(1, samples // max(1, len(t_grid))))
-    rows = []
-    for t in t_grid:
-        St, phi_t, phi_mt = deformed_antipode(D, t), phi_map(T, t), phi_map(T, -t)
-        for a in const_elems:
-            rows.append((
-                (St(a) - antipode(a)).norm_inf(),
-                (antipode(phi_t(a)) - phi_mt(antipode(a))).norm_inf(),
-            ))
-    _, res_const = fold_residuals(row[0] for row in rows)
-    _, res_crit = fold_residuals(row[1] for row in rows)
+    const_cases = [(t, a) for t in t_grid for a in const_elems]
+
+    def s_t_minus_s(case):
+        t, a = case
+        return (deformed_antipode(D, t)(a) - antipode(a)).norm_inf()
+
+    def s_phi_commutation(case):
+        t, a = case
+        return (antipode(phi_map(T, t)(a)) - phi_map(T, -t)(antipode(a))).norm_inf()
+
+    res_const = Law("s_t_minus_s", "S_t = S", s_t_minus_s, tol, cases=const_cases).fold(sampler)[1]
+    res_crit = Law("s_phi_commutation", "S∘Phi_t = Phi_{−t}∘S", s_phi_commutation, tol,
+                   cases=const_cases).fold(sampler)[1]
     constant = res_const <= tol
     criterion = res_crit <= tol
     report.add_flag(
@@ -653,12 +653,12 @@ def split_cocommutative(
 
     s_l1 = sampler.spawn(523)
     l1_keys = [s_l1.keys(2) for _ in range(samples)]
-    _, res_l1 = fold_residuals(abs(L1.value(keys)) for keys in l1_keys)
-    _, res_l2_vs_l = fold_residuals(abs(L2.value(keys) - L.value(keys)) for keys in l1_keys)
-    _, res_sigma = fold_residuals(abs(sig.value(keys[:1])) for keys in l1_keys)
-    report.extras["l1_is_zero"] = res_l1 <= tol
-    report.extras["l2_equals_l"] = res_l2_vs_l <= tol
-    report.extras["constant_antipodes"] = res_sigma <= tol
+    for law in (
+        Law("l1_is_zero", "L1 = 0", lambda u: abs(L1.value(u)), tol, cases=l1_keys),
+        Law("l2_equals_l", "L2 = L", lambda u: abs(L2.value(u) - L.value(u)), tol, cases=l1_keys),
+        Law("constant_antipodes", "σ = 0", lambda u: abs(sig.value(u[:1])), tol, cases=l1_keys),
+    ):
+        report.extras[law.law_id] = law.fold(sampler)[1] <= tol
     report.extras["trivial"] = bool(D.classifier.witness_matches)
 
     if inst.kind is Kind.GROUPLIKE_BASIS and inst.has_star and D.classifier.hermitian:

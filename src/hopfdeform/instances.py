@@ -24,7 +24,7 @@ import cmath
 import itertools
 import math
 
-from .core import AlgebraError, BialgebraInstance, Element, Kind
+from .core import AlgebraError, BialgebraInstance, Element, Kind, NonFiniteError
 from .convolution import Cochain
 from . import cohomology
 from .sampling import ElementSampler
@@ -375,7 +375,10 @@ def compile_expression(expr: str, variables):
     code = compile(tree, "<cocycle-expression>", "eval")
 
     def fn(env):
-        return complex(eval(code, {"__builtins__": {}}, env))
+        try:
+            return complex(eval(code, {"__builtins__": {}}, env))
+        except ArithmeticError as exc:  # a division by zero or an overflow
+            raise NonFiniteError(f"non-finite value of {expr!r} at {env}: {exc}") from exc
 
     return fn
 

@@ -3,12 +3,13 @@
 Every sampled verification produces one :class:`LawResult` per law; a
 :class:`Report` is an ordered collection of those plus free-form extras.
 Reports serialize to JSON with sorted keys so that identical inputs give
-byte-identical output.  A suite declares its sampled laws as :class:`Law`
-records, and :func:`run_laws` draws, evaluates and folds them in order.
+byte-identical output.  Every sampled check is a :class:`Law` record:
+:meth:`Law.fold` draws, evaluates and folds one law, and :func:`run_laws`
+records a suite's law table in order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 
@@ -35,7 +36,8 @@ class Law:
     ``cases`` are grid points t, (t, s) pairs, fixed items, or ``(None,)``.
     A law with a ``salt`` draws each sample's arguments as ``draw(stream)``
     from its own stream ``sampler.spawn(salt)``, so laws sharing a salt see
-    the same draws; a law without one draws nothing.
+    the same draws; a law without one draws from ``sampler`` as given, and
+    the default draw takes nothing.
     """
 
     law_id: str
@@ -47,14 +49,17 @@ class Law:
     salt: int | None = None
     draw: Callable = lambda stream: ()
 
+    def fold(self, sampler) -> tuple[int, float]:
+        """Draw and evaluate every sample; return the count and the largest residual."""
+        stream = sampler if self.salt is None else sampler.spawn(self.salt)
+        residual, draw, per_case = self.residual, self.draw, self.per_case
+        return fold_residuals(residual(case, *draw(stream)) for case in self.cases for _ in range(per_case))
+
 
 def run_laws(report: Report, sampler, laws) -> None:
-    """Record each law in order, folding its residuals by :func:`fold_residuals`."""
+    """Record each law in order from :meth:`Law.fold`."""
     for law in laws:
-        stream = None if law.salt is None else sampler.spawn(law.salt)
-        residual, draw, per_case = law.residual, law.draw, law.per_case
-        residuals = (residual(case, *draw(stream)) for case in law.cases for _ in range(per_case))
-        report.add_residuals(law.law_id, law.statement, residuals, law.tolerance)
+        report.add(law.law_id, law.statement, *law.fold(sampler), law.tolerance)
 
 
 @dataclass
@@ -95,36 +100,13 @@ class Report:
         self.results.append(res)
         return res
 
-    def add_residuals(self, law_id, statement, residuals, tolerance) -> LawResult:
-        """Record a law from its sample stream, folded by :func:`fold_residuals`."""
-        samples, worst = fold_residuals(residuals)
-        return self.add(law_id, statement, samples, worst, tolerance)
-
     def add_flag(self, law_id, statement, passed, samples=0) -> LawResult:
         """Record a boolean law (residual 0/1 against tolerance 0.5)."""
-        res = LawResult(
-            law_id=law_id,
-            statement=statement,
-            samples=samples,
-            max_residual=0.0 if passed else 1.0,
-            tolerance=0.5,
-            passed=bool(passed),
-        )
-        self.results.append(res)
-        return res
+        return self.add(law_id, statement, samples, 0.0 if passed else 1.0, 0.5)
 
     def merge(self, other: "Report", prefix: str = "") -> None:
         for res in other.results:
-            self.results.append(
-                LawResult(
-                    law_id=prefix + res.law_id,
-                    statement=res.statement,
-                    samples=res.samples,
-                    max_residual=res.max_residual,
-                    tolerance=res.tolerance,
-                    passed=res.passed,
-                )
-            )
+            self.results.append(replace(res, law_id=prefix + res.law_id))
         for key, value in other.extras.items():
             self.extras[prefix + key] = value
 

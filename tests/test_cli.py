@@ -1,4 +1,5 @@
 """Front-end behaviour: exit codes, determinism, golden report, registry."""
+import copy
 import gc
 import hashlib
 import json
@@ -6,6 +7,7 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfdeform.cli import main, run_config, report_json
 from hopfdeform.config import RunConfig, build_instance
@@ -245,6 +247,14 @@ def test_exit_2_on_bad_json(tmp_path, capsys):
             {**_ZERO_ON_Z, "instance": {"type": "group_algebra_zd", "d": 1, "star": "no"}},
             id="instance_star_not_bool",
         ),
+        # a misspelt key is rejected, not ignored in favour of the default
+        pytest.param({**_ZD_SMALL, "sampler": {"coord_bund": 1}}, id="sampler_unknown_key"),
+        pytest.param(
+            {**_ZD_SMALL, "instance": {"type": "group_algebra_zd", "d": 2, "strar": False}},
+            id="instance_unknown_key",
+        ),
+        pytest.param({**_ZERO_ON_Z, "cocycle": {"type": "zero", "matrix": [[1.0]]}}, id="cocycle_unknown_key"),
+        pytest.param({**_ZERO_ON_Z, "witness": {"type": "zero", "expr": "k"}}, id="witness_unknown_key"),
     ],
 )
 def test_exit_2_on_unknown_instance(payload, tmp_path):
@@ -418,6 +428,21 @@ def test_usage_error_without_inputs(argv, env_seed, monkeypatch):
     [
         pytest.param({"t_grid": [1e300]}, id="exp_overflow"),
         pytest.param({"sampler": {"coord_bound": 40}, "command": "deform"}, id="coefficient_overflow"),
+        pytest.param({"cocycle": {"type": "grouplike_table", "expr": "m1/n1"}}, id="cocycle_division_by_zero"),
+        pytest.param(
+            {"command": "trivial-check", "witness": {"type": "grouplike_expression", "expr": "1/k1"}},
+            id="witness_division_by_zero",
+        ),
+        # an integer too large for a float, in a key the cocycle reads
+        pytest.param({"tabulate": [[[10**400, 0], [0, 1]]]}, id="key_coordinate_overflow"),
+        pytest.param(
+            {
+                "instance": {"type": "group_algebra_zd", "d": 1},
+                "cocycle": {"type": "z_polynomial", "coeffs": [[2, 1, 1.0], [1, 2, 1.0]]},
+                "tabulate": [[[1e300], [1]]],
+            },
+            id="polynomial_power_overflow",
+        ),
     ],
 )
 def test_non_finite_value_fails_its_law(change, tmp_path, capsys):
@@ -429,6 +454,68 @@ def test_non_finite_value_fails_its_law(change, tmp_path, capsys):
     report = json.loads(out.read_text())["report"]
     assert report["results"][-1]["law_id"] == "non_finite"
     assert report["extras"]["non_finite"].startswith("non-finite ")
+
+
+def _paths(value, path=()):
+    """Every path into a JSON value, the root included."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _paths(item, path + (key,))
+
+
+def _sets_run_size(config: dict, path: tuple) -> bool:
+    """Budgets, sampler bounds, d and monomial exponents: a huge value there makes a huge run."""
+    return (
+        path in {("sample_budget",), ("instance", "d")}
+        or path[:1] == ("sampler",)
+        or (path[:2] == ("cocycle", "coeffs") and len(path) == 4 and path[3] < 2)
+        or (path[:1] == ("tabulate",) and config["instance"]["type"] == "symmetric_star")
+    )
+
+
+def _mutants():
+    configs = [json.loads(p.read_text(encoding="utf-8")) for p in sorted(DATA.glob("*.json"))]
+    configs.append({"instance": {"type": "sweedler_h4"}, "cocycle": {"type": "zero"}, "witness": {"type": "zero"}})
+    for config in configs:
+        for path in _paths(config):
+            value = config
+            for key in path:
+                value = value[key]
+            yield config, path, "x" if not isinstance(value, str) else 7
+            yield config, path, True
+            yield config, path, float("nan")
+            if not _sets_run_size(config, path):
+                yield config, path, 1e300
+            if path:
+                yield config, path, "missing"
+            if isinstance(value, dict):
+                yield config, path + ("extra",), 1
+
+
+def _mutate(config: dict, path: tuple, replacement):
+    if not path:
+        return replacement
+    config = copy.deepcopy(config)
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    if replacement == "missing":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = replacement
+    return config
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(_mutants())))
+def test_a_mutated_config_ends_in_an_exit_code(tmp_path_factory, mutant):
+    # one mutation (wrong type, bool, NaN, 1e300, missing or extra key) at one
+    # path of a test config; --samples keeps every run small
+    config, path, replacement = mutant
+    path_out = tmp_path_factory.getbasetemp() / "mutant.json"
+    path_out.write_text(json.dumps(_mutate(config, path, replacement)), encoding="utf-8")
+    assert main(["--config", str(path_out), "--samples", "6"]) in (0, 1, 2, 3)
 
 
 @pytest.mark.parametrize("name", example_names())

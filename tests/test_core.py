@@ -281,8 +281,10 @@ def test_counit_is_linear_on_z2(terms):
 
 
 def test_nan_residual_fails_its_law():
+    # fixed cases: a law without a salt draws nothing, and a NaN residual is kept
     report = hd.Report(name="nan")
-    law = report.add_residuals("law", "a NaN sample", iter([0.0, math.nan, 0.5]), 1.0)
+    hd.run_laws(report, None, [hd.Law("law", "a NaN sample", lambda case: case, 1.0, cases=(0.0, math.nan, 0.5))])
+    law = report.results[-1]
     assert law.samples == 3
     assert math.isnan(law.max_residual)
     assert not law.passed
