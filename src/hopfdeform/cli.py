@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .core import CapabilityMissingError, NonFiniteError, check_structure, format_element, format_scalar
@@ -238,9 +239,25 @@ def _run_command(cfg: RunConfig, report: Report) -> None:
         report.extras["antipode_tabulation"] = _tabulate_antipode(cfg, instance, D)
 
 
+def _spell_non_finite(value):
+    """``value`` with each NaN or infinite float replaced by its JSON spelling as a string."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, dict):
+        return {k: _spell_non_finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spell_non_finite(v) for v in value]
+    return value
+
+
 def report_json(cfg: RunConfig, report: Report) -> str:
+    """The report as strict RFC 8259 JSON: a non-finite float is written as a string."""
     payload = {"config": cfg.to_dict(), "report": report.to_dict()}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:  # a non-finite float: strict JSON has no literal for it
+        text = json.dumps(_spell_non_finite(payload), sort_keys=True, indent=2, allow_nan=False)
+    return text + "\n"
 
 
 def _print_summary(cfg: RunConfig, report: Report, out) -> None:

@@ -56,15 +56,18 @@ def format_scalar(z) -> str:
     return f"{re:.12g}{im:+.12g}i"
 
 
+_INF = math.inf
+
+
 def _clean_terms(terms, prune: float):
     out = {}
     for key, raw in terms.items():
-        z = complex(raw)
+        z = raw if raw.__class__ is complex else complex(raw)
         try:
             size = abs(z)
         except OverflowError:  # both parts finite, the modulus is not
-            size = math.inf
-        if not size < math.inf:
+            size = _INF
+        if not size < _INF:
             raise NonFiniteError(f"non-finite coefficient {raw!r} at basis key {key!r}")
         if size >= prune:
             out[key] = z
@@ -256,7 +259,11 @@ class Element:
         return add(self, other)
 
     def __sub__(self, other):
-        return add(self, scale(-1.0, other))
+        _same_instance(self, other)
+        acc = dict(self.terms)
+        for k, c in other.terms.items():
+            _acc(acc, k, -c)
+        return Element(self.instance, acc)
 
     def __neg__(self):
         return scale(-1.0, self)

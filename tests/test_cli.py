@@ -3,6 +3,7 @@ import copy
 import gc
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -454,6 +455,36 @@ def test_non_finite_value_fails_its_law(change, tmp_path, capsys):
     report = json.loads(out.read_text())["report"]
     assert report["results"][-1]["law_id"] == "non_finite"
     assert report["extras"]["non_finite"].startswith("non-finite ")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_non_finite_residual_is_written_as_strict_json(tmp_path, capsys):
+    cfg = {
+        "instance": {"type": "group_algebra_zd", "d": 1},
+        "cocycle": {"type": "grouplike_table", "expr": "0*m*n"},
+        "witness": {"type": "grouplike_expression", "expr": "1e308*1e308*k - 1e308*1e308*k"},
+        "command": "validate",
+        "seed": 7,
+        "sample_budget": 10,
+    }
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, cfg), "--json-out", str(out)]) == 1
+    assert "overall: FAIL" in capsys.readouterr().out
+    report = json.loads(out.read_text(encoding="utf-8"), parse_constant=_reject_constant)["report"]
+    assert {r["law_id"]: r["max_residual"] for r in report["results"]}["witness"] == "NaN"
+    assert report["extras"]["classifier"]["residuals"]["witness"] == "NaN"
+
+
+def test_report_json_spells_every_non_finite_float():
+    cfg = RunConfig.from_dict(_ZERO_ON_Z)
+    report = run_config(cfg)
+    report.extras["spelled"] = [math.nan, math.inf, -math.inf, (1.5, -math.inf), {"x": 0.25}]
+    text = report_json(cfg, report)
+    spelled = json.loads(text, parse_constant=_reject_constant)["report"]["extras"]["spelled"]
+    assert spelled == ["NaN", "Infinity", "-Infinity", [1.5, "-Infinity"], {"x": 0.25}]
 
 
 def _paths(value, path=()):

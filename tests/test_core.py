@@ -176,6 +176,28 @@ def test_pruning_threshold(z2):
     assert tiny.is_zero
 
 
+@pytest.mark.parametrize("name", ["z2", "osc"])
+def test_sub_matches_add_of_negated_scale(name, request):
+    # small bounds so the operands share keys and some terms cancel
+    sampler = hd.ElementSampler(request.getfixturevalue(name), seed=61, coord_bound=1, max_degree=2)
+    for _ in range(60):
+        a, b = sampler.elements(2)
+        diff, ref = a - b, hd.add(a, hd.scale(-1.0, b))
+        assert list(diff.terms) == list(ref.terms)
+        assert all(diff.terms[k] == c for k, c in ref.terms.items())
+    a = sampler.element()
+    assert (a - a).is_zero
+
+
+def test_sub_overflow_raises_and_tiny_difference_is_pruned(z2):
+    k = (1, 0)
+    with pytest.raises(NonFiniteError, match="non-finite coefficient"):
+        z2.element({k: 1e308}) - z2.element({k: -1e308})
+    diff = z2.element({k: 1.0, (0, 1): 2.0}) - z2.element({k: 1.0 + 2.0**-44})
+    assert abs(2.0**-44) < z2.prune_eps
+    assert diff.terms == {(0, 1): 2.0}
+
+
 @pytest.mark.parametrize(
     "make",
     [

@@ -60,3 +60,12 @@ def test_sample_stream_is_pinned(pinned, case, branch):
     for i, (g, w) in enumerate(zip(got["elements"], want["elements"])):
         assert g == w, f"element {i} moved"
     assert len(got["elements"]) == len(want["elements"]) == 15
+
+
+@pytest.mark.parametrize(
+    "bounds", [dict(coord_bound=-1), dict(max_degree=-1), dict(max_support=0)], ids=lambda b: next(iter(b))
+)
+def test_an_empty_draw_range_is_refused_up_front(bounds):
+    # an empty range would make the rejection loop spin forever
+    with pytest.raises(ValueError, match="max_support >= 1"):
+        hd.ElementSampler(hd.group_algebra_zd(2), seed=1, **bounds)
