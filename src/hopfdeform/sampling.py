@@ -65,8 +65,6 @@ class ElementSampler:
             raise ValueError("need coord_bound >= 0, max_degree >= 0 and max_support >= 1")
         self.rng = random.Random(self.seed)
         self._below = _below_on(self.rng.getrandbits)
-        self._random = self.rng.random
-        self._dim = len(instance.unit)
         self._finite_keys = None
         if instance.kind is Kind.FINITE:
             self._finite_keys = sorted(instance.basis_keys(), key=instance.sort_key)
@@ -90,9 +88,9 @@ class ElementSampler:
         if inst.kind is Kind.GROUPLIKE_BASIS:
             lo = -self.coord_bound
             width = 2 * self.coord_bound + 1
-            return tuple([lo + below(width) for _ in range(self._dim)])
+            return tuple([lo + below(width) for _ in range(len(inst.unit))])
         if inst.kind is Kind.GRADED_CONNECTED:
-            n = self._dim
+            n = len(inst.unit)
             exponents = [0] * n
             for _ in range(below(self.max_degree + 1)):
                 exponents[below(n)] += 1
@@ -106,7 +104,7 @@ class ElementSampler:
     def coeff(self) -> complex:
         # exactly what uniform(-b, b) evaluates, once per part
         b = self.coeff_bound
-        random_ = self._random
+        random_ = self.rng.random
         return complex(-b + (b + b) * random_(), -b + (b + b) * random_())
 
     def element(self) -> Element:

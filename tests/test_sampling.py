@@ -69,3 +69,11 @@ def test_an_empty_draw_range_is_refused_up_front(bounds):
     # an empty range would make the rejection loop spin forever
     with pytest.raises(ValueError, match="max_support >= 1"):
         hd.ElementSampler(hd.group_algebra_zd(2), seed=1, **bounds)
+
+
+def test_an_empty_finite_basis_is_refused_up_front():
+    empty = hd.BialgebraInstance(
+        "empty", hd.Kind.FINITE, "1", lambda a, b: (), lambda k: (), lambda k: 0.0, basis_iter=lambda: iter(())
+    )
+    with pytest.raises(ValueError, match="empty basis"):
+        hd.ElementSampler(empty, seed=1)
