@@ -253,10 +253,7 @@ def _spell_non_finite(value):
 def report_json(cfg: RunConfig, report: Report) -> str:
     """The report as strict RFC 8259 JSON: a non-finite float is written as a string."""
     payload = {"config": cfg.to_dict(), "report": report.to_dict()}
-    try:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError:  # a non-finite float: strict JSON has no literal for it
-        text = json.dumps(_spell_non_finite(payload), sort_keys=True, indent=2, allow_nan=False)
+    text = json.dumps(_spell_non_finite(payload), sort_keys=True, indent=2, allow_nan=False)
     return text + "\n"
 
 
