@@ -209,13 +209,13 @@ def build_instance(desc: dict, tolerances: dict | None = None) -> BialgebraInsta
             inst = inst_mod.group_algebra_zd(d, with_star=with_star)
         elif kind == "symmetric_star":
             gens = desc.get("generators")
-            if not gens:
-                raise ConfigError("symmetric_star needs a non-empty 'generators' list")
+            if not isinstance(gens, list) or not gens or not all(isinstance(g, str) and g for g in gens):
+                raise ConfigError(f"symmetric_star needs a non-empty 'generators' list of names, got {gens!r}")
             involution = None
             if desc.get("involution"):
                 involution = {}
                 for pair in desc["involution"]:
-                    if len(pair) != 2:
+                    if not isinstance(pair, list) or len(pair) != 2:
                         raise ConfigError(f"involution entries are pairs, got {pair!r}")
                     involution[pair[0]] = pair[1]
                     involution[pair[1]] = pair[0]
@@ -249,10 +249,7 @@ def build_cocycle(desc: dict, instance: BialgebraInstance) -> Cochain:
         if kind == "primitive_bilinear":
             return inst_mod.make_primitive_bilinear_cocycle(instance, parse_matrix(desc["matrix"]))
         if kind == "grouplike_table":
-            table = {}
-            for k, l, c in desc.get("entries", []):
-                key_pair = tuple(tuple(read_int(a, "grouplike_table exponent") for a in key) for key in (k, l))
-                table[key_pair] = parse_complex(c)
+            table = _grouplike_table(desc.get("entries", []), instance)
             return inst_mod.make_grouplike_expression_cochain(
                 instance, desc.get("expr", ""), arity=2, table=table or None
             )
@@ -265,6 +262,21 @@ def build_cocycle(desc: dict, instance: BialgebraInstance) -> Cochain:
     except Exception as exc:
         raise ConfigError(f"cannot build cocycle {kind!r}: {exc}") from exc
     raise ConfigError(f"unknown cocycle type {kind!r}")
+
+
+def _grouplike_table(entries, instance: BialgebraInstance) -> dict:
+    """Read ``[k, l, c]`` entries; a key the instance cannot hold, or a repeated (k, l), names its entry."""
+    table = {}
+    for entry in entries:
+        try:
+            k, l, c = entry
+            key_pair, value = (parse_key(instance, k), parse_key(instance, l)), parse_complex(c)
+        except (ConfigError, TypeError, ValueError) as exc:
+            raise ConfigError(f"grouplike_table entry {entry!r}: {exc}") from exc
+        if key_pair in table:
+            raise ConfigError(f"grouplike_table entry {entry!r} repeats the pair {key_pair}")
+        table[key_pair] = value
+    return table
 
 
 def build_witness(desc: dict, instance: BialgebraInstance, cocycle: Cochain) -> Cochain:

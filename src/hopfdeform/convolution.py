@@ -46,8 +46,10 @@ from .core import (
     Memo,
     NonFiniteError,
     TensorElement,
-    _acc,
+    _key_product,
+    _linear,
     _same_instance,
+    _slot_products,
     mul,
 )
 
@@ -129,21 +131,11 @@ class Cochain:
 
     def eval_mixed(self, args) -> complex:
         """Evaluate with each slot either a basis key or an :class:`Element`."""
-        slots = []
-        for a in args:
-            if isinstance(a, Element):
-                slots.append(tuple(a.terms.items()))
-            else:
-                slots.append(((a, 1.0 + 0j),))
+        slots = [tuple(a.terms.items()) if isinstance(a, Element) else ((a, 1.0 + 0j),) for a in args]
         total = 0j
-        for combo in itertools.product(*slots):
-            keys = tuple(k for k, _ in combo)
-            w = 1.0 + 0j
-            for _, c in combo:
-                w *= c
-            if w == 0:
-                continue
-            total += w * self.value(keys)
+        for keys, w in _slot_products([(slots, 1.0 + 0j)]):
+            if w != 0:
+                total += w * self.value(keys)
         return total
 
     def on_tensor(self, u: TensorElement) -> complex:
@@ -374,22 +366,18 @@ class LinMap:
         return self._cache[tuple(keys)]
 
     def __call__(self, x) -> Element:
+        value = self.value
         if isinstance(x, Element):
             if self.rank != 1:
                 raise InstanceMismatchError(f"rank-{self.rank} map applied to an element")
-            terms = x.terms
-            items = [((k,), c) for k, c in terms.items()]
+            terms = _linear(x.terms.items(), lambda k: value((k,)).terms.items())
         elif isinstance(x, TensorElement):
             if self.rank != x.rank:
                 raise InstanceMismatchError(f"rank-{self.rank} map applied to rank-{x.rank} tensor")
-            items = list(x.terms.items())
+            terms = _linear(x.terms.items(), lambda keys: value(keys).terms.items())
         else:
             raise AlgebraError(f"cannot apply map to {type(x).__name__}")
-        acc: dict = {}
-        for keys, c in items:
-            for k, w in self.value(keys).terms.items():
-                _acc(acc, k, c * w)
-        return Element(self.instance, acc)
+        return Element(self.instance, terms)
 
     def __repr__(self):
         return f"LinMap({self.name!r}, rank={self.rank}, on {self.instance.name!r})"
@@ -416,14 +404,7 @@ def unit_counit_map(instance: BialgebraInstance, rank: int = 1) -> LinMap:
 
 def mu_n_map(instance: BialgebraInstance, n: int) -> LinMap:
     """Left-to-right product of n tensor slots."""
-
-    def rule(keys):
-        out = Element(instance, {keys[0]: 1.0})
-        for k in keys[1:]:
-            out = mul(out, Element(instance, {k: 1.0}, _clean=False))
-        return out
-
-    return LinMap(instance, n, rule, name=f"mul^{n}")
+    return LinMap(instance, n, lambda keys: _key_product(instance, keys), name=f"mul^{n}")
 
 
 def convolve_maps(A: LinMap, B: LinMap, product=None, name=None) -> LinMap:
@@ -435,12 +416,8 @@ def convolve_maps(A: LinMap, B: LinMap, product=None, name=None) -> LinMap:
     inst = A.instance
 
     def rule(keys):
-        acc: dict = {}
-        for left, right, c in tuple_comul_terms(inst, keys):
-            e = prod(A.value(left), B.value(right))
-            for k, w in e.terms.items():
-                _acc(acc, k, c * w)
-        return Element(inst, acc)
+        legs = (((left, right), c) for left, right, c in tuple_comul_terms(inst, keys))
+        return Element(inst, _linear(legs, lambda lr: prod(A.value(lr[0]), B.value(lr[1])).terms.items()))
 
     return LinMap(inst, A.rank, rule, name or f"({A.name}*{B.name})")
 
@@ -463,15 +440,10 @@ def _scalar_convolution(A: LinMap, f: Cochain, f_leg: int, name: str) -> LinMap:
     inst = A.instance
 
     def rule(keys):
-        acc: dict = {}
-        for legs in tuple_comul_terms(inst, keys):
-            v = f.value(legs[f_leg])
-            if v == 0:
-                continue
-            c = legs[2]
-            for k, w in A.value(legs[1 - f_leg]).terms.items():
-                _acc(acc, k, c * v * w)
-        return Element(inst, acc)
+        # A's terms on the other leg, scaled by c·v on each leg where v = f(leg) is nonzero
+        scaled = ((A.value(legs[1 - f_leg]).terms, legs[2] * v)
+                  for legs in tuple_comul_terms(inst, keys) if (v := f.value(legs[f_leg])) != 0)
+        return Element(inst, _linear(scaled, dict.items))
 
     return LinMap(inst, A.rank, rule, name)
 
@@ -501,14 +473,8 @@ def map_conv_exp(A: LinMap, f: Cochain) -> Memo:
 
     def build(t):
         def rule(keys):
-            acc: dict = {}
-            for c, right, terms in legs[keys]:
-                v = conv_exp(f, t, right)
-                if v == 0:
-                    continue
-                for k, w in terms.items():
-                    _acc(acc, k, c * v * w)
-            return Element(inst, acc)
+            scaled = ((terms, c * v) for c, right, terms in legs[keys] if (v := conv_exp(f, t, right)) != 0)
+            return Element(inst, _linear(scaled, dict.items))
 
         return LinMap(inst, A.rank, rule, f"({A.name}*exp({t:g}{f.name}))")
 
@@ -526,11 +492,5 @@ def r_phi_pair_value(F: Cochain, pair: tuple) -> TensorElement:
     """R_F on the tensor-square bialgebra, evaluated at a basis pair."""
     if F.arity != 2:
         raise AlgebraError("r_phi_pair_value expects an arity-2 functional")
-    inst = F.instance
-    acc: dict = {}
-    for left, right, c in tuple_comul_terms(inst, tuple(pair)):
-        v = F.value(right)
-        if v == 0:
-            continue
-        _acc(acc, left, c * v)
-    return TensorElement(inst, 2, acc)
+    legs = tuple_comul_terms(F.instance, tuple(pair))
+    return TensorElement(F.instance, 2, _linear((left, c * v) for left, right, c in legs if (v := F.value(right)) != 0))

@@ -12,12 +12,25 @@ Coefficients are complex doubles.  Equality of scalars and elements is
 tolerance based (``EPS_EQ``); coefficients with modulus below
 ``EPS_PRUNE`` are dropped on construction.  NaN or infinite coefficients
 are rejected outright.
+
+Every linear extension in the package sums through one of two kernels:
+:func:`_linear` computes Σ c·rule(k) over ``(k, c)`` items and
+:func:`_bilinear` computes Σ (ca·cb)·rule(ka, kb) over two term lists,
+each rule giving ``(key, w)`` pairs.  Their summation-order contract fixes
+the last bit of every coefficient, and so the bytes of every report: each
+key's terms are added left to right in the order the loops produce them,
+each term keeps its product grouping (``c * w``, ``(ca * cb) * w``), and a
+key's first term is stored as is, never added to ``0j``.  A term with more
+factors (a tensor slot by slot, c·w₁·w₂ left to right, as
+:func:`_slot_products` multiplies) is built by its caller and summed by
+``_linear`` with no rule.
 """
 from __future__ import annotations
 
 import enum
 import itertools
 import math
+import operator
 from typing import Callable
 
 from .report import Law, Report, run_laws
@@ -74,9 +87,57 @@ def _clean_terms(terms, prune: float):
     return out
 
 
-def _acc(acc: dict, key, value) -> None:
-    cur = acc.get(key)
-    acc[key] = value if cur is None else cur + value
+def _linear(items, rule=None, start=None) -> dict:
+    """Σ c·rule(k) over the ``(k, c)`` items, as a new terms dict.
+
+    Each ``(key, w)`` pair of ``rule(k)`` adds ``c * w`` at key.  With no
+    rule each item is itself a term and adds c at k.  ``start`` holds terms
+    summed before the items; it is copied, never changed.
+    """
+    acc: dict = {} if start is None else dict(start)
+    if rule is None:
+        for key, c in items:
+            cur = acc.get(key)
+            acc[key] = c if cur is None else cur + c
+    else:
+        for k, c in items:
+            for key, w in rule(k):
+                cur = acc.get(key)
+                acc[key] = c * w if cur is None else cur + c * w
+    return acc
+
+
+def _bilinear(a_terms, b_terms, rule) -> dict:
+    """Σ (ca·cb)·rule(ka, kb) over the ``(ka, ca)`` and ``(kb, cb)`` terms.
+
+    ``b_terms`` is walked once for every a term, so it must be re-iterable.
+    """
+    acc: dict = {}
+    for ka, ca in a_terms:
+        for kb, cb in b_terms:
+            c = ca * cb
+            for key, w in rule(ka, kb):
+                cur = acc.get(key)
+                acc[key] = c * w if cur is None else cur + c * w
+    return acc
+
+
+_first, _second = operator.itemgetter(0), operator.itemgetter(1)
+_neg = operator.neg
+
+
+def _slot_products(items):
+    """The terms of Σ c·(⊗ᵢ partᵢ) over the ``(parts, c)`` items, for ``_linear``.
+
+    Each choice of one ``(key, w)`` pair from every part gives the term
+    ``(keys, c·w₁·…·wₙ)``, multiplied left to right.
+    """
+    for parts, c in items:
+        for combo in itertools.product(*parts):
+            w = c
+            for _, v in combo:
+                w *= v
+            yield tuple(map(_first, combo)), w
 
 
 class Memo(dict):
@@ -147,8 +208,9 @@ class BialgebraInstance:
         self._mul_cache = Memo(lambda pair: tuple((k, complex(c)) for k, c in mul_basis(*pair)))
         self._antipode_cache = Memo(lambda k: tuple((kk, complex(c)) for kk, c in antipode_basis(k)))
         self._star_cache = Memo(lambda k: tuple((kk, complex(c)) for kk, c in star_basis(k)))
-        self._tuple_comul_cache = Memo(lambda keys: _expand_tuple_comul(comul, keys))
-        self._iter_comul_cache = Memo(lambda key_n: _expand_iterated_comul(comul, *key_n))
+        comul_pairs = self._comul_pairs = Memo(lambda k: tuple(((a, b), c) for a, b, c in comul[k]))
+        self._tuple_comul_cache = Memo(lambda keys: _expand_tuple_comul(comul_pairs, keys))
+        self._iter_comul_cache = Memo(lambda key_n: _expand_iterated_comul(comul_pairs, *key_n))
 
     # -- capabilities ------------------------------------------------------
 
@@ -233,20 +295,35 @@ class BialgebraInstance:
         return f"BialgebraInstance({self.name!r}, {self.kind.value})"
 
 
-class Element:
-    """Finite sparse linear combination of basis keys of one instance."""
+def _same_instance(a, b) -> None:
+    if a.instance is not b.instance:
+        raise InstanceMismatchError(
+            f"mixed instances {a.instance.name!r} and {b.instance.name!r}"
+        )
+
+
+def _same_element(a, b) -> None:
+    _same_instance(a, b)
+    if not isinstance(b, Element):
+        raise InstanceMismatchError(f"an element cannot be combined with a {type(b).__name__}")
+
+
+def _same_tensor(u, v) -> None:
+    _same_instance(u, v)
+    if not isinstance(v, TensorElement):
+        raise InstanceMismatchError(f"a tensor cannot be combined with a {type(v).__name__}")
+    if u.rank != v.rank:
+        raise InstanceMismatchError(f"mixed tensor ranks {u.rank} and {v.rank}")
+
+
+class _Terms:
+    """The linear arithmetic that :class:`Element` and :class:`TensorElement` share.
+
+    A subclass names its operand check ``_check(other)``, which raises on a
+    mismatch, and its constructor from terms ``_new(terms)``.
+    """
 
     __slots__ = ("instance", "terms")
-
-    def __init__(self, instance: BialgebraInstance, terms, _clean: bool = True):
-        self.instance = instance
-        self.terms = _clean_terms(terms, instance.prune_eps) if _clean else terms
-
-    def coeff(self, key) -> complex:
-        return self.terms.get(key, 0j)
-
-    def support(self):
-        return sorted(self.terms, key=self.instance.sort_key)
 
     def norm_inf(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
@@ -256,14 +333,45 @@ class Element:
         return not self.terms
 
     def __add__(self, other):
-        return add(self, other)
+        self._check(other)
+        return self._new(_linear(other.terms.items(), None, self.terms))
 
     def __sub__(self, other):
-        _same_instance(self, other)
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            _acc(acc, k, -c)
-        return Element(self.instance, acc)
+        self._check(other)
+        terms = other.terms
+        return self._new(_linear(zip(terms, map(_neg, terms.values())), None, self.terms))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        try:
+            self._check(other)
+        except InstanceMismatchError:  # another instance or tensor rank
+            return NotImplemented
+        return (self - other).norm_inf() <= self.instance.eq_eps
+
+    __hash__ = None
+
+
+class Element(_Terms):
+    """Finite sparse linear combination of basis keys of one instance."""
+
+    __slots__ = ()
+
+    def __init__(self, instance: BialgebraInstance, terms, _clean: bool = True):
+        self.instance = instance
+        self.terms = _clean_terms(terms, instance.prune_eps) if _clean else terms
+
+    _check = _same_element
+
+    def _new(self, terms) -> "Element":
+        return Element(self.instance, terms)
+
+    def coeff(self, key) -> complex:
+        return self.terms.get(key, 0j)
+
+    def support(self):
+        return sorted(self.terms, key=self.instance.sort_key)
 
     def __neg__(self):
         return scale(-1.0, self)
@@ -276,21 +384,14 @@ class Element:
     def __rmul__(self, other):
         return scale(other, self)
 
-    def __eq__(self, other):
-        if not isinstance(other, Element) or other.instance is not self.instance:
-            return NotImplemented
-        return (self - other).norm_inf() <= self.instance.eq_eps
-
-    __hash__ = None
-
     def __repr__(self):
         return f"<{format_element(self)}>"
 
 
-class TensorElement:
+class TensorElement(_Terms):
     """Finite sparse element of the rank-n tensor power of an instance."""
 
-    __slots__ = ("instance", "rank", "terms")
+    __slots__ = ("rank",)
 
     def __init__(self, instance: BialgebraInstance, rank: int, terms, _clean: bool = True):
         if rank < 1:
@@ -299,70 +400,28 @@ class TensorElement:
         self.rank = rank
         self.terms = _clean_terms(terms, instance.prune_eps) if _clean else terms
 
+    _check = _same_tensor
+
+    def _new(self, terms) -> "TensorElement":
+        return TensorElement(self.instance, self.rank, terms)
+
     def coeff(self, keys) -> complex:
         return self.terms.get(tuple(keys), 0j)
-
-    def norm_inf(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        _same_tensor(self, other)
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            _acc(acc, k, c)
-        return TensorElement(self.instance, self.rank, acc)
-
-    def __sub__(self, other):
-        _same_tensor(self, other)
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            _acc(acc, k, -c)
-        return TensorElement(self.instance, self.rank, acc)
 
     def __rmul__(self, c):
         return TensorElement(
             self.instance, self.rank, {k: c * v for k, v in self.terms.items()}
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        if other.instance is not self.instance or other.rank != self.rank:
-            return NotImplemented
-        return (self - other).norm_inf() <= self.instance.eq_eps
-
-    __hash__ = None
-
     def __repr__(self):
         return f"<{format_tensor(self)}>"
-
-
-def _same_instance(a, b) -> None:
-    if a.instance is not b.instance:
-        raise InstanceMismatchError(
-            f"mixed instances {a.instance.name!r} and {b.instance.name!r}"
-        )
-
-
-def _same_tensor(u, v) -> None:
-    _same_instance(u, v)
-    if u.rank != v.rank:
-        raise InstanceMismatchError(f"mixed tensor ranks {u.rank} and {v.rank}")
 
 
 # -- linear operations ------------------------------------------------------
 
 
 def add(a: Element, b: Element) -> Element:
-    _same_instance(a, b)
-    acc = dict(a.terms)
-    for k, c in b.terms.items():
-        _acc(acc, k, c)
-    return Element(a.instance, acc)
+    return a + b
 
 
 def scale(c, a: Element) -> Element:
@@ -374,22 +433,12 @@ def mul(a: Element, b: Element) -> Element:
     """Bilinear extension of the basis product."""
     _same_instance(a, b)
     inst = a.instance
-    acc: dict = {}
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            c = ca * cb
-            for k, w in inst.mul_terms(ka, kb):
-                _acc(acc, k, c * w)
-    return Element(inst, acc)
+    return Element(inst, _bilinear(a.terms.items(), b.terms.items(), inst.mul_terms))
 
 
 def comul(a: Element) -> TensorElement:
     inst = a.instance
-    acc: dict = {}
-    for k, c in a.terms.items():
-        for k1, k2, w in inst.comul_terms(k):
-            _acc(acc, (k1, k2), c * w)
-    return TensorElement(inst, 2, acc)
+    return TensorElement(inst, 2, _linear(a.terms.items(), inst._comul_pairs.__getitem__))
 
 
 def counit(a: Element) -> complex:
@@ -399,22 +448,13 @@ def counit(a: Element) -> complex:
 
 def antipode(a: Element) -> Element:
     inst = a.instance
-    acc: dict = {}
-    for k, c in a.terms.items():
-        for kk, w in inst.antipode_terms(k):
-            _acc(acc, kk, c * w)
-    return Element(inst, acc)
+    return Element(inst, _linear(a.terms.items(), inst.antipode_terms))
 
 
 def star(a: Element) -> Element:
     """Antilinear involution: input coefficients are conjugated."""
     inst = a.instance
-    acc: dict = {}
-    for k, c in a.terms.items():
-        cc = c.conjugate()
-        for kk, w in inst.star_terms(k):
-            _acc(acc, kk, cc * w)
-    return Element(inst, acc)
+    return Element(inst, _linear([(k, c.conjugate()) for k, c in a.terms.items()], inst.star_terms))
 
 
 def antipode_key(instance: BialgebraInstance, k) -> Element:
@@ -425,17 +465,9 @@ def star_key(instance: BialgebraInstance, k) -> Element:
     return Element(instance, dict(instance.star_terms(k)))
 
 
-def _expand_tuple_comul(comul: Memo, keys: tuple) -> tuple:
-    parts = [comul[k] for k in keys]
-    out = []
-    for combo in itertools.product(*parts):
-        left = tuple(t[0] for t in combo)
-        right = tuple(t[1] for t in combo)
-        coeff = 1.0 + 0j
-        for t in combo:
-            coeff *= t[2]
-        out.append((left, right, coeff))
-    return tuple(out)
+def _expand_tuple_comul(comul_pairs: Memo, keys: tuple) -> tuple:
+    legs = _slot_products([([comul_pairs[k] for k in keys], 1.0 + 0j)])
+    return tuple((tuple(map(_first, pairs)), tuple(map(_second, pairs)), c) for pairs, c in legs)
 
 
 def iterated_comul_terms(instance: BialgebraInstance, key, n: int):
@@ -447,14 +479,13 @@ def iterated_comul_terms(instance: BialgebraInstance, key, n: int):
     return instance._iter_comul_cache[key, n]
 
 
-def _expand_iterated_comul(comul: Memo, key, n: int) -> tuple:
+def _expand_iterated_comul(comul_pairs: Memo, key, n: int) -> tuple:
     if n == 1:
         return (((key,), 1.0 + 0j),)
-    acc: dict = {}
-    for k1, k2, w in comul[key]:
-        for rest, c in _expand_iterated_comul(comul, k2, n - 1):
-            _acc(acc, (k1,) + rest, w * c)
-    return tuple(acc.items())
+    # each leg k1 (x) k2 of Delta(key) carries its w onto (k1,) + rest of Delta^(n-1)(k2)
+    return tuple(_linear(comul_pairs[key], lambda legs: (
+        ((legs[0],) + rest, c) for rest, c in _expand_iterated_comul(comul_pairs, legs[1], n - 1)
+    )).items())
 
 
 def iterated_comul(a: Element, n: int):
@@ -464,11 +495,7 @@ def iterated_comul(a: Element, n: int):
     if n == 0:
         return counit(a)
     inst = a.instance
-    acc: dict = {}
-    for k, c in a.terms.items():
-        for keys, w in iterated_comul_terms(inst, k, n):
-            _acc(acc, keys, c * w)
-    return TensorElement(inst, n, acc)
+    return TensorElement(inst, n, _linear(a.terms.items(), lambda k: iterated_comul_terms(inst, k, n)))
 
 
 # -- tensor utilities --------------------------------------------------------
@@ -480,31 +507,21 @@ def tensor_of(*elements: Element) -> TensorElement:
     inst = elements[0].instance
     for e in elements[1:]:
         _same_instance(elements[0], e)
-    acc: dict = {}
-    for combo in itertools.product(*(e.terms.items() for e in elements)):
-        keys = tuple(k for k, _ in combo)
-        c = 1.0 + 0j
-        for _, w in combo:
-            c *= w
-        _acc(acc, keys, c)
-    return TensorElement(inst, len(elements), acc)
+    terms = _linear(_slot_products([([e.terms.items() for e in elements], 1.0 + 0j)]))
+    return TensorElement(inst, len(elements), terms)
 
 
 def tensor_mul(u: TensorElement, v: TensorElement) -> TensorElement:
     """Componentwise product in the tensor-power algebra."""
     _same_tensor(u, v)
     inst = u.instance
-    acc: dict = {}
-    for ku, cu in u.terms.items():
-        for kv, cv in v.terms.items():
-            parts = [inst.mul_terms(a, b) for a, b in zip(ku, kv)]
-            for combo in itertools.product(*parts):
-                keys = tuple(k for k, _ in combo)
-                c = cu * cv
-                for _, w in combo:
-                    c *= w
-                _acc(acc, keys, c)
-    return TensorElement(inst, u.rank, acc)
+    mul_terms = inst.mul_terms
+    terms = _linear(_slot_products(
+        ([mul_terms(a, b) for a, b in zip(ku, kv)], cu * cv)
+        for ku, cu in u.terms.items()
+        for kv, cv in v.terms.items()
+    ))
+    return TensorElement(inst, u.rank, terms)
 
 
 def tensor_flip(u: TensorElement) -> TensorElement:
@@ -518,56 +535,45 @@ def tensor_apply(u: TensorElement, slot_maps) -> TensorElement:
 
     Each map takes a basis key and returns ``(key, coeff)`` pairs.
     """
-    inst = u.instance
-    acc: dict = {}
-    for keys, c in u.terms.items():
-        expansions = []
-        for k, fn in zip(keys, slot_maps):
-            expansions.append(((k, 1.0 + 0j),) if fn is None else tuple(fn(k)))
-        for combo in itertools.product(*expansions):
-            new_keys = tuple(k for k, _ in combo)
-            w = c
-            for _, v in combo:
-                w *= v
-            _acc(acc, new_keys, w)
-    return TensorElement(inst, u.rank, acc)
+    terms = _linear(_slot_products(
+        ([((k, 1.0 + 0j),) if fn is None else tuple(fn(k)) for k, fn in zip(keys, slot_maps)], c)
+        for keys, c in u.terms.items()
+    ))
+    return TensorElement(u.instance, u.rank, terms)
 
 
 def tensor_expand_slot(u: TensorElement, slot: int) -> TensorElement:
     """Replace one slot by its coproduct, raising the rank by one."""
     inst = u.instance
-    acc: dict = {}
-    for keys, c in u.terms.items():
-        for k1, k2, w in inst.comul_terms(keys[slot]):
-            new_keys = keys[:slot] + (k1, k2) + keys[slot + 1 :]
-            _acc(acc, new_keys, c * w)
-    return TensorElement(inst, u.rank + 1, acc)
+    terms = _linear(
+        (keys[:slot] + (k1, k2) + keys[slot + 1 :], c * w)
+        for keys, c in u.terms.items()
+        for k1, k2, w in inst.comul_terms(keys[slot])
+    )
+    return TensorElement(inst, u.rank + 1, terms)
 
 
 def tensor_contract_slot(u: TensorElement, slot: int) -> TensorElement | Element:
     """Apply the counit to one slot, lowering the rank by one."""
     inst = u.instance
-    acc: dict = {}
-    for keys, c in u.terms.items():
-        w = c * inst.counit_key(keys[slot])
-        new_keys = keys[:slot] + keys[slot + 1 :]
-        _acc(acc, new_keys, w)
+    terms = _linear((keys[:slot] + keys[slot + 1 :], c * inst.counit_key(keys[slot])) for keys, c in u.terms.items())
     if u.rank == 2:
-        return Element(inst, {k[0]: c for k, c in acc.items()})
-    return TensorElement(inst, u.rank - 1, acc)
+        return Element(inst, {k[0]: c for k, c in terms.items()})
+    return TensorElement(inst, u.rank - 1, terms)
+
+
+def _key_product(instance: BialgebraInstance, keys) -> Element:
+    """The product of basis keys, left to right."""
+    prod = Element(instance, {keys[0]: 1.0})
+    for k in keys[1:]:
+        prod = mul(prod, Element(instance, {k: 1.0}, _clean=False))
+    return prod
 
 
 def tensor_mul_all(u: TensorElement) -> Element:
     """Multiply the slots together left to right."""
     inst = u.instance
-    acc: dict = {}
-    for keys, c in u.terms.items():
-        prod = Element(inst, {keys[0]: 1.0})
-        for k in keys[1:]:
-            prod = mul(prod, Element(inst, {k: 1.0}, _clean=False))
-        for k, w in prod.terms.items():
-            _acc(acc, k, c * w)
-    return Element(inst, acc)
+    return Element(inst, _linear(u.terms.items(), lambda keys: _key_product(inst, keys).terms.items()))
 
 
 # -- canonical rendering -----------------------------------------------------

@@ -83,6 +83,8 @@ def symmetric_star_algebra(
     n = len(names)
     if n < 1:
         raise AlgebraError("need at least one generator")
+    if len(set(names)) != n:
+        raise AlgebraError(f"generator names must be distinct, got {list(names)!r}")
     index = {g: i for i, g in enumerate(names)}
     zero = (0,) * n
 
@@ -355,10 +357,35 @@ _ALLOWED_NODES = (
 )
 
 
+# an integer power of more bits lies far past the float range (2**1024), and
+# Python would take minutes to compute one exactly (9**9**9 has 1.2e9 bits)
+# before the overflow
+_MAX_POWER_BITS = 1 << 16
+
+
+def _bounded_pow(base, exp):
+    if isinstance(base, int) and isinstance(exp, int) and abs(base) > 1 and exp * math.log2(abs(base)) > _MAX_POWER_BITS:
+        raise OverflowError(f"integer power {base}**{exp} has more than {_MAX_POWER_BITS} bits")
+    return base ** exp
+
+
+class _BoundedPow(ast.NodeTransformer):
+    """Rewrites each ``a ** b`` as ``_pow(a, b)``."""
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        if not isinstance(node.op, ast.Pow):
+            return node
+        func = ast.copy_location(ast.Name("_pow", ast.Load()), node)
+        return ast.copy_location(ast.Call(func, [node.left, node.right], []), node)
+
+
 def compile_expression(expr: str, variables):
     """Compile an arithmetic expression over the given variable names.
 
     Allowed: + − * / ** with numeric literals; anything else is rejected.
+    ``**`` is evaluated by :func:`_bounded_pow`, so a huge integer power is
+    an overflow, not a computation that never ends.
     """
     allowed = set(variables)
     try:
@@ -372,11 +399,12 @@ def compile_expression(expr: str, variables):
             raise AlgebraError(f"non-numeric literal {node.value!r} in {expr!r}")
         if isinstance(node, ast.Name) and node.id not in allowed:
             raise AlgebraError(f"unknown variable {node.id!r} in {expr!r}")
-    code = compile(tree, "<cocycle-expression>", "eval")
+    code = compile(_BoundedPow().visit(tree), "<cocycle-expression>", "eval")
+    namespace = {"__builtins__": {}, "_pow": _bounded_pow}
 
     def fn(env):
         try:
-            return complex(eval(code, {"__builtins__": {}}, env))
+            return complex(eval(code, namespace, env))
         except ArithmeticError as exc:  # a division by zero or an overflow
             raise NonFiniteError(f"non-finite value of {expr!r} at {env}: {exc}") from exc
 

@@ -41,7 +41,7 @@ class ElementSampler:
     ``coord_bound`` caps each integer coordinate on grouplike bases,
     ``max_degree`` caps the total degree of monomial keys, ``max_support``
     caps the number of basis keys per element.  Coefficients are complex
-    with |re|, |im| <= coeff_bound.
+    with |re|, |im| <= 1.
     """
 
     def __init__(
@@ -52,7 +52,6 @@ class ElementSampler:
         coord_bound: int = 5,
         max_degree: int = 4,
         max_support: int = 3,
-        coeff_bound: float = 1.0,
     ):
         self.instance = instance
         self.seed = int(seed)
@@ -60,7 +59,6 @@ class ElementSampler:
         self.coord_bound = int(coord_bound)
         self.max_degree = int(max_degree)
         self.max_support = int(max_support)
-        self.coeff_bound = float(coeff_bound)
         if self.coord_bound < 0 or self.max_degree < 0 or self.max_support < 1:
             raise ValueError("need coord_bound >= 0, max_degree >= 0 and max_support >= 1")
         self.rng = random.Random(self.seed)
@@ -71,15 +69,14 @@ class ElementSampler:
             if not self._finite_keys:
                 raise ValueError(f"instance {instance.name!r} has an empty basis")
 
-    def spawn(self, salt: int, budget: int | None = None) -> "ElementSampler":
+    def spawn(self, salt: int) -> "ElementSampler":
         return ElementSampler(
             self.instance,
             derive_seed(self.seed, salt),
-            budget=self.budget if budget is None else budget,
+            budget=self.budget,
             coord_bound=self.coord_bound,
             max_degree=self.max_degree,
             max_support=self.max_support,
-            coeff_bound=self.coeff_bound,
         )
 
     def key(self):
@@ -102,10 +99,9 @@ class ElementSampler:
         return tuple(self.key() for _ in range(n))
 
     def coeff(self) -> complex:
-        # exactly what uniform(-b, b) evaluates, once per part
-        b = self.coeff_bound
+        # exactly what uniform(-1.0, 1.0) evaluates, once per part
         random_ = self.rng.random
-        return complex(-b + (b + b) * random_(), -b + (b + b) * random_())
+        return complex(-1.0 + 2.0 * random_(), -1.0 + 2.0 * random_())
 
     def element(self) -> Element:
         support = 1 + self._below(self.max_support)

@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -256,6 +258,24 @@ def test_exit_2_on_bad_json(tmp_path, capsys):
         ),
         pytest.param({**_ZERO_ON_Z, "cocycle": {"type": "zero", "matrix": [[1.0]]}}, id="cocycle_unknown_key"),
         pytest.param({**_ZERO_ON_Z, "witness": {"type": "zero", "expr": "k"}}, id="witness_unknown_key"),
+        # a string is not a list of generator names, and a name may not repeat
+        pytest.param(
+            {**_ZERO_ON_OSC, "instance": {"type": "symmetric_star", "generators": "xy", "involution": [["x", "y"]]}},
+            id="generators_string",
+        ),
+        pytest.param(
+            {**_ZERO_ON_OSC, "instance": {"type": "symmetric_star", "generators": ["x", "x"], "involution": [["x", "x"]]}},
+            id="generators_repeated",
+        ),
+        # a key the instance cannot hold, or a repeated pair, is not silently dropped
+        pytest.param(
+            {**_NON_COCYCLE_ON_Z, "cocycle": {"type": "grouplike_table", "entries": [[[1, 2], [1], 5.0]]}},
+            id="grouplike_table_key_wrong_length",
+        ),
+        pytest.param(
+            {**_NON_COCYCLE_ON_Z, "cocycle": {"type": "grouplike_table", "entries": [[[1], [1], 5.0], [[1], [1], 6.0]]}},
+            id="grouplike_table_pair_repeated",
+        ),
     ],
 )
 def test_exit_2_on_unknown_instance(payload, tmp_path):
@@ -561,3 +581,24 @@ def test_a_run_leaves_no_reference_cycle(name):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_huge_integer_power_ends_at_once(tmp_path):
+    # 9**9**9 has 1.2e9 bits: computed exactly, it would run for many minutes
+    # before overflowing, so a regression hangs this subprocess, not the suite
+    config = {**_NON_COCYCLE_ON_Z, "cocycle": {"type": "grouplike_table", "expr": "9**9**9"}}
+    root = Path(__file__).parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfdeform.cli", "--config", _write(tmp_path, config)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "[FAIL] non_finite" in proc.stdout
+
+
+def test_integer_powers_keep_their_values():
+    from hopfdeform.instances import compile_expression
+
+    fn = compile_expression("2**10 - m**3 + (-2)**-2 + 2**0.5 + (10**400) / (10**399)", ["m"])
+    assert fn({"m": 3}) == complex(2**10 - 3**3 + (-2) ** -2 + 2**0.5 + 10.0)

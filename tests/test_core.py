@@ -149,6 +149,17 @@ def test_instance_mismatch_raises(z2, osc):
         hd.add(z2.basis_element((0, 0)), osc.basis_element((0, 0)))
 
 
+def test_an_element_and_a_tensor_do_not_mix(z2):
+    # an element minus a tensor once built an element keyed by key pairs
+    x = z2.basis_element((1, 0))
+    for a, b in ((x, hd.comul(x)), (hd.comul(x), x)):
+        with pytest.raises(hd.InstanceMismatchError):
+            a - b
+        with pytest.raises(hd.InstanceMismatchError):
+            a + b
+        assert a != b
+
+
 def test_capability_missing():
     bare = hd.group_algebra_zd(1, with_star=False)
     with pytest.raises(hd.CapabilityMissingError):
@@ -334,3 +345,52 @@ def test_nan_residual_fails_its_law():
     # a law without a salt never touches the sampler, so None stands in for it
     hd.run_laws(report, None, [hd.Law("fixed", "no draws", lambda case: case, 0.5, cases=(0.0, 0.25))])
     assert (report.results[-1].samples, report.results[-1].passed) == (2, True)
+
+
+# -- the summation kernels ------------------------------------------------------
+
+from hopfdeform.core import _bilinear, _linear  # noqa: E402
+
+_parts = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64) | st.sampled_from([0.0, -0.0])
+_coeffs = st.builds(complex, _parts, _parts)
+_stream = st.lists(st.tuples(st.integers(0, 4), _coeffs), max_size=12)
+_rules = st.dictionaries(st.integers(0, 4), st.lists(st.tuples(st.integers(0, 3), _coeffs), max_size=3))
+
+
+def _left_fold(terms) -> dict:
+    """Each key's terms added left to right, the first one stored as is."""
+    out: dict = {}
+    for key, c in terms:
+        out[key] = out[key] + c if key in out else c
+    return out
+
+
+def _bits(terms: dict) -> list:
+    # repr tells -0.0 from 0.0, so equal bits means equal reprs
+    return [(key, repr(c.real), repr(c.imag)) for key, c in terms.items()]
+
+
+@given(_stream, _stream, _rules)
+def test_kernels_sum_like_a_plain_left_fold(a, b, table):
+    def rule(k):
+        return table.get(k, [])
+
+    assert _bits(_linear(a)) == _bits(_left_fold(a))
+    assert _bits(_linear(b, None, dict(a))) == _bits(_left_fold(list(dict(a).items()) + b))
+    assert _bits(_linear(a, rule)) == _bits(_left_fold((key, c * w) for k, c in a for key, w in rule(k)))
+    want = _left_fold(
+        (key, (ca * cb) * w) for ka, ca in a for kb, cb in b for key, w in table.get(ka * kb % 5, [])
+    )
+    assert _bits(_bilinear(a, b, lambda ka, kb: rule(ka * kb % 5))) == _bits(want)
+
+
+def test_a_first_term_is_stored_as_is(z2):
+    # added to 0j, the -0.0 imaginary part would turn into +0.0
+    x = z2.element({(1, 0): complex(1.0, -0.0)})
+    assert math.copysign(1.0, (z2.zero_element() + x).coeff((1, 0)).imag) == -1.0
+    # (-1)·i has the real part -0.0 in every kernel mode
+    def rule(*_):
+        return [("k", 1j)]
+
+    for terms in (_linear([("k", complex(-1.0, 0.0))], rule), _bilinear([(0, -1.0 + 0j)], [(0, 1.0 + 0j)], rule)):
+        assert repr(terms["k"]) == "(-0-1j)"
