@@ -5,6 +5,9 @@ example), runs the selected verification suite, prints a human summary
 and optionally writes the full JSON report.  Exit status: 0 all laws
 pass, 1 law failure, 2 configuration problem, 3 missing capability
 (e.g. a star-deformation requested on an instance without involution).
+The whole configuration, ``tabulate`` keys included, is read before the
+first sample is drawn.  A single command runs its row of ``_SUITES``;
+``full-report`` runs every row whose condition holds, under its prefix.
 
 Reports are bit-identical for identical (config, seed) pairs; the seed
 falls back to the HOPFDEFORM_SEED environment variable when neither the
@@ -47,75 +50,72 @@ from .sampling import ElementSampler
 
 
 def _classifier_laws(report: Report, classifier, cfg: RunConfig, samples: int) -> None:
-    tol = cfg.tolerances["law"]
     report.add_flag("normalized", "L(1(x)1) = 0 (exact)", classifier.normalized, samples=1)
-    report.add(
-        "commuting", "L ⋆ mul = mul ⋆ L", samples, classifier.residuals["commuting"], tol
-    )
-    report.add("cocycle", "∂L = 0", samples, classifier.residuals["cocycle"], tol)
-    if cfg.require_star:
-        report.add(
-            "hermitian",
-            "conj L(b*(x)a*) = L(a(x)b)",
-            samples,
-            classifier.residuals["hermitian"],
-            tol,
-        )
-    if classifier.witness_matches is not None:
-        report.add(
-            "witness", "∂ψ = L for the supplied witness", samples,
-            classifier.residuals["witness"], tol,
-        )
+    for law_id, statement, recorded in (
+        ("commuting", "L ⋆ mul = mul ⋆ L", True),
+        ("cocycle", "∂L = 0", True),
+        ("hermitian", "conj L(b*(x)a*) = L(a(x)b)", cfg.require_star),
+        ("witness", "∂ψ = L for the supplied witness", classifier.witness_matches is not None),
+    ):
+        if recorded:
+            report.add(law_id, statement, samples, classifier.residuals[law_id], cfg.tolerances["law"])
     report.extras["classifier"] = classifier.to_dict()
 
 
-def _tabulate(cfg: RunConfig, instance, D: Deformation | None) -> list:
-    rows = []
+def _key_pairs(cfg: RunConfig, instance) -> list:
+    """The ``tabulate`` key pairs, read before any sample is drawn."""
+    pairs = []
     for raw_pair in cfg.tabulate:
         if len(raw_pair) != 2:
             raise ConfigError(f"tabulate entries are key pairs, got {raw_pair!r}")
-        ka = parse_key(instance, raw_pair[0])
-        kb = parse_key(instance, raw_pair[1])
-        row = {"pair": [instance.key_str(ka), instance.key_str(kb)], "values": []}
-        if D is not None:
-            a = instance.basis_element(ka)
-            b = instance.basis_element(kb)
-            for t in cfg.t_grid:
-                ab = deformed_mul(D, t, a, b)
-                ba = deformed_mul(D, t, b, a)
-                row["values"].append(
-                    {
-                        "t": float(t),
-                        "mu_t": format_element(ab),
-                        "commutator": format_element(ab - ba),
-                    }
-                )
-        rows.append(row)
-    return rows
+        pairs.append(tuple(parse_key(instance, raw) for raw in raw_pair))
+    return pairs
 
 
-def _tabulate_antipode(cfg: RunConfig, instance, D: Deformation) -> list:
-    seen = []
-    for raw_pair in cfg.tabulate:
-        for raw in raw_pair:
-            key = parse_key(instance, raw)
-            if key not in seen:
-                seen.append(key)
+def _tabulate(report: Report, D: Deformation, pairs: list, t_grid, antipode: bool) -> None:
+    """Record μ_t and the commutator on each pair and, with ``antipode``, σ and S_t on each distinct key."""
+    instance = D.instance
+    rows = []
+    for ka, kb in pairs:
+        a, b = instance.basis_element(ka), instance.basis_element(kb)
+        values = []
+        for t in t_grid:
+            ab, ba = deformed_mul(D, t, a, b), deformed_mul(D, t, b, a)
+            values.append({"t": float(t), "mu_t": format_element(ab), "commutator": format_element(ab - ba)})
+        rows.append({"pair": [instance.key_str(ka), instance.key_str(kb)], "values": values})
+    report.extras["tabulation"] = rows
+    if not antipode:
+        return
     sig = D.sigma()
     rows = []
-    for key in seen:
+    for key in dict.fromkeys(key for pair in pairs for key in pair):
         e = instance.basis_element(key)
-        entry = {
-            "key": instance.key_str(key),
-            "sigma": format_scalar(sig.value((key,))),
-            "s_t": [],
-        }
-        for t in cfg.t_grid:
-            entry["s_t"].append(
-                {"t": float(t), "value": format_element(deformed_antipode(D, t)(e))}
-            )
-        rows.append(entry)
-    return rows
+        s_t = [{"t": float(t), "value": format_element(deformed_antipode(D, t)(e))} for t in t_grid]
+        rows.append({"key": instance.key_str(key), "sigma": format_scalar(sig.value((key,))), "s_t": s_t})
+    report.extras["antipode_tabulation"] = rows
+
+
+def _law_args(cfg: RunConfig) -> tuple:
+    return cfg.t_grid, cfg.sample_budget, cfg.tolerances["law"]
+
+
+# One row per suite: the command that runs it alone, its salt and report prefix
+# inside full-report, when full-report runs it (given D and the witness), and
+# the suite itself (given D, the witness, a sampler and the config).
+_SUITES = (
+    ("deform", 1, "axioms:", lambda D, witness: True,
+     lambda D, witness, sampler, cfg: check_deformation_axioms(D, sampler, *_law_args(cfg))),
+    ("antipode", 2, "hopf:", lambda D, witness: D.instance.has_antipode,
+     lambda D, witness, sampler, cfg: check_hopf_deformation(D, sampler, *_law_args(cfg))),
+    ("split", 3, "split:", lambda D, witness: D.instance.has_antipode and D.instance.cocommutative,
+     lambda D, witness, sampler, cfg: split_cocommutative(
+         D, sampler, *_law_args(cfg), strict_tol=cfg.tolerances["strict"])[2]),
+    ("trivial-check", 4, "trivial:", lambda D, witness: witness is not None,
+     lambda D, witness, sampler, cfg: check_trivial_deformation(
+         TrivialDeformation(D, witness), sampler, *_law_args(cfg))),
+    (None, 5, "star:", lambda D, witness: D.instance.has_star and D.classifier.hermitian,
+     lambda D, witness, sampler, cfg: star_deformation_check(D, sampler, *_law_args(cfg))),
+)
 
 
 def run_config(cfg: RunConfig) -> Report:
@@ -136,22 +136,15 @@ def run_config(cfg: RunConfig) -> Report:
 def _run_command(cfg: RunConfig, report: Report) -> None:
     instance = build_instance(cfg.instance, cfg.tolerances)
     cocycle = build_cocycle(cfg.cocycle, instance)
-    witness = build_witness(cfg.witness, instance, cocycle) if cfg.witness else None
+    witness = None if cfg.witness is None else build_witness(cfg.witness, instance, cocycle)
     if cfg.command == "trivial-check" and witness is None:
         raise ConfigError("trivial-check needs a 'witness' descriptor")
     if cfg.require_star:
         instance.require_star()
+    pairs = _key_pairs(cfg, instance)
 
-    sampler = ElementSampler(
-        instance,
-        cfg.seed,
-        budget=cfg.sample_budget,
-        coord_bound=cfg.sampler["coord_bound"],
-        max_degree=cfg.sampler["max_degree"],
-        max_support=cfg.sampler["max_support"],
-    )
+    sampler = ElementSampler(instance, cfg.seed, budget=cfg.sample_budget, **cfg.sampler)
     tol = cfg.tolerances["law"]
-    strict = cfg.tolerances["strict"]
     samples = cfg.sample_budget
 
     classifier = validate_generator(
@@ -172,71 +165,23 @@ def _run_command(cfg: RunConfig, report: Report) -> None:
 
     D = Deformation(instance, cocycle, classifier, sampler.spawn(2))
     suite_sampler = sampler.spawn(3)
-
-    if cfg.command == "deform":
-        report.merge(check_deformation_axioms(D, suite_sampler, cfg.t_grid, samples, tol))
-        report.extras["tabulation"] = _tabulate(cfg, instance, D)
-        return
-
-    if cfg.command == "antipode":
-        instance.require_antipode()
-        report.merge(check_hopf_deformation(D, suite_sampler, cfg.t_grid, samples, tol))
-        report.extras["tabulation"] = _tabulate(cfg, instance, D)
-        report.extras["antipode_tabulation"] = _tabulate_antipode(cfg, instance, D)
-        return
-
-    if cfg.command == "split":
-        instance.require_antipode()
+    full = cfg.command == "full-report"
+    if full:
+        report.merge(check_structure(instance, sampler.spawn(4), tol), prefix="structure:")
+    for command, salt, prefix, applies, suite in _SUITES:
+        if full and applies(D, witness):
+            stream = suite_sampler.spawn(salt)
+        elif command == cfg.command:
+            stream, prefix = suite_sampler, ""
+        else:
+            continue
         try:
-            _, _, sub = split_cocommutative(
-                D, suite_sampler, cfg.t_grid, samples, tol, strict_tol=strict
-            )
+            report.merge(suite(D, witness, stream, cfg), prefix=prefix)
         except SplitPreconditionError as exc:
-            report.add_flag("sigma_circ_s", "σ = σ∘S on samples", False, samples=samples)
+            report.add_flag(prefix + "sigma_circ_s", "σ = σ∘S on samples", False, samples=samples)
             report.extras["split_precondition_failure"] = str(exc)
-            return
-        report.merge(sub)
-        return
-
-    if cfg.command == "trivial-check":
-        T = TrivialDeformation(D, witness)
-        report.merge(check_trivial_deformation(T, suite_sampler, cfg.t_grid, samples, tol))
-        return
-
-    # full-report
-    report.merge(check_structure(instance, sampler.spawn(4), tol), prefix="structure:")
-    report.merge(
-        check_deformation_axioms(D, suite_sampler.spawn(1), cfg.t_grid, samples, tol),
-        prefix="axioms:",
-    )
-    if instance.has_antipode:
-        report.merge(
-            check_hopf_deformation(D, suite_sampler.spawn(2), cfg.t_grid, samples, tol),
-            prefix="hopf:",
-        )
-        if instance.cocommutative:
-            try:
-                _, _, sub = split_cocommutative(
-                    D, suite_sampler.spawn(3), cfg.t_grid, samples, tol, strict_tol=strict
-                )
-                report.merge(sub, prefix="split:")
-            except SplitPreconditionError as exc:
-                report.add_flag("split:sigma_circ_s", "σ = σ∘S on samples", False, samples=samples)
-                report.extras["split_precondition_failure"] = str(exc)
-    if witness is not None:
-        T = TrivialDeformation(D, witness)
-        report.merge(
-            check_trivial_deformation(T, suite_sampler.spawn(4), cfg.t_grid, samples, tol),
-            prefix="trivial:",
-        )
-    if instance.has_star and classifier.hermitian:
-        report.merge(
-            star_deformation_check(D, suite_sampler.spawn(5), cfg.t_grid, samples, tol),
-            prefix="star:",
-        )
-    report.extras["tabulation"] = _tabulate(cfg, instance, D)
-    if instance.has_antipode:
-        report.extras["antipode_tabulation"] = _tabulate_antipode(cfg, instance, D)
+    if cfg.command in ("deform", "antipode", "full-report"):
+        _tabulate(report, D, pairs, cfg.t_grid, antipode=cfg.command != "deform" and instance.has_antipode)
 
 
 def _spell_non_finite(value):

@@ -12,7 +12,7 @@ Descriptor shapes:
   ``{"type": "primitive_bilinear", "matrix": ...}``,
   ``{"type": "grouplike_table", "entries": [[k, l, c], ...], "expr": "..."}``
   or ``{"type": "zero"}``.
-* witness (optional): ``{"type": "grouplike_expression", "expr": "-(k**3)/3"}``,
+* witness (``null`` or absent for none): ``{"type": "grouplike_expression", "expr": "-(k**3)/3"}``,
   ``{"type": "pbw_trivializer"}`` or ``{"type": "zero"}``.
 """
 from __future__ import annotations
@@ -74,6 +74,16 @@ def parse_matrix(rows) -> list:
     return [[parse_complex(v) for v in row] for row in rows]
 
 
+def _descriptor(raw: dict, name: str) -> dict | None:
+    """A copy of the descriptor ``raw[name]``; only the witness may be null or absent, meaning none."""
+    desc = raw.get(name)
+    if desc is None and name == "witness":
+        return None
+    if not isinstance(desc, dict):
+        raise ConfigError(f"the {name} descriptor must be a JSON object, got {desc!r}")
+    return dict(desc)
+
+
 @dataclass
 class RunConfig:
     instance: dict
@@ -107,9 +117,9 @@ class RunConfig:
             raise ConfigError(f"HOPFDEFORM_SEED is not an integer: {exc}") from exc
         try:
             cfg = cls(
-                instance=dict(raw["instance"]),
-                cocycle=dict(raw["cocycle"]),
-                witness=dict(raw["witness"]) if raw.get("witness") else None,
+                instance=_descriptor(raw, "instance"),
+                cocycle=_descriptor(raw, "cocycle"),
+                witness=_descriptor(raw, "witness"),
                 t_grid=[read_float(t, "every t_grid value") for t in raw.get("t_grid", DEFAULT_T_GRID)],
                 seed=read_int(raw.get("seed", default_seed), "seed"),
                 sample_budget=read_int(raw.get("sample_budget", 200), "sample_budget"),

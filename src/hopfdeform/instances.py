@@ -92,6 +92,8 @@ def symmetric_star_algebra(
     if involution is not None:
         mapping = dict(involution)
         for g, h in list(mapping.items()):
+            if g not in index:
+                raise AlgebraError(f"involution maps {g!r}, but {g!r} is not a generator of {list(names)!r}")
             if mapping.get(h) != g:
                 raise AlgebraError(f"involution is not an involutive permutation at {g!r}")
         perm = tuple(index[mapping.get(g, g)] for g in names)

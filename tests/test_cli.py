@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfdeform.cli import main, run_config, report_json
-from hopfdeform.config import RunConfig, build_instance
+from hopfdeform.config import COMMANDS, RunConfig, build_instance
+from hopfdeform.deformation import SplitPreconditionError
 from hopfdeform.registry import example_config, example_names
 
 DATA = Path(__file__).parent / "data"
@@ -163,6 +164,61 @@ def test_h4_report_digest(command):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == H4_DIGESTS[command]
 
 
+# sha256 of report_json for each single command at budget 25: every built-in
+# example (trivial-check on z-cubic, the one with a witness) and Sweedler H4
+# with the zero cocycle and witness
+COMMAND_DIGESTS = {
+    ("group-hermitian", "antipode"): "f74ff62216ba929c741002cebd84bdc09a21d64797cc9c73cbbccafc43d21701",
+    ("group-hermitian", "deform"): "798d34bf02d22df794b40f839c4947a1575dd3a4f68944900d009e7e65a2a771",
+    ("group-hermitian", "split"): "6080bed681c8391a671cb4d32e031f5267ec47c2d689c94f57fbc500799c8ec5",
+    ("group-hermitian", "validate"): "f0d86718130216955dc1e514af90758d2b6482782cae8002fb531a2f378d323c",
+    ("oscillator", "antipode"): "b5c7b76769489f5a6409f7be768be867ee6b45b0b543286fda9efd65f5e74854",
+    ("oscillator", "deform"): "0ba5b14ad759d82dae54360eeb32378f8c880699b093faad493ca430371cc4b8",
+    ("oscillator", "split"): "7986dc29970babbf59bf461892c175ef17e051dc64f91f238f630c45ebf2fd83",
+    ("oscillator", "validate"): "4489c8c6a7205dac8ea33a334343117a054caec0d0dd9da820808066c130a4c7",
+    ("sweedler-h4", "antipode"): "d4de159a4453886b089f26e990e5b69f10fd0c1bb6ef11f90d685102f0daec15",
+    ("sweedler-h4", "deform"): "d136094d815e9c065bd91ac0f664cb87d06b4e518093454d0597ac1ceaac05ea",
+    ("sweedler-h4", "split"): "fff6a814b9b0ec3e37898496ddb5060ccca8b1a235a45bb0adee59d5b1b11961",
+    ("sweedler-h4", "validate"): "8bc35b6eb8d2a5fed72bbc3ee5ef67424eff0b96d5c0800615a3975e825604b1",
+    ("z-cubic", "antipode"): "aa8fd196974dc439c0489f5ec6831c49b68a86f3ef45ab5c95e58f686850e3ea",
+    ("z-cubic", "deform"): "3c1d2bf6f494cf1f7b9a2395217546ae6434c8850bb37c9d941b237fce9896c6",
+    ("z-cubic", "split"): "426b2d8227d36bfcdb205df96c29ed2248ac1bb9966aa97d0f3d13d9962790bc",
+    ("z-cubic", "trivial-check"): "2f9591d43182b1dd1bf89252968254ce12cdf3803e8ac2c8cd76b2e47e08ff06",
+    ("z-cubic", "validate"): "3d2d7d89fd19c3468aeb7bcd1f9e5a3a579140ab9c93ab4df9e4068a5c6c85f9",
+    ("zd-matrix", "antipode"): "90f61da91522969221480821bacc4a1527ed5d9f737be4315fdf62e3189bd0e6",
+    ("zd-matrix", "deform"): "fb4c960809029b0043d34e1578bb7ec42594dc65de3e262dc91e9951995df966",
+    ("zd-matrix", "split"): "5521ea3384d36db8ce7fb3a2b9087534ebf3683b4992592bfb9a245f3766c79a",
+    ("zd-matrix", "validate"): "fec5e4d7e1b3878103a864e9d386c4afb045d9b71043d290f896a9ea1eada6d9",
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(COMMAND_DIGESTS))
+def test_single_command_report_digest(name, command):
+    if name == "sweedler-h4":
+        raw = {"instance": {"type": "sweedler_h4"}, "cocycle": {"type": "zero"}, "witness": {"type": "zero"}}
+    else:
+        raw = example_config(name)
+    cfg = RunConfig.from_dict({"seed": 20240817, **raw, "sample_budget": 25, "command": command})
+    text = report_json(cfg, run_config(cfg))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == COMMAND_DIGESTS[name, command]
+
+
+@pytest.mark.parametrize("command, flag", [("split", "sigma_circ_s"), ("full-report", "split:sigma_circ_s")])
+def test_split_precondition_failure_is_a_failed_flag(command, flag, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise SplitPreconditionError("σ(x) differs from σ(S x)")
+
+    monkeypatch.setattr("hopfdeform.cli.split_cocommutative", refuse)
+    out = tmp_path / "report.json"
+    cfg = {**_fast(example_config("group-hermitian"), samples=10), "command": command}
+    assert main(["--config", _write(tmp_path, cfg), "--json-out", str(out)]) == 1
+    report = json.loads(out.read_text(encoding="utf-8"))["report"]
+    assert [r["law_id"] for r in report["results"] if not r["passed"]] == [flag]
+    assert report["extras"]["split_precondition_failure"] == "σ(x) differs from σ(S x)"
+    # the suites after the splitting still run inside full-report
+    assert any(r["law_id"].startswith("star:") for r in report["results"]) == (command == "full-report")
+
+
 def test_list_examples(capsys):
     assert main(["--list-examples"]) == 0
     out = capsys.readouterr().out
@@ -276,10 +332,63 @@ def test_exit_2_on_bad_json(tmp_path, capsys):
             {**_NON_COCYCLE_ON_Z, "cocycle": {"type": "grouplike_table", "entries": [[[1], [1], 5.0], [[1], [1], 6.0]]}},
             id="grouplike_table_pair_repeated",
         ),
+        # a descriptor is a JSON object; only null or a missing key means "no witness"
+        pytest.param({**_ZERO_ON_Z, "instance": [["type", "sweedler_h4"]]}, id="instance_key_value_list"),
+        pytest.param({**_ZERO_ON_Z, "cocycle": [["type", "zero"]]}, id="cocycle_key_value_list"),
+        pytest.param({**_ZERO_ON_Z, "witness": [["type", "zero"]]}, id="witness_key_value_list"),
+        pytest.param({**_ZERO_ON_Z, "witness": 0}, id="witness_zero"),
+        pytest.param({**_ZERO_ON_Z, "witness": False}, id="witness_false"),
+        pytest.param({**_ZERO_ON_Z, "witness": []}, id="witness_empty_list"),
+        pytest.param({**_ZERO_ON_Z, "witness": ""}, id="witness_empty_string"),
+        pytest.param({**_ZERO_ON_Z, "witness": {}}, id="witness_empty_object"),
     ],
 )
 def test_exit_2_on_unknown_instance(payload, tmp_path):
     assert main(["--config", _write(tmp_path, payload)]) == 2
+
+
+def _no_sampler(*args, **kwargs):
+    raise AssertionError("a sample was drawn before the configuration was read")
+
+
+_BAD_PAIRS = {"key_of_wrong_length": [[[1], [1, 2]]], "triple": [[[1], [1], [1]]], "single": [[[0], [1]], [[1]]]}
+
+
+@pytest.mark.parametrize(
+    "payload, code",
+    [
+        *(
+            pytest.param(
+                {**example_config("z-cubic"), "command": command, "tabulate": pairs}, 2, id=f"{name}-{command}"
+            )
+            for name, pairs in _BAD_PAIRS.items()
+            for command in COMMANDS
+        ),
+        pytest.param(
+            {**_NON_COCYCLE_ON_Z, "command": "deform", "tabulate": [[[1], "x"]]}, 2, id="deform_non_cocycle"
+        ),
+        pytest.param(
+            {**example_config("oscillator"), "sample_budget": 800, "tabulate": [["x", [1, 2]]]}, 2,
+            id="oscillator_full_report_budget_800",
+        ),
+        # a missing involution keeps its exit code 3
+        pytest.param(
+            {**_ZERO_ON_Z, "instance": {"type": "group_algebra_zd", "d": 1, "star": False},
+             "require_star": True, "tabulate": [[[1], [1, 2]]]}, 3,
+            id="star_without_involution",
+        ),
+    ],
+)
+def test_a_bad_tabulate_entry_ends_the_run_before_sampling(payload, code, tmp_path, monkeypatch):
+    monkeypatch.setattr("hopfdeform.cli.ElementSampler", _no_sampler)
+    assert main(["--config", _write(tmp_path, payload)]) == code
+
+
+def test_an_involution_naming_an_unknown_generator_exits_2(tmp_path, capsys):
+    instance = {"type": "symmetric_star", "generators": ["x", "y"], "involution": [["x", "z"]]}
+    cfg = {**_ZERO_ON_OSC, "instance": instance}
+    assert main(["--config", _write(tmp_path, cfg)]) == 2
+    assert "'z' is not a generator" in capsys.readouterr().err
 
 
 def test_integral_floats_read_as_integers():
