@@ -9,6 +9,8 @@ The whole configuration, ``tabulate`` keys included, is read before the
 first sample is drawn.  A single command runs its row of ``_SUITES``;
 ``full-report`` runs every row whose condition holds, under its prefix.
 
+Each override flag (--seed, --samples, --tolerance, --t-grid, --command)
+replaces its field in the JSON configuration, which is first read as given.
 Reports are bit-identical for identical (config, seed) pairs; the seed
 falls back to the HOPFDEFORM_SEED environment variable when neither the
 configuration nor --seed provides one.
@@ -29,8 +31,8 @@ from .config import (
     build_cocycle,
     build_instance,
     build_witness,
-    load_config,
     parse_key,
+    read_json,
 )
 from .deformation import (
     Deformation,
@@ -60,16 +62,6 @@ def _classifier_laws(report: Report, classifier, cfg: RunConfig, samples: int) -
         if recorded:
             report.add(law_id, statement, samples, classifier.residuals[law_id], cfg.tolerances["law"])
     report.extras["classifier"] = classifier.to_dict()
-
-
-def _key_pairs(cfg: RunConfig, instance) -> list:
-    """The ``tabulate`` key pairs, read before any sample is drawn."""
-    pairs = []
-    for raw_pair in cfg.tabulate:
-        if len(raw_pair) != 2:
-            raise ConfigError(f"tabulate entries are key pairs, got {raw_pair!r}")
-        pairs.append(tuple(parse_key(instance, raw) for raw in raw_pair))
-    return pairs
 
 
 def _tabulate(report: Report, D: Deformation, pairs: list, t_grid, antipode: bool) -> None:
@@ -137,11 +129,10 @@ def _run_command(cfg: RunConfig, report: Report) -> None:
     instance = build_instance(cfg.instance, cfg.tolerances)
     cocycle = build_cocycle(cfg.cocycle, instance)
     witness = None if cfg.witness is None else build_witness(cfg.witness, instance, cocycle)
-    if cfg.command == "trivial-check" and witness is None:
-        raise ConfigError("trivial-check needs a 'witness' descriptor")
     if cfg.require_star:
         instance.require_star()
-    pairs = _key_pairs(cfg, instance)
+    # the tabulated keys too are read before any sample is drawn
+    pairs = [tuple(parse_key(instance, raw) for raw in pair) for pair in cfg.tabulate]
 
     sampler = ElementSampler(instance, cfg.seed, budget=cfg.sample_budget, **cfg.sampler)
     tol = cfg.tolerances["law"]
@@ -209,6 +200,11 @@ def _print_summary(cfg: RunConfig, report: Report, out) -> None:
     print(f"overall: {'PASS' if report.overall_pass else 'FAIL'}", file=out)
 
 
+def grid(text: str) -> list:
+    """The ``--t-grid`` flag's comma-separated numbers, as a list."""
+    return [float(t) for t in text.split(",") if t.strip()]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopfdeform",
@@ -221,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="override the sampling seed")
     parser.add_argument("--samples", type=int, help="override the sample budget")
     parser.add_argument("--tolerance", type=float, help="override the law tolerance")
-    parser.add_argument("--t-grid", help="override the parameter grid, e.g. '-1,0,1'")
+    parser.add_argument("--t-grid", type=grid, help="override the parameter grid, e.g. '-1,0,1'")
     parser.add_argument("--command", help=f"override the command ({', '.join(COMMANDS)})")
     return parser
 
@@ -238,30 +234,27 @@ def main(argv=None) -> int:
         if args.config and args.example:
             raise ConfigError("give either --config or --example, not both")
         if args.config:
-            cfg = load_config(args.config)
+            raw = read_json(args.config)
         elif args.example:
             try:
                 raw = example_config(args.example)
             except KeyError as exc:
                 raise ConfigError(str(exc)) from exc
-            cfg = RunConfig.from_dict(raw)
         else:
             raise ConfigError("nothing to run: give --config, --example or --list-examples")
-
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.samples is not None:
-            cfg.sample_budget = args.samples
-        if args.tolerance is not None:
-            cfg.tolerances["law"] = args.tolerance
-        if args.t_grid is not None:
-            try:
-                cfg.t_grid = [float(t) for t in args.t_grid.split(",") if t.strip()]
-            except ValueError as exc:
-                raise ConfigError(f"cannot parse --t-grid {args.t_grid!r}") from exc
-        if args.command is not None:
-            cfg.command = args.command
-        cfg.check()
+        # the configuration is read as given first, so that a bad value exits 2
+        # even where a flag replaces it; then each flag replaces its field
+        cfg = RunConfig.from_dict(raw)
+        flags = {
+            "seed": args.seed,
+            "sample_budget": args.samples,
+            "tolerances": None if args.tolerance is None else {**raw.get("tolerances", {}), "law": args.tolerance},
+            "t_grid": args.t_grid,
+            "command": args.command,
+        }
+        flags = {name: value for name, value in flags.items() if value is not None}
+        if flags:
+            cfg = RunConfig.from_dict({**raw, **flags})
 
         report = run_config(cfg)
     except ConfigError as exc:

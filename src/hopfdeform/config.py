@@ -1,26 +1,20 @@
 """Run configuration: JSON descriptors for instances, cocycles and witnesses.
 
-Complex scalars appear in configs as ``[re, im]`` pairs (plain numbers are
-accepted and read as real).  Matrices are nested arrays of such pairs.
-Descriptor shapes:
-
-* instance: ``{"type": "group_algebra_zd", "d": 2, "star": true}``,
-  ``{"type": "symmetric_star", "generators": ["x", "xstar"],
-  "involution": [["x", "xstar"]]}``, or ``{"type": "sweedler_h4"}``.
-* cocycle: ``{"type": "zd_matrix", "matrix": ...}``,
-  ``{"type": "z_polynomial", "coeffs": [[p, q, c], ...]}``,
-  ``{"type": "primitive_bilinear", "matrix": ...}``,
-  ``{"type": "grouplike_table", "entries": [[k, l, c], ...], "expr": "..."}``
-  or ``{"type": "zero"}``.
-* witness (``null`` or absent for none): ``{"type": "grouplike_expression", "expr": "-(k**3)/3"}``,
-  ``{"type": "pbw_trivializer"}`` or ``{"type": "zero"}``.
+``RunConfig.from_dict`` reads and checks every setting of a run once; the
+command line writes its flags into the JSON before it is read.  Complex
+scalars appear in configs as ``[re, im]`` pairs (plain numbers are accepted
+and read as real).  Matrices are nested arrays of such pairs.  A descriptor
+is a JSON object whose ``type`` names a row of ``_INSTANCES``, ``_COCYCLES``
+or ``_WITNESSES``: these tables are the one list of descriptor types and of
+the fields each type reads, for example ``{"type": "group_algebra_zd", "d":
+2, "star": true}``.  Only the witness may be ``null`` or absent, for none.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .core import BialgebraInstance
 from .cohomology import DEFAULT_TOL
@@ -84,6 +78,25 @@ def _descriptor(raw: dict, name: str) -> dict | None:
     return dict(desc)
 
 
+# the least value of a sampler setting or a tolerance, where it is not 0
+_LEAST = {"max_support": 1}
+
+
+def _settings(raw: dict, name: str, defaults: dict, read) -> dict:
+    """The JSON object ``raw[name]`` over ``defaults``, each value read by ``read`` and none below _LEAST."""
+    given = raw.get(name, {})
+    if not isinstance(given, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {given!r}")
+    unknown = set(given) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown {name} settings: {sorted(unknown)}")
+    values = {k: read(v, f"{name} {k}") for k, v in {**defaults, **given}.items()}
+    for k, v in values.items():
+        if v < _LEAST.get(k, 0):
+            raise ConfigError(f"{name} {k} must be >= {_LEAST.get(k, 0)}, got {v!r}")
+    return values
+
+
 @dataclass
 class RunConfig:
     instance: dict
@@ -98,186 +111,104 @@ class RunConfig:
     command: str = "full-report"
     tabulate: list = field(default_factory=list)
 
+    # the JSON form a report echoes; from_dict reads it back to an equal config
+    to_dict = asdict
+
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        """Read and check every setting of a run once, each to its final type."""
         if not isinstance(raw, dict):
             raise ConfigError("configuration must be a JSON object")
-        unknown = set(raw) - {
-            "instance", "cocycle", "witness", "t_grid", "seed", "sample_budget",
-            "tolerances", "sampler", "require_star", "command", "tabulate",
-        }
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown configuration fields: {sorted(unknown)}")
-        if "instance" not in raw or "cocycle" not in raw:
-            raise ConfigError("configuration needs 'instance' and 'cocycle' descriptors")
-        env_seed = os.environ.get("HOPFDEFORM_SEED")
-        try:
-            default_seed = int(env_seed) if env_seed else 20240817
-        except ValueError as exc:
-            raise ConfigError(f"HOPFDEFORM_SEED is not an integer: {exc}") from exc
-        try:
-            cfg = cls(
-                instance=_descriptor(raw, "instance"),
-                cocycle=_descriptor(raw, "cocycle"),
-                witness=_descriptor(raw, "witness"),
-                t_grid=[read_float(t, "every t_grid value") for t in raw.get("t_grid", DEFAULT_T_GRID)],
-                seed=read_int(raw.get("seed", default_seed), "seed"),
-                sample_budget=read_int(raw.get("sample_budget", 200), "sample_budget"),
-                tolerances={**DEFAULT_TOLERANCES, **raw.get("tolerances", {})},
-                sampler={
-                    k: read_int(v, f"sampler {k}")
-                    for k, v in {**DEFAULT_SAMPLER, **raw.get("sampler", {})}.items()
-                },
-                require_star=raw.get("require_star", False),
-                command=str(raw.get("command", "full-report")),
-                tabulate=[list(p) for p in raw.get("tabulate", [])],
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"cannot read a configuration value: {exc}") from exc
-        cfg.check()
+        default_seed = read_int(os.environ.get("HOPFDEFORM_SEED") or cls.seed, "HOPFDEFORM_SEED")
+        t_grid = raw.get("t_grid", DEFAULT_T_GRID)
+        if not isinstance(t_grid, (list, tuple)) or not t_grid:
+            raise ConfigError(f"t_grid must be a non-empty list of numbers, got {t_grid!r}")
+        # a string or an object of two entries is not a pair: list() would split it
+        tabulate = raw.get("tabulate", [])
+        if not isinstance(tabulate, list) or not all(isinstance(p, list) and len(p) == 2 for p in tabulate):
+            raise ConfigError(f"tabulate must be a list of key pairs, got {tabulate!r}")
+        cfg = cls(
+            instance=_descriptor(raw, "instance"),
+            cocycle=_descriptor(raw, "cocycle"),
+            witness=_descriptor(raw, "witness"),
+            t_grid=[read_float(t, "every t_grid value") for t in t_grid],
+            seed=read_int(raw.get("seed", default_seed), "seed"),
+            sample_budget=read_int(raw.get("sample_budget", cls.sample_budget), "sample_budget"),
+            tolerances=_settings(raw, "tolerances", DEFAULT_TOLERANCES, read_float),
+            sampler=_settings(raw, "sampler", DEFAULT_SAMPLER, read_int),
+            require_star=raw.get("require_star", cls.require_star),
+            command=raw.get("command", cls.command),
+            tabulate=[list(p) for p in tabulate],
+        )
+        if cfg.sample_budget < 1:
+            raise ConfigError("sample_budget must be >= 1")
+        if not isinstance(cfg.require_star, bool):
+            raise ConfigError(f"require_star must be true or false, got {cfg.require_star!r}")
+        if cfg.command not in COMMANDS:
+            raise ConfigError(f"unknown command {cfg.command!r}; choose from {COMMANDS}")
+        if cfg.command == "trivial-check" and cfg.witness is None:
+            raise ConfigError("trivial-check needs a 'witness' descriptor")
         return cfg
 
-    def check(self) -> None:
-        """Reject settings no run can use, after parsing and after any override."""
-        if not self.t_grid:
-            raise ConfigError("t_grid must not be empty")
-        for t in self.t_grid:
-            read_float(t, "every t_grid value")
-        if self.sample_budget < 1:
-            raise ConfigError("sample_budget must be >= 1")
-        unknown = set(self.sampler) - set(DEFAULT_SAMPLER)
-        if unknown:
-            raise ConfigError(f"unknown sampler settings: {sorted(unknown)}")
-        for name, low in (("coord_bound", 0), ("max_degree", 0), ("max_support", 1)):
-            if self.sampler[name] < low:
-                raise ConfigError(f"sampler {name} must be >= {low}")
-        unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
-        if unknown:
-            raise ConfigError(f"unknown tolerances: {sorted(unknown)}")
-        for name, tol in self.tolerances.items():
-            if read_float(tol, f"tolerance {name!r}") < 0:
-                raise ConfigError(f"tolerance {name!r} must be >= 0, got {tol!r}")
-        if not isinstance(self.require_star, bool):
-            raise ConfigError(f"require_star must be true or false, got {self.require_star!r}")
-        if self.command not in COMMANDS:
-            raise ConfigError(f"unknown command {self.command!r}; choose from {COMMANDS}")
 
-    def to_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "cocycle": self.cocycle,
-            "witness": self.witness,
-            "t_grid": [float(t) for t in self.t_grid],
-            "seed": self.seed,
-            "sample_budget": self.sample_budget,
-            "tolerances": {k: float(v) for k, v in sorted(self.tolerances.items())},
-            "sampler": {k: int(v) for k, v in sorted(self.sampler.items())},
-            "require_star": self.require_star,
-            "command": self.command,
-            "tabulate": self.tabulate,
-        }
+def read_json(path: str):
+    """The JSON value in the file at ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read configuration {path!r}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep to parse
+        raise ConfigError(f"configuration {path!r} is not valid JSON: {exc}") from exc
 
 
 def load_config(path: str) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read configuration {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"configuration {path!r} is not valid JSON: {exc}") from exc
-    return RunConfig.from_dict(raw)
+    return RunConfig.from_dict(read_json(path))
 
 
 # -- descriptor resolution -------------------------------------------------------
 
 
-# the fields each descriptor type reads besides "type"
-_DESCRIPTOR_FIELDS = {
-    "group_algebra_zd": ("d", "star"), "symmetric_star": ("generators", "involution"), "sweedler_h4": (),
-    "zd_matrix": ("matrix",), "z_polynomial": ("coeffs",), "primitive_bilinear": ("matrix",),
-    "grouplike_table": ("entries", "expr"), "grouplike_expression": ("expr",), "pbw_trivializer": (), "zero": (),
-}
+def _group_algebra_zd(desc: dict) -> BialgebraInstance:
+    d = read_int(desc.get("d", 1), "instance d")
+    with_star = desc.get("star", True)
+    if not isinstance(with_star, bool):
+        raise ConfigError(f"instance star must be true or false, got {with_star!r}")
+    return inst_mod.group_algebra_zd(d, with_star=with_star)
 
 
-def _only_fields(desc: dict) -> None:
-    """Reject a field that the descriptor's type does not read; an unknown type is the caller's to reject."""
-    unknown = set(desc) - {"type", *_DESCRIPTOR_FIELDS.get(desc.get("type"), desc)}
-    if unknown:
-        raise ConfigError(f"unknown {desc['type']} descriptor fields: {sorted(unknown)}")
+def _symmetric_star(desc: dict) -> BialgebraInstance:
+    gens = desc.get("generators")
+    if not isinstance(gens, list) or not gens or not all(isinstance(g, str) and g for g in gens):
+        raise ConfigError(f"symmetric_star needs a non-empty 'generators' list of names, got {gens!r}")
+    # only a missing or null involution means none; false, 0 or {} is not read as none
+    pairs = desc.get("involution")
+    if pairs is not None and (not isinstance(pairs, list) or not pairs):
+        raise ConfigError(f"involution must be a non-empty list of name pairs or null, got {pairs!r}")
+    involution = None if pairs is None else {}
+    for pair in pairs or ():
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError(f"involution entries are pairs, got {pair!r}")
+        involution[pair[0]] = pair[1]
+        involution[pair[1]] = pair[0]
+    return inst_mod.symmetric_star_algebra(gens, involution=involution)
 
 
-def build_instance(desc: dict, tolerances: dict | None = None) -> BialgebraInstance:
-    kind = desc.get("type")
-    try:
-        _only_fields(desc)
-        if kind == "group_algebra_zd":
-            d = read_int(desc.get("d", 1), "instance d")
-            with_star = desc.get("star", True)
-            if not isinstance(with_star, bool):
-                raise ConfigError(f"instance star must be true or false, got {with_star!r}")
-            inst = inst_mod.group_algebra_zd(d, with_star=with_star)
-        elif kind == "symmetric_star":
-            gens = desc.get("generators")
-            if not isinstance(gens, list) or not gens or not all(isinstance(g, str) and g for g in gens):
-                raise ConfigError(f"symmetric_star needs a non-empty 'generators' list of names, got {gens!r}")
-            involution = None
-            if desc.get("involution"):
-                involution = {}
-                for pair in desc["involution"]:
-                    if not isinstance(pair, list) or len(pair) != 2:
-                        raise ConfigError(f"involution entries are pairs, got {pair!r}")
-                    involution[pair[0]] = pair[1]
-                    involution[pair[1]] = pair[0]
-            inst = inst_mod.symmetric_star_algebra(gens, involution=involution)
-        elif kind == "sweedler_h4":
-            inst = inst_mod.sweedler_h4()
-        else:
-            raise ConfigError(f"unknown instance type {kind!r}")
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"cannot build instance {kind!r}: {exc}") from exc
-    if tolerances:
-        inst.eq_eps = float(tolerances.get("eq", inst.eq_eps))
-        inst.prune_eps = float(tolerances.get("prune", inst.prune_eps))
-    return inst
+def _z_polynomial(desc: dict, instance: BialgebraInstance) -> Cochain:
+    coeffs = [
+        (read_int(p, "z_polynomial exponent"), read_int(q, "z_polynomial exponent"), parse_complex(c))
+        for p, q, c in desc["coeffs"]
+    ]
+    return inst_mod.make_z_polynomial_cocycle(instance, coeffs)
 
 
-def build_cocycle(desc: dict, instance: BialgebraInstance) -> Cochain:
-    kind = desc.get("type")
-    try:
-        _only_fields(desc)
-        if kind == "zd_matrix":
-            return inst_mod.make_zd_matrix_cocycle(instance, parse_matrix(desc["matrix"]))
-        if kind == "z_polynomial":
-            coeffs = [
-                (read_int(p, "z_polynomial exponent"), read_int(q, "z_polynomial exponent"), parse_complex(c))
-                for p, q, c in desc["coeffs"]
-            ]
-            return inst_mod.make_z_polynomial_cocycle(instance, coeffs)
-        if kind == "primitive_bilinear":
-            return inst_mod.make_primitive_bilinear_cocycle(instance, parse_matrix(desc["matrix"]))
-        if kind == "grouplike_table":
-            table = _grouplike_table(desc.get("entries", []), instance)
-            return inst_mod.make_grouplike_expression_cochain(
-                instance, desc.get("expr", ""), arity=2, table=table or None
-            )
-        if kind == "zero":
-            return zero_cochain(instance, 2)
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"cocycle descriptor missing field {exc}") from exc
-    except Exception as exc:
-        raise ConfigError(f"cannot build cocycle {kind!r}: {exc}") from exc
-    raise ConfigError(f"unknown cocycle type {kind!r}")
-
-
-def _grouplike_table(entries, instance: BialgebraInstance) -> dict:
+def _grouplike_table(desc: dict, instance: BialgebraInstance) -> Cochain:
     """Read ``[k, l, c]`` entries; a key the instance cannot hold, or a repeated (k, l), names its entry."""
     table = {}
-    for entry in entries:
+    for entry in desc.get("entries", []):
         try:
             k, l, c = entry
             key_pair, value = (parse_key(instance, k), parse_key(instance, l)), parse_complex(c)
@@ -286,31 +217,76 @@ def _grouplike_table(entries, instance: BialgebraInstance) -> dict:
         if key_pair in table:
             raise ConfigError(f"grouplike_table entry {entry!r} repeats the pair {key_pair}")
         table[key_pair] = value
-    return table
+    return inst_mod.make_grouplike_expression_cochain(instance, desc.get("expr", ""), arity=2, table=table or None)
 
 
-def build_witness(desc: dict, instance: BialgebraInstance, cocycle: Cochain) -> Cochain:
+def _pbw_trivializer(desc: dict, instance: BialgebraInstance, cocycle: Cochain) -> Cochain:
+    # the normal-order functional psi satisfies L + d(psi) = 0 when the
+    # cocycle is symmetric on generators, so -psi is the witness of L
+    psi = inst_mod.make_trivializing_functional(instance, cocycle)
+    return cochain_scale(-1.0, psi, name="pbw_witness")
+
+
+# One table per descriptor role, the one list of descriptor types: each row
+# maps a type to the fields it reads besides "type" and to its builder, which
+# takes the descriptor and the role's arguments.  A builder looks library
+# functions up when it is called, so a wrapped or patched function is used.
+_INSTANCES = {
+    "group_algebra_zd": (("d", "star"), _group_algebra_zd),
+    "symmetric_star": (("generators", "involution"), _symmetric_star),
+    "sweedler_h4": ((), lambda desc: inst_mod.sweedler_h4()),
+}
+_COCYCLES = {
+    "zd_matrix": (("matrix",), lambda desc, instance: inst_mod.make_zd_matrix_cocycle(
+        instance, parse_matrix(desc["matrix"]))),
+    "z_polynomial": (("coeffs",), _z_polynomial),
+    "primitive_bilinear": (("matrix",), lambda desc, instance: inst_mod.make_primitive_bilinear_cocycle(
+        instance, parse_matrix(desc["matrix"]))),
+    "grouplike_table": (("entries", "expr"), _grouplike_table),
+    "zero": ((), lambda desc, instance: zero_cochain(instance, 2)),
+}
+_WITNESSES = {
+    "grouplike_expression": (("expr",), lambda desc, instance, cocycle: inst_mod.make_grouplike_expression_cochain(
+        instance, desc["expr"], arity=1)),
+    "pbw_trivializer": ((), _pbw_trivializer),
+    "zero": ((), lambda desc, instance, cocycle: zero_cochain(instance, 1)),
+}
+
+
+def _build(role: str, table: dict, desc: dict, *args):
+    """Build ``desc`` by its row of ``table``; an unknown type or field, or a builder failure, is a ConfigError."""
     kind = desc.get("type")
     try:
-        _only_fields(desc)
-        if kind == "grouplike_expression":
-            return inst_mod.make_grouplike_expression_cochain(
-                instance, desc["expr"], arity=1
-            )
-        if kind == "pbw_trivializer":
-            # the normal-order functional psi satisfies L + d(psi) = 0 when the
-            # cocycle is symmetric on generators, so -psi is the witness of L
-            psi = inst_mod.make_trivializing_functional(instance, cocycle)
-            return cochain_scale(-1.0, psi, name="pbw_witness")
-        if kind == "zero":
-            return zero_cochain(instance, 1)
+        fields_read, builder = table[kind]
+    except (KeyError, TypeError):  # a type that is unknown, or not even hashable
+        raise ConfigError(f"unknown {role} type {kind!r}") from None
+    unknown = set(desc) - {"type", *fields_read}
+    if unknown:
+        raise ConfigError(f"unknown {kind} descriptor fields: {sorted(unknown)}")
+    try:
+        return builder(desc, *args)
     except ConfigError:
         raise
     except KeyError as exc:
-        raise ConfigError(f"witness descriptor missing field {exc}") from exc
+        raise ConfigError(f"{role} descriptor missing field {exc}") from exc
     except Exception as exc:
-        raise ConfigError(f"cannot build witness {kind!r}: {exc}") from exc
-    raise ConfigError(f"unknown witness type {kind!r}")
+        raise ConfigError(f"cannot build {role} {kind!r}: {exc}") from exc
+
+
+def build_instance(desc: dict, tolerances: dict | None = None) -> BialgebraInstance:
+    inst = _build("instance", _INSTANCES, desc)
+    if tolerances:
+        inst.eq_eps = float(tolerances.get("eq", inst.eq_eps))
+        inst.prune_eps = float(tolerances.get("prune", inst.prune_eps))
+    return inst
+
+
+def build_cocycle(desc: dict, instance: BialgebraInstance) -> Cochain:
+    return _build("cocycle", _COCYCLES, desc, instance)
+
+
+def build_witness(desc: dict, instance: BialgebraInstance, cocycle: Cochain) -> Cochain:
+    return _build("witness", _WITNESSES, desc, instance, cocycle)
 
 
 def parse_key(instance: BialgebraInstance, raw):

@@ -8,7 +8,6 @@ are constructed once through the same descriptor resolution the CLI uses.
 import itertools
 import json
 
-import numpy as np
 import pytest
 
 import hopfdeform as hd
@@ -67,6 +66,11 @@ class Example:
 @pytest.fixture(scope="module")
 def examples():
     return {name: Example(name) for name in example_names()}
+
+
+def _form(k, A, l):
+    """k·A·lᵀ for a square matrix ``A`` of nested lists."""
+    return sum(k[i] * A[i][j] * l[j] for i in range(len(k)) for j in range(len(l)))
 
 
 def _emit(num, label, ok, detail=""):
@@ -181,15 +185,13 @@ def test_criterion_06_sigma_calculus(examples):
 
     for name in ("zd-matrix", "group-hermitian"):
         ex = examples[name]
-        A = np.array(
-            [[complex(c[0], c[1]) for c in row] for row in ex.cfg.cocycle["matrix"]]
-        )
+        A = [[complex(c[0], c[1]) for c in row] for row in ex.cfg.cocycle["matrix"]]
         sig = ex.deformation.sigma()
         res = 0.0
         for k1 in range(-5, 6):
             for k2 in range(-5, 6):
-                k = np.array([k1, k2])
-                res = max(res, abs(sig.value((((k1, k2),))) - (-(k @ A @ k))))
+                k = (k1, k2)
+                res = max(res, abs(sig.value((((k1, k2),))) - (-_form(k, A, k))))
         ok = ok and res <= 1e-9
         detail.append(f"{name} sigma: {res:.2e}")
 
@@ -219,12 +221,12 @@ def test_criterion_07_splitting(examples):
     detail = []
 
     ex = examples["zd-matrix"]
-    A = np.array([[complex(c[0], c[1]) for c in row] for row in ex.cfg.cocycle["matrix"]])
+    A = [[complex(c[0], c[1]) for c in row] for row in ex.cfg.cocycle["matrix"]]
     L1, L2, rep = split_cocommutative(ex.deformation, ex.sampler.spawn(1_007), GRID, samples=200)
-    skew = (A - A.T) / 2
+    skew = [[(A[i][j] - A[j][i]) / 2 for j in range(2)] for i in range(2)]
     res = 0.0
     for k1, k2, l1, l2 in itertools.product(range(-5, 6), repeat=4):
-        want = np.array([k1, k2]) @ skew @ np.array([l1, l2])
+        want = _form((k1, k2), skew, (l1, l2))
         res = max(res, abs(L2.value((((k1, k2), (l1, l2)))) - want))
     ok = ok and res <= 1e-9 and rep.overall_pass
     const = next(r for r in rep.results if r.law_id == "l2_constant_antipodes")

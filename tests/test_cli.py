@@ -34,6 +34,8 @@ _NON_COCYCLE_ON_Z = {
     "cocycle": {"type": "z_polynomial", "coeffs": [[1, 0, [0.001, 0]]]},
     "command": "validate",
 }
+_OSC_INSTANCE = _ZERO_ON_OSC["instance"]
+_H4_ZERO = {"instance": {"type": "sweedler_h4"}, "cocycle": {"type": "zero"}}
 _ZD_SMALL = json.loads((DATA / "zd_matrix_small.json").read_text(encoding="utf-8"))
 
 
@@ -341,6 +343,16 @@ def test_exit_2_on_bad_json(tmp_path, capsys):
         pytest.param({**_ZERO_ON_Z, "witness": []}, id="witness_empty_list"),
         pytest.param({**_ZERO_ON_Z, "witness": ""}, id="witness_empty_string"),
         pytest.param({**_ZERO_ON_Z, "witness": {}}, id="witness_empty_object"),
+        # likewise only a null or missing involution means "no involution"
+        pytest.param({**_ZERO_ON_OSC, "instance": {**_OSC_INSTANCE, "involution": False}}, id="involution_false"),
+        pytest.param({**_ZERO_ON_OSC, "instance": {**_OSC_INSTANCE, "involution": 0}}, id="involution_zero"),
+        pytest.param({**_ZERO_ON_OSC, "instance": {**_OSC_INSTANCE, "involution": ""}}, id="involution_empty_string"),
+        pytest.param({**_ZERO_ON_OSC, "instance": {**_OSC_INSTANCE, "involution": {}}}, id="involution_empty_object"),
+        pytest.param({**_ZERO_ON_OSC, "instance": {**_OSC_INSTANCE, "involution": []}}, id="involution_empty_list"),
+        pytest.param(
+            {**_ZERO_ON_OSC, "instance": {**_OSC_INSTANCE, "involution": 0}, "require_star": True},
+            id="involution_zero_with_require_star",
+        ),
     ],
 )
 def test_exit_2_on_unknown_instance(payload, tmp_path):
@@ -371,6 +383,12 @@ _BAD_PAIRS = {"key_of_wrong_length": [[[1], [1, 2]]], "triple": [[[1], [1], [1]]
             {**example_config("oscillator"), "sample_budget": 800, "tabulate": [["x", [1, 2]]]}, 2,
             id="oscillator_full_report_budget_800",
         ),
+        # tabulate is a list of two-entry lists; a string or an object is not split into a pair
+        pytest.param({**_H4_ZERO, "command": "deform", "tabulate": {"gx": 1}}, 2, id="h4_tabulate_object"),
+        pytest.param({**_H4_ZERO, "command": "deform", "tabulate": ["gx"]}, 2, id="h4_tabulate_string_entry"),
+        pytest.param(
+            {**_H4_ZERO, "command": "deform", "tabulate": [{"g": 0, "x": 0}]}, 2, id="h4_tabulate_object_entry"
+        ),
         # a missing involution keeps its exit code 3
         pytest.param(
             {**_ZERO_ON_Z, "instance": {"type": "group_algebra_zd", "d": 1, "star": False},
@@ -382,6 +400,30 @@ _BAD_PAIRS = {"key_of_wrong_length": [[[1], [1, 2]]], "triple": [[[1], [1], [1]]
 def test_a_bad_tabulate_entry_ends_the_run_before_sampling(payload, code, tmp_path, monkeypatch):
     monkeypatch.setattr("hopfdeform.cli.ElementSampler", _no_sampler)
     assert main(["--config", _write(tmp_path, payload)]) == code
+
+
+def test_a_bad_file_value_exits_2_although_a_flag_replaces_it(tmp_path):
+    cfg = {**_fast(example_config("z-cubic")), "seed": "x"}
+    assert main(["--config", _write(tmp_path, cfg), "--seed", "5"]) == 2
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        pytest.param('{"instance": {"type": "é"}}'.encode("latin-1"), id="not_utf8"),
+        pytest.param(b"[" * 200_000 + b"]" * 200_000, id="nested_too_deep"),
+    ],
+)
+def test_exit_2_on_a_config_file_json_cannot_read(data, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    assert main(["--config", str(path)]) == 2
+
+
+def test_a_t_grid_flag_that_is_not_numbers_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["--example", "z-cubic", "--t-grid=a,1"])
+    assert exc.value.code == 2
 
 
 def test_an_involution_naming_an_unknown_generator_exits_2(tmp_path, capsys):
@@ -676,6 +718,41 @@ def test_a_mutated_config_ends_in_an_exit_code(tmp_path_factory, mutant):
     path_out = tmp_path_factory.getbasetemp() / "mutant.json"
     path_out.write_text(json.dumps(_mutate(config, path, replacement)), encoding="utf-8")
     assert main(["--config", str(path_out), "--samples", "6"]) in (0, 1, 2, 3)
+
+
+# a dyadic complex scalar with |re|, |im| <= 1/4: the finite-difference laws
+# miss by about h·|L|²/2 against a tolerance of 10·h, so larger entries fail
+# them without any fault in the program
+_SMALL_SCALAR = st.lists(st.integers(-2, 2).map(lambda n: n / 8), min_size=2, max_size=2)
+
+
+@st.composite
+def _small_generator(draw) -> dict:
+    """A zd_matrix cocycle on Z^d, d <= 3, or a primitive_bilinear pairing of 2 or 3 generators."""
+    if draw(st.booleans()):
+        size = draw(st.integers(1, 3))
+        instance = {"type": "group_algebra_zd", "d": size}
+        cocycle, sampler = "zd_matrix", {"coord_bound": 1}
+    else:
+        size = draw(st.integers(2, 3))
+        instance = {"type": "symmetric_star", "generators": [f"g{i + 1}" for i in range(size)]}
+        cocycle, sampler = "primitive_bilinear", {"max_degree": 2}
+    row = st.lists(_SMALL_SCALAR, min_size=size, max_size=size)
+    return {
+        "instance": instance,
+        "cocycle": {"type": cocycle, "matrix": draw(st.lists(row, min_size=size, max_size=size))},
+        "sampler": sampler,
+        "seed": draw(st.integers(1, 2**31 - 1)),
+        "sample_budget": 10,
+    }
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_small_generator())
+def test_a_small_random_generator_validates_and_deforms(raw):
+    for command in ("validate", "deform"):
+        report = run_config(RunConfig.from_dict({**raw, "command": command}))
+        assert report.overall_pass, (command, [r.law_id for r in report.failures()])
 
 
 @pytest.mark.parametrize("name", example_names())
