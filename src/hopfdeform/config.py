@@ -206,7 +206,7 @@ def _z_polynomial(desc: dict, instance: BialgebraInstance) -> Cochain:
 
 
 def _grouplike_table(desc: dict, instance: BialgebraInstance) -> Cochain:
-    """Read ``[k, l, c]`` entries; a key the instance cannot hold, or a repeated (k, l), names its entry."""
+    """``expr`` with ``[k, l, c]`` entries; a key the instance cannot hold, or a repeated pair, names its entry."""
     table = {}
     for entry in desc.get("entries", []):
         try:
