@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 from .core import BialgebraInstance
 from .cohomology import DEFAULT_TOL
@@ -111,8 +111,9 @@ class RunConfig:
     command: str = "full-report"
     tabulate: list = field(default_factory=list)
 
-    # the JSON form a report echoes; from_dict reads it back to an equal config
-    to_dict = asdict
+    def to_dict(self) -> dict:
+        """The JSON form a report echoes; from_dict reads it back to an equal config."""
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":

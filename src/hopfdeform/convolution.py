@@ -7,19 +7,21 @@ coproduct Λ of the tensor-square bialgebra); the counit is the ⋆-unit.
 
 Termination of the convolution exponential ``e_⋆^{tf}`` is certified per
 instance kind rather than analytically.  This is the central engineering
-decision of the whole package:
+decision of the whole package.  A certified exponential has one of two
+forms:
 
-* ``GROUPLIKE_BASIS``: every basis tuple u is grouplike for the
-  tensor-power coproduct, so ``f^{⋆k}(u) = f(u)^k`` and the exponential
-  collapses to the scalar ``exp(t·f(u))``.
-* ``GRADED_CONNECTED``: a normalized functional vanishes on the unique
-  degree-0 basis tuple, so ``f^{⋆k}(u) = 0`` exactly for k above the
-  total degree of u and the series is a finite sum (evaluated as a
-  polynomial in t whose coefficients are cached per tuple).
-* ``FINITE``: only the zero functional carries a certificate; its
-  exponential is the counit.  Anything else is refused.
+* the closed form, on ``GROUPLIKE_BASIS`` instances: every basis tuple u
+  is grouplike for the tensor-power coproduct, so ``f^{⋆k}(u) = f(u)^k``
+  and the exponential collapses to the scalar ``exp(t·f(u))``;
+* a polynomial in t everywhere else, whose Taylor coefficients
+  ``f^{⋆k}(u)/k!`` are cached per tuple.  On ``GRADED_CONNECTED``
+  instances a normalized functional vanishes on the unique degree-0 basis
+  tuple, so ``f^{⋆k}(u) = 0`` exactly for k above the total degree of u.
+  On ``FINITE`` instances only the zero functional is certified, and its
+  exponential is the counit, the polynomial of degree 0.  Anything else
+  is refused.
 
-Both strategies are defined for every real t, so negative deformation
+Both forms are defined for every real t, so negative deformation
 parameters need no special treatment anywhere downstream.
 
 t enters a map ``A ⋆ e_⋆^{tf}`` only through the scalar exponential, so
@@ -83,13 +85,12 @@ class Cochain:
 
     Arity 0 is a single scalar (the empty tuple).  Values are memoized per
     basis tuple; rules must be pure.  The nonzero legs of each tuple's
-    coproduct, convolution powers, Taylor coefficients of the exponential
-    and its strategy are memoized too.
+    coproduct, convolution powers and Taylor coefficients of the
+    exponential are memoized too, and the exponential is certified once.
     """
 
     __slots__ = (
-        "instance", "arity", "name", "_cache", "_legs", "_powers", "_exp_cache", "_plan",
-        "_finite_zero", "__weakref__",
+        "instance", "arity", "name", "_cache", "_legs", "_powers", "_exp_cache", "_plan", "__weakref__",
     )
 
     def __init__(self, instance, arity: int, rule, name: str = "f"):
@@ -116,18 +117,9 @@ class Cochain:
         )
         self._exp_cache = Memo(lambda keys: _exp_coeffs(me, keys))
         self._plan: ConvExpPlan | None = None
-        self._finite_zero: bool | None = None
 
     def value(self, keys: tuple) -> complex:
         return self._cache[tuple(keys)]
-
-    def power(self, k: int) -> "Cochain":
-        """The k-th convolution power f^{⋆k} for k >= 1.
-
-        For k >= 2 it reads f through a weak reference, so it is valid only
-        while f is alive.
-        """
-        return self if k == 1 else self._powers[k]
 
     def eval_mixed(self, args) -> complex:
         """Evaluate with each slot either a basis key or an :class:`Element`."""
@@ -262,45 +254,45 @@ def plan_conv_exp(f: Cochain) -> ConvExpPlan:
                 f"degree-truncated exponential needs a normalized functional, got {f.name!r}"
             )
         return ConvExpPlan("degree_truncated")
-    if _finite_zero_certificate(f):
+    keys = list(inst.basis_keys())
+    if all(f.value(tup) == 0 for tup in itertools.product(keys, repeat=f.arity)):
         return ConvExpPlan("zero_functional")
     raise CapabilityMissingError(
         f"no termination certificate for exp of {f.name!r} on finite instance {inst.name!r}"
     )
 
 
-def _strategy(f: Cochain) -> str:
+def _closed_form(f: Cochain) -> bool:
+    """Whether f's certified exponential is the closed form; plans f on first use."""
     if f._plan is None:
         f._plan = plan_conv_exp(f)
-    return f._plan.strategy
-
-
-def _finite_zero_certificate(f: Cochain) -> bool:
-    if f._finite_zero is None:
-        keys = list(f.instance.basis_keys())
-        f._finite_zero = all(
-            f.value(tup) == 0 for tup in itertools.product(keys, repeat=f.arity)
-        )
-    return f._finite_zero
+    return f._plan.strategy == "closed_form_grouplike"
 
 
 def conv_power(f: Cochain, k: int, keys: tuple) -> complex:
     """k-th convolution power f^{⋆k} on a basis tuple (f^{⋆0} is the counit)."""
     if k == 0:
         return tuple_counit(f.instance, keys)
-    return f.power(k).value(keys)
+    if k == 1:
+        return f.value(keys)
+    return f._powers[k].value(keys)
 
 
 def conv_exp_coeffs(f: Cochain, keys: tuple) -> tuple:
-    """Taylor coefficients in t of e_⋆^{tf}(u) for a graded connected instance.
+    """Taylor coefficients in t of e_⋆^{tf}(u), where its form is a polynomial.
 
-    The list has length deg(u)+1; higher convolution powers vanish exactly.
+    The list has length deg(u)+1 on a graded connected instance, where
+    higher convolution powers vanish exactly, and is ``(δ(u),)`` for the
+    zero functional on a finite instance.  It refuses what :func:`conv_exp`
+    refuses, and a grouplike closed form, which has no polynomial.
     """
+    if _closed_form(f):
+        raise CapabilityMissingError(f"exp of {f.name!r} on {f.instance.name!r} is a closed form, not a polynomial")
     return f._exp_cache[tuple(keys)]
 
 
 def _exp_coeffs(f: Cochain, keys: tuple) -> tuple:
-    d = tuple_degree(f.instance, keys)
+    d = tuple_degree(f.instance, keys) if f._plan.strategy == "degree_truncated" else 0
     return tuple(conv_power(f, k, keys) / math.factorial(k) for k in range(d + 1))
 
 
@@ -310,36 +302,18 @@ def conv_exp(f: Cochain, t: float, u) -> complex:
         if u.rank != f.arity:
             raise InstanceMismatchError(f"cochain arity {f.arity} vs tensor rank {u.rank}")
         return sum((c * conv_exp(f, t, keys) for keys, c in u.terms.items()), 0j)
-    strategy = _strategy(f)
     keys = tuple(u)
-    if strategy == "closed_form_grouplike":
+    if _closed_form(f):
         z = t * f.value(keys)
         try:
             return cmath.exp(z)
         except (OverflowError, ValueError) as exc:
             # OverflowError: e^z overflows; ValueError: z itself overflowed
             raise NonFiniteError(f"non-finite exp(t*{f.name}) at t={t!r} on {keys!r}") from exc
-    if strategy == "degree_truncated":
-        total = 0j
-        for c in reversed(conv_exp_coeffs(f, keys)):
-            total = total * t + c
-        return total
-    return tuple_counit(f.instance, keys)
-
-
-def _exp_vanishes(f: Cochain, keys: tuple) -> bool:
-    """Whether ``e_⋆^{tf}`` is exactly 0 on a basis tuple for every t.
-
-    True where the degree-truncated polynomial has only zero coefficients
-    or the counit (the finite strategy) is zero; a grouplike closed form
-    never vanishes for every t.
-    """
-    strategy = _strategy(f)
-    if strategy == "degree_truncated":
-        return not any(conv_exp_coeffs(f, keys))
-    if strategy == "zero_functional":
-        return tuple_counit(f.instance, keys) == 0
-    return False
+    total = 0j
+    for c in reversed(f._exp_cache[keys]):
+        total = total * t + c
+    return total
 
 
 # -- linear maps into the algebra ---------------------------------------------
@@ -466,7 +440,7 @@ def map_conv_exp(A: LinMap, f: Cochain) -> Memo:
         return tuple(
             (c, right, A.value(left).terms)
             for left, right, c in tuple_comul_terms(inst, keys)
-            if not _exp_vanishes(f, right)
+            if _closed_form(f) or any(f._exp_cache[right])
         )
 
     legs = Memo(expand)

@@ -358,9 +358,9 @@ class Element(_Terms):
 
     __slots__ = ()
 
-    def __init__(self, instance: BialgebraInstance, terms, _clean: bool = True):
+    def __init__(self, instance: BialgebraInstance, terms):
         self.instance = instance
-        self.terms = _clean_terms(terms, instance.prune_eps) if _clean else terms
+        self.terms = _clean_terms(terms, instance.prune_eps)
 
     _check = _same_element
 
@@ -393,12 +393,12 @@ class TensorElement(_Terms):
 
     __slots__ = ("rank",)
 
-    def __init__(self, instance: BialgebraInstance, rank: int, terms, _clean: bool = True):
+    def __init__(self, instance: BialgebraInstance, rank: int, terms):
         if rank < 1:
             raise AlgebraError("tensor rank must be >= 1")
         self.instance = instance
         self.rank = rank
-        self.terms = _clean_terms(terms, instance.prune_eps) if _clean else terms
+        self.terms = _clean_terms(terms, instance.prune_eps)
 
     _check = _same_tensor
 
@@ -566,7 +566,7 @@ def _key_product(instance: BialgebraInstance, keys) -> Element:
     """The product of basis keys, left to right."""
     prod = Element(instance, {keys[0]: 1.0})
     for k in keys[1:]:
-        prod = mul(prod, Element(instance, {k: 1.0}, _clean=False))
+        prod = mul(prod, Element(instance, {k: 1.0}))
     return prod
 
 

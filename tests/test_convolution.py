@@ -6,6 +6,7 @@ import pytest
 
 import hopfdeform as hd
 from hopfdeform.convolution import (
+    conv_exp_coeffs,
     counit_cochain,
     map_conv_functional,
     r_phi_pair_value,
@@ -16,6 +17,7 @@ from hopfdeform.convolution import (
     unit_counit_map,
     mu_n_map,
 )
+from hopfdeform.deformation import DEFAULT_T_GRID
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +192,28 @@ def test_conv_exp_finite_zero_only():
     nonzero = hd.Cochain(h4, 2, lambda ks: 1.0 if ks == ("x", "x") else 0.0, name="xx")
     with pytest.raises(hd.CapabilityMissingError):
         hd.conv_exp(nonzero, 1.0, ("g", "g"))
+
+
+def test_conv_exp_coeffs_refuse_what_conv_exp_refuses(osc, cubic):
+    h4 = hd.sweedler_h4()
+    zero = hd.zero_cochain(h4, 2)
+    for u in itertools.product(sorted(h4.basis_keys()), repeat=2):
+        coeffs = conv_exp_coeffs(zero, u)
+        assert coeffs == (tuple_counit(h4, u),), u
+        for t in DEFAULT_T_GRID:
+            horner = 0j
+            for c in reversed(coeffs):
+                horner = horner * t + c
+            assert repr(hd.conv_exp(zero, t, u)) == repr(horner), (u, t)
+    # certified before any conv_exp call plans the cochain
+    with pytest.raises(hd.NormalizationError):
+        conv_exp_coeffs(hd.Cochain(osc, 1, lambda ks: 1.0, name="const1"), ((1, 0),))
+    nonzero = hd.Cochain(h4, 2, lambda ks: 1.0 if ks == ("x", "x") else 0.0, name="xx")
+    with pytest.raises(hd.CapabilityMissingError):
+        conv_exp_coeffs(nonzero, ("g", "g"))
+    L, _ = cubic
+    with pytest.raises(hd.CapabilityMissingError):
+        conv_exp_coeffs(L, ((1,), (2,)))
 
 
 def test_conv_exp_plan_strategies(z1, osc):
