@@ -3,8 +3,9 @@
 Loads an instance + generator from a JSON configuration (or a built-in
 example), runs the selected verification suite, prints a human summary
 and optionally writes the full JSON report.  Exit status: 0 all laws
-pass, 1 law failure, 2 configuration problem, 3 missing capability
-(e.g. a star-deformation requested on an instance without involution).
+pass, 1 law failure, 2 configuration problem (a ``--json-out`` path that
+cannot be written included), 3 missing capability (e.g. a
+star-deformation requested on an instance without involution).
 The whole configuration, ``tabulate`` keys included, is read before the
 first sample is drawn.  A single command runs its row of ``_SUITES``;
 ``full-report`` runs every row whose condition holds, under its prefix.
@@ -266,8 +267,14 @@ def main(argv=None) -> int:
 
     _print_summary(cfg, report, sys.stdout)
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(report_json(cfg, report))
+        text = report_json(cfg, report)
+        try:
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            print(f"configuration error: cannot write --json-out {args.json_out!r}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     return 0 if report.overall_pass else 1
 
 

@@ -93,7 +93,7 @@ def commuting_residual(f: Cochain, sampler, samples: int = DEFAULT_SAMPLES) -> f
     mu_n = mu_n_map(f.instance, f.arity)
     lhs = functional_conv_map(f, mu_n)
     rhs = map_conv_functional(mu_n, f)
-    return Law("commuting", "f ⋆ mul = mul ⋆ f", lambda _, u: (lhs.value(u) - rhs.value(u)).norm_inf(), DEFAULT_TOL,
+    return Law("commuting", "f ⋆ mul = mul ⋆ f", lambda _, u: lhs.value(u).distance(rhs.value(u)), DEFAULT_TOL,
                per_case=samples, draw=lambda s: (s.keys(f.arity),)).fold(sampler)[1]
 
 

@@ -48,6 +48,7 @@ from .core import (
     Memo,
     NonFiniteError,
     TensorElement,
+    _bilinear,
     _key_product,
     _linear,
     _same_instance,
@@ -340,17 +341,25 @@ class LinMap:
         return self._cache[tuple(keys)]
 
     def __call__(self, x) -> Element:
-        value = self.value
+        cache = self._cache
         if isinstance(x, Element):
             if self.rank != 1:
                 raise InstanceMismatchError(f"rank-{self.rank} map applied to an element")
-            terms = _linear(x.terms.items(), lambda k: value((k,)).terms.items())
+            terms = _linear(x.terms.items(), lambda k: cache[(k,)].terms.items())
         elif isinstance(x, TensorElement):
             if self.rank != x.rank:
                 raise InstanceMismatchError(f"rank-{self.rank} map applied to rank-{x.rank} tensor")
-            terms = _linear(x.terms.items(), lambda keys: value(keys).terms.items())
+            terms = _linear(x.terms.items(), lambda keys: cache[keys].terms.items())
         else:
             raise AlgebraError(f"cannot apply map to {type(x).__name__}")
+        return Element(self.instance, terms)
+
+    def on_pair(self, a: Element, b: Element) -> Element:
+        """A rank-2 map on a⊗b: Σ (ca·cb)·A(ka⊗kb), summed by ``_bilinear``."""
+        if self.rank != 2:
+            raise InstanceMismatchError(f"rank-{self.rank} map applied to a pair")
+        cache = self._cache
+        terms = _bilinear(a.terms.items(), b.terms.items(), lambda ka, kb: cache[ka, kb].terms.items())
         return Element(self.instance, terms)
 
     def __repr__(self):

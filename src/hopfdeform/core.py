@@ -24,6 +24,10 @@ key's first term is stored as is, never added to ``0j``.  A term with more
 factors (a tensor slot by slot, c·w₁·w₂ left to right, as
 :func:`_slot_products` multiplies) is built by its caller and summed by
 ``_linear`` with no rule.
+
+A sampled law's residual ``x.distance(y)`` equals ``(x - y).norm_inf()``
+but builds no difference element: it reads the difference coefficient by
+coefficient, in its dict order, with the same check and pruning.
 """
 from __future__ import annotations
 
@@ -341,14 +345,43 @@ class _Terms:
         terms = other.terms
         return self._new(_linear(zip(terms, map(_neg, terms.values())), None, self.terms))
 
+    def distance(self, other) -> float:
+        """``(self - other).norm_inf()``, read without building the difference.
+
+        The difference's coefficients are visited in its dict order (this
+        operand's keys, then the keys only ``other`` has), each ``c - o``
+        equal bit for bit to the kernel's ``c + (-o)``, and are checked and
+        pruned as :func:`_clean_terms` would: the value and any error are
+        those of the difference.
+        """
+        self._check(other)
+        mine, theirs = self.terms, other.terms
+        prune = self.instance.prune_eps
+        best = 0.0
+        for key, z in mine.items():
+            if key in theirs:
+                z = z - theirs[key]
+            try:
+                size = abs(z)
+            except OverflowError:  # both parts finite, the modulus is not
+                size = _INF
+            if not size < _INF:
+                raise NonFiniteError(f"non-finite coefficient {z!r} at basis key {key!r}")
+            if size >= prune and size > best:
+                best = size
+        for key, z in theirs.items():
+            # a stored coefficient, so its modulus is finite, and abs(-z) == abs(z)
+            if key not in mine and (size := abs(z)) >= prune and size > best:
+                best = size
+        return best
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         try:
-            self._check(other)
+            return self.distance(other) <= self.instance.eq_eps
         except InstanceMismatchError:  # another instance or tensor rank
             return NotImplemented
-        return (self - other).norm_inf() <= self.instance.eq_eps
 
     __hash__ = None
 
@@ -448,13 +481,16 @@ def counit(a: Element) -> complex:
 
 def antipode(a: Element) -> Element:
     inst = a.instance
-    return Element(inst, _linear(a.terms.items(), inst.antipode_terms))
+    inst.require_antipode()
+    return Element(inst, _linear(a.terms.items(), inst._antipode_cache.__getitem__))
 
 
 def star(a: Element) -> Element:
     """Antilinear involution: input coefficients are conjugated."""
     inst = a.instance
-    return Element(inst, _linear([(k, c.conjugate()) for k, c in a.terms.items()], inst.star_terms))
+    inst.require_star()
+    conjugated = [(k, c.conjugate()) for k, c in a.terms.items()]
+    return Element(inst, _linear(conjugated, inst._star_cache.__getitem__))
 
 
 def antipode_key(instance: BialgebraInstance, k) -> Element:
@@ -623,11 +659,11 @@ def check_structure(instance: BialgebraInstance, sampler, tol: float = 1e-8) -> 
 
     def coassociativity(a, *_):
         u = comul(a)
-        return (tensor_expand_slot(u, 0) - tensor_expand_slot(u, 1)).norm_inf()
+        return tensor_expand_slot(u, 0).distance(tensor_expand_slot(u, 1))
 
     def counit_law(a, *_):
         u = comul(a)
-        return (tensor_contract_slot(u, 0) - a).norm_inf(), (tensor_contract_slot(u, 1) - a).norm_inf()
+        return tensor_contract_slot(u, 0).distance(a), tensor_contract_slot(u, 1).distance(a)
 
     def grading(pair):
         deg = instance.degree_key
@@ -639,24 +675,24 @@ def check_structure(instance: BialgebraInstance, sampler, tol: float = 1e-8) -> 
 
     def cocommutativity(a, *_):
         u = comul(a)
-        return (tensor_flip(u) - u).norm_inf()
+        return tensor_flip(u).distance(u)
 
     def antipode_law(a, *_):
         u = comul(a)
         target = scale(counit(a), one)
         lhs = tensor_mul_all(tensor_apply(u, (instance.antipode_terms, None)))
         rhs = tensor_mul_all(tensor_apply(u, (None, instance.antipode_terms)))
-        return (lhs - target).norm_inf(), (rhs - target).norm_inf()
+        return lhs.distance(target), rhs.distance(target)
 
     laws = [
         on_triples("associativity", "(a*b)*c = a*(b*c)",
-                   lambda a, b, c: (mul(mul(a, b), c) - mul(a, mul(b, c))).norm_inf()),
+                   lambda a, b, c: mul(mul(a, b), c).distance(mul(a, mul(b, c)))),
         on_triples("unit", "1*a = a = a*1",
-                   lambda a, *_: ((mul(one, a) - a).norm_inf(), (mul(a, one) - a).norm_inf()), 1e-12),
+                   lambda a, *_: (mul(one, a).distance(a), mul(a, one).distance(a)), 1e-12),
         on_triples("coassociativity", "(Delta(x)id)Delta = (id(x)Delta)Delta", coassociativity),
         on_triples("counit", "(delta(x)id)Delta = id = (id(x)delta)Delta", counit_law, 1e-12),
         on_triples("comul_homomorphism", "Delta(ab) = Delta(a)Delta(b)",
-                   lambda a, b, _: (comul(mul(a, b)) - tensor_mul(comul(a), comul(b))).norm_inf()),
+                   lambda a, b, _: comul(mul(a, b)).distance(tensor_mul(comul(a), comul(b)))),
         on_triples("counit_homomorphism", "delta(ab) = delta(a)delta(b)",
                    lambda a, b, _: abs(counit(mul(a, b)) - counit(a) * counit(b))),
     ]
@@ -671,11 +707,11 @@ def check_structure(instance: BialgebraInstance, sampler, tol: float = 1e-8) -> 
         laws.append(on_triples("cocommutativity", "tau∘Delta = Delta", cocommutativity, 1e-12))
     if instance.has_antipode:
         laws.append(on_triples("antipode", "mul(S(x)id)Delta = delta*1 = mul(id(x)S)Delta", antipode_law))
-        laws.append(Law("antipode_unit", "S(1) = 1", lambda _: (antipode(one) - one).norm_inf(), 1e-12))
+        laws.append(Law("antipode_unit", "S(1) = 1", lambda _: antipode(one).distance(one), 1e-12))
     if instance.has_star:
-        laws.append(on_triples("star_involutive", "(a*)* = a", lambda a, *_: (star(star(a)) - a).norm_inf(), 1e-12))
+        laws.append(on_triples("star_involutive", "(a*)* = a", lambda a, *_: star(star(a)).distance(a), 1e-12))
         laws.append(on_triples("star_antihomomorphism", "(ab)* = b* a*",
-                               lambda a, b, _: (star(mul(a, b)) - mul(star(b), star(a))).norm_inf()))
+                               lambda a, b, _: star(mul(a, b)).distance(mul(star(b), star(a)))))
     report = Report(name=f"structure:{instance.name}")
     run_laws(report, sampler, laws)
     return report

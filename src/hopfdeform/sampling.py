@@ -6,8 +6,11 @@ stream is read through the two documented primitives alone: every integer
 is drawn by rejection on ``getrandbits`` and every real part is an affine
 map of ``random()``.  Those are the very draws ``randint``, ``randrange``,
 ``uniform`` and ``choice`` make on CPython, so the stream matches the one
-those calls give.  Child samplers for independent checks are derived with
-:meth:`ElementSampler.spawn`.
+those calls give.  The hot draws call the primitives inline: a grouplike
+key rejects ``getrandbits`` per coordinate with its width and bit length
+fixed at construction, and an element's coefficients call ``random()``
+twice each, so no draw pays a helper call.  Child samplers for independent
+checks are derived with :meth:`ElementSampler.spawn`.
 """
 from __future__ import annotations
 
@@ -63,6 +66,11 @@ class ElementSampler:
             raise ValueError("need coord_bound >= 0, max_degree >= 0 and max_support >= 1")
         self.rng = random.Random(self.seed)
         self._below = _below_on(self.rng.getrandbits)
+        # a grouplike key draws each of its coordinates by rejection on
+        # ``getrandbits(bits)``, as ``_below(width)`` would
+        self._dim = len(instance.unit) if instance.kind is Kind.GROUPLIKE_BASIS else None
+        self._width = 2 * self.coord_bound + 1
+        self._bits = self._width.bit_length()
         self._finite_keys = None
         if instance.kind is Kind.FINITE:
             self._finite_keys = sorted(instance.basis_keys(), key=instance.sort_key)
@@ -80,12 +88,17 @@ class ElementSampler:
         )
 
     def key(self):
+        if self._dim is not None:
+            getrandbits, width, bits, lo = self.rng.getrandbits, self._width, self._bits, -self.coord_bound
+            coords = []
+            for _ in range(self._dim):
+                r = getrandbits(bits)
+                while r >= width:
+                    r = getrandbits(bits)
+                coords.append(lo + r)
+            return tuple(coords)
         inst = self.instance
         below = self._below
-        if inst.kind is Kind.GROUPLIKE_BASIS:
-            lo = -self.coord_bound
-            width = 2 * self.coord_bound + 1
-            return tuple([lo + below(width) for _ in range(len(inst.unit))])
         if inst.kind is Kind.GRADED_CONNECTED:
             n = len(inst.unit)
             exponents = [0] * n
@@ -98,17 +111,13 @@ class ElementSampler:
     def keys(self, n: int) -> tuple:
         return tuple(self.key() for _ in range(n))
 
-    def coeff(self) -> complex:
-        # exactly what uniform(-1.0, 1.0) evaluates, once per part
-        random_ = self.rng.random
-        return complex(-1.0 + 2.0 * random_(), -1.0 + 2.0 * random_())
-
     def element(self) -> Element:
-        support = 1 + self._below(self.max_support)
+        key, random_ = self.key, self.rng.random
         terms: dict = {}
-        for _ in range(support):
-            k = self.key()
-            terms[k] = terms.get(k, 0j) + self.coeff()
+        for _ in range(1 + self._below(self.max_support)):
+            k = key()
+            # each part is exactly what uniform(-1.0, 1.0) evaluates
+            terms[k] = terms.get(k, 0j) + complex(-1.0 + 2.0 * random_(), -1.0 + 2.0 * random_())
         return Element(self.instance, terms)
 
     def elements(self, n: int) -> list[Element]:

@@ -75,6 +75,15 @@ def test_reports_are_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_json_out_is_a_config_error(where, tmp_path, capsys):
+    target = tmp_path / "absent" / "r.json" if where == "missing_dir" else tmp_path
+    code = main(["--example", "z-cubic", "--samples", "5", "--json-out", str(target)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error:") and str(target) in err
+
+
 def test_seed_changes_report(tmp_path):
     cfg = _fast(example_config("zd-matrix"), samples=30)
     path = _write(tmp_path, cfg)

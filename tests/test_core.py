@@ -394,3 +394,51 @@ def test_a_first_term_is_stored_as_is(z2):
 
     for terms in (_linear([("k", complex(-1.0, 0.0))], rule), _bilinear([(0, -1.0 + 0j)], [(0, 1.0 + 0j)], rule)):
         assert repr(terms["k"]) == "(-0-1j)"
+
+
+def _error_of(thunk):
+    try:
+        thunk()
+    except hd.AlgebraError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", ["z2", "osc", "h4"])
+def test_distance_equals_the_norm_of_the_difference(name, request):
+    inst = request.getfixturevalue(name)
+    # small bounds so the operands share keys and some terms cancel
+    sampler = hd.ElementSampler(inst, seed=67, coord_bound=1, max_degree=2)
+    for _ in range(40):
+        a, b, c = sampler.elements(3)
+        pairs = [
+            (a, b), (a, a), (a, inst.zero_element()), (inst.zero_element(), b),
+            (hd.comul(a), hd.tensor_of(b, c)), (hd.tensor_of(a, b, c), hd.iterated_comul(b, 3)),
+        ]
+        for x, y in pairs:
+            assert x.distance(y) == (x - y).norm_inf()
+    a = sampler.element()
+    assert a.distance(a) == 0.0 and a == a
+
+
+def test_distance_on_disjoint_supports_tiny_and_overflowing_differences(z2):
+    x, y = z2.element({(1, 0): 2.0, (0, 1): -3j}), z2.element({(2, 2): 0.5, (0, 5): 4.0 + 0j})
+    assert x.distance(y) == (x - y).norm_inf() == 4.0
+    k = (1, 0)
+    near = z2.element({k: 1.0}), z2.element({k: 1.0 + 2.0**-44})
+    assert near[0].distance(near[1]) == (near[0] - near[1]).norm_inf() == 0.0
+    for big, other in ((1e308, -1e308), (1.7e308, -1.7e308j)):  # an infinite part; a modulus that overflows
+        big, neg = z2.element({k: big}), z2.element({k: other})
+        want = _error_of(lambda: big - neg)
+        assert want is not None and want[0] is NonFiniteError
+        assert _error_of(lambda: big.distance(neg)) == want
+
+
+def test_distance_raises_where_the_difference_does(z2, osc):
+    x = z2.basis_element((1, 0))
+    bare = hd.group_algebra_zd(2, with_star=False).basis_element((1, 0))
+    for a, b in ((x, osc.basis_element((0, 0))), (x, bare), (x, hd.comul(x)), (hd.comul(x), x),
+                 (hd.comul(x), hd.iterated_comul(x, 3))):
+        want = _error_of(lambda: a - b)
+        assert want is not None and want[0] is hd.InstanceMismatchError
+        assert _error_of(lambda: a.distance(b)) == want

@@ -7,6 +7,7 @@ sampled law draws through this stream, so any change to it moves report
 bytes; the pin names which draw moved first.
 """
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -77,3 +78,25 @@ def test_an_empty_finite_basis_is_refused_up_front():
     )
     with pytest.raises(ValueError, match="empty basis"):
         hd.ElementSampler(empty, seed=1)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("coord_bound", [1, 3, 4])
+def test_grouplike_draws_match_the_stdlib_calls(d, coord_bound):
+    # rejection widths 3, 7 and 9, which the pinned stream does not cover
+    seed, max_support = 500 + 10 * d + coord_bound, 3
+    sampler = hd.ElementSampler(hd.group_algebra_zd(d), seed, coord_bound=coord_bound, max_support=max_support)
+    rng = random.Random(seed)
+
+    def key():
+        return tuple(rng.randint(-coord_bound, coord_bound) for _ in range(d))
+
+    assert [sampler.key() for _ in range(40)] == [key() for _ in range(40)]
+    for _ in range(15):
+        want: dict = {}
+        for _ in range(1 + rng.randrange(max_support)):
+            k = key()
+            want[k] = want.get(k, 0j) + complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        got = sampler.element().terms
+        assert list(got) == list(want)
+        assert all(got[k] == want[k] for k in want)
