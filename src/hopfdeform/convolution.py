@@ -28,15 +28,18 @@ t enters a map ``A ⋆ e_⋆^{tf}`` only through the scalar exponential, so
 :func:`map_conv_exp` expands each basis tuple once and shares that
 expansion among the maps for every t, each of which is still memoized.
 Likewise each :class:`Cochain` keeps, per tuple, the legs of the coproduct
-on which it is nonzero, and all its convolution powers walk that list.
+on which it is nonzero, and its convolution powers and Taylor coefficients
+in two plain tables, filled from those legs by the recursion
+``f^{⋆j}(u) = Σ (c·f(u₍₁₎))·f^{⋆(j−1)}(u₍₂₎)``.
 """
 from __future__ import annotations
 
 import cmath
 import itertools
 import math
-import weakref
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 
 from .core import (
     AlgebraError,
@@ -52,6 +55,7 @@ from .core import (
     _key_product,
     _linear,
     _same_instance,
+    _scalar,
     _slot_products,
     mul,
 )
@@ -85,14 +89,12 @@ class Cochain:
     """Scalar-valued multilinear functional given by a rule on basis tuples.
 
     Arity 0 is a single scalar (the empty tuple).  Values are memoized per
-    basis tuple; rules must be pure.  The nonzero legs of each tuple's
-    coproduct, convolution powers and Taylor coefficients of the
-    exponential are memoized too, and the exponential is certified once.
+    basis tuple; rules must be pure.  Per tuple it also keeps the nonzero
+    legs of the coproduct, the convolution powers f^{⋆2}, f^{⋆3}, … and the
+    Taylor coefficients of the exponential, which is certified once.
     """
 
-    __slots__ = (
-        "instance", "arity", "name", "_cache", "_legs", "_powers", "_exp_cache", "_plan", "__weakref__",
-    )
+    __slots__ = ("instance", "arity", "name", "_cache", "_legs", "_powers", "_coeffs", "_plan")
 
     def __init__(self, instance, arity: int, rule, name: str = "f"):
         if arity < 0:
@@ -109,14 +111,9 @@ class Cochain:
 
         values = self._cache = Memo(evaluate)
         self._legs = Memo(lambda keys: _nonzero_legs(instance, values, keys))
-        # these memos, and the powers they hold, see this cochain through a
-        # weak proxy: a cycle would keep a dropped cochain, and the memos of
-        # its instance, alive until the next full garbage collection
-        me = weakref.proxy(self)
-        self._powers = Memo(
-            lambda k: convolve_functionals(me, me if k == 2 else me._powers[k - 1], name=f"{name}^{k}")
-        )
-        self._exp_cache = Memo(lambda keys: _exp_coeffs(me, keys))
+        # plain tables, which refer back to no cochain: f^{⋆k}(u) at [k][u], Taylor coefficients at [u]
+        self._powers: defaultdict = defaultdict(dict)
+        self._coeffs: dict = {}
         self._plan: ConvExpPlan | None = None
 
     def value(self, keys: tuple) -> complex:
@@ -131,15 +128,12 @@ class Cochain:
                 total += w * self.value(keys)
         return total
 
-    def on_tensor(self, u: TensorElement) -> complex:
-        if u.rank != self.arity:
-            raise InstanceMismatchError(f"cochain arity {self.arity} vs tensor rank {u.rank}")
-        return sum((c * self.value(keys) for keys, c in u.terms.items()), 0j)
-
     def __call__(self, *args) -> complex:
         """Flexible evaluation: basis keys, Elements, or one TensorElement."""
-        if len(args) == 1 and isinstance(args[0], TensorElement):
-            return self.on_tensor(args[0])
+        if len(args) == 1 and isinstance(u := args[0], TensorElement):
+            if u.rank != self.arity:
+                raise InstanceMismatchError(f"cochain arity {self.arity} vs tensor rank {u.rank}")
+            return _scalar(u.terms.items(), self.value)
         if len(args) != self.arity:
             raise AlgebraError(f"cochain of arity {self.arity} got {len(args)} arguments")
         return self.eval_mixed(args)
@@ -194,14 +188,8 @@ def compose_mul(f: Cochain, name=None) -> Cochain:
     if f.arity != 1:
         raise AlgebraError("compose_mul expects an arity-1 functional")
     inst = f.instance
-
-    def rule(ks):
-        total = 0j
-        for k, w in inst.mul_terms(ks[0], ks[1]):
-            total += w * f.value((k,))
-        return total
-
-    return Cochain(inst, 2, rule, name or f"({f.name}∘mul)")
+    return Cochain(inst, 2, lambda ks: _scalar(inst.mul_terms(*ks), lambda k: f.value((k,))),
+                   name or f"({f.name}∘mul)")
 
 
 def _check_pair(f: Cochain, g: Cochain) -> None:
@@ -211,30 +199,16 @@ def _check_pair(f: Cochain, g: Cochain) -> None:
 
 
 def _nonzero_legs(instance: BialgebraInstance, values: Memo, keys: tuple) -> tuple:
-    """The legs of Δ(u) on which f(u₍₁₎) ≠ 0, as ``(coeff, f(left), right)``."""
-    legs = []
-    for left, right, c in tuple_comul_terms(instance, keys):
-        v = values[left]
-        if v != 0:
-            legs.append((c, v, right))
-    return tuple(legs)
+    """The legs of Δ(u) on which f(u₍₁₎) ≠ 0, as ``(right, c·f(left))`` items for ``_scalar``."""
+    legs = tuple_comul_terms(instance, keys)
+    return tuple((right, c * v) for left, right, c in legs if (v := values[left]) != 0)
 
 
 def convolve_functionals(f: Cochain, g: Cochain, name=None) -> Cochain:
-    """(f ⋆ g)(u) = Σ f(u₍₁₎) g(u₍₂₎) over the tensor-power coproduct.
-
-    It walks f's memoized nonzero legs of u, so the powers f^{⋆k} share one
-    coproduct expansion and one reading of f per tuple.
-    """
+    """(f ⋆ g)(u) = Σ (c·f(u₍₁₎))·g(u₍₂₎) over f's memoized nonzero legs of u."""
     _check_pair(f, g)
-
-    def rule(keys):
-        total = 0j
-        for c, v, right in f._legs[keys]:
-            total += c * v * g.value(right)
-        return total
-
-    return Cochain(f.instance, f.arity, rule, name or f"({f.name}*{g.name})")
+    return Cochain(f.instance, f.arity, lambda keys: _scalar(f._legs[keys], g.value),
+                   name or f"({f.name}*{g.name})")
 
 
 # -- convolution powers and exponentials --------------------------------------
@@ -271,12 +245,20 @@ def _closed_form(f: Cochain) -> bool:
 
 
 def conv_power(f: Cochain, k: int, keys: tuple) -> complex:
-    """k-th convolution power f^{⋆k} on a basis tuple (f^{⋆0} is the counit)."""
-    if k == 0:
-        return tuple_counit(f.instance, keys)
-    if k == 1:
-        return f.value(keys)
-    return f._powers[k].value(keys)
+    """k-th convolution power f^{⋆k} on a basis tuple (f^{⋆0} is the counit).
+
+    For k ≥ 2 it reads f's table of f^{⋆k}, first filling the tuple's entry
+    by f^{⋆k}(u) = Σ (c·f(u₍₁₎))·f^{⋆(k−1)}(u₍₂₎) over f's nonzero legs of u.
+    """
+    if k < 2:
+        if k < 0:
+            raise AlgebraError(f"no convolution power {k} of {f.name!r}")
+        return f.value(keys) if k == 1 else tuple_counit(f.instance, keys)
+    table = f._powers[k]
+    keys = tuple(keys)
+    if keys not in table:
+        table[keys] = _scalar(f._legs[keys], partial(conv_power, f, k - 1))
+    return table[keys]
 
 
 def conv_exp_coeffs(f: Cochain, keys: tuple) -> tuple:
@@ -289,20 +271,15 @@ def conv_exp_coeffs(f: Cochain, keys: tuple) -> tuple:
     """
     if _closed_form(f):
         raise CapabilityMissingError(f"exp of {f.name!r} on {f.instance.name!r} is a closed form, not a polynomial")
-    return f._exp_cache[tuple(keys)]
-
-
-def _exp_coeffs(f: Cochain, keys: tuple) -> tuple:
-    d = tuple_degree(f.instance, keys) if f._plan.strategy == "degree_truncated" else 0
-    return tuple(conv_power(f, k, keys) / math.factorial(k) for k in range(d + 1))
+    keys = tuple(keys)
+    if keys not in f._coeffs:
+        d = tuple_degree(f.instance, keys) if f._plan.strategy == "degree_truncated" else 0
+        f._coeffs[keys] = tuple(conv_power(f, k, keys) / math.factorial(k) for k in range(d + 1))
+    return f._coeffs[keys]
 
 
 def conv_exp(f: Cochain, t: float, u) -> complex:
-    """Evaluate ``e_⋆^{tf}`` at u (a basis tuple or a TensorElement)."""
-    if isinstance(u, TensorElement):
-        if u.rank != f.arity:
-            raise InstanceMismatchError(f"cochain arity {f.arity} vs tensor rank {u.rank}")
-        return sum((c * conv_exp(f, t, keys) for keys, c in u.terms.items()), 0j)
+    """Evaluate ``e_⋆^{tf}`` on a basis tuple u; stored coefficients are read without certifying again."""
     keys = tuple(u)
     if _closed_form(f):
         z = t * f.value(keys)
@@ -311,8 +288,12 @@ def conv_exp(f: Cochain, t: float, u) -> complex:
         except (OverflowError, ValueError) as exc:
             # OverflowError: e^z overflows; ValueError: z itself overflowed
             raise NonFiniteError(f"non-finite exp(t*{f.name}) at t={t!r} on {keys!r}") from exc
+    try:
+        coeffs = f._coeffs[keys]
+    except KeyError:  # a new tuple
+        coeffs = conv_exp_coeffs(f, keys)
     total = 0j
-    for c in reversed(f._exp_cache[keys]):
+    for c in reversed(coeffs):
         total = total * t + c
     return total
 
@@ -449,7 +430,7 @@ def map_conv_exp(A: LinMap, f: Cochain) -> Memo:
         return tuple(
             (c, right, A.value(left).terms)
             for left, right, c in tuple_comul_terms(inst, keys)
-            if _closed_form(f) or any(f._exp_cache[right])
+            if _closed_form(f) or any(f._coeffs.get(right) or conv_exp_coeffs(f, right))
         )
 
     legs = Memo(expand)

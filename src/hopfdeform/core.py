@@ -13,17 +13,17 @@ tolerance based (``EPS_EQ``); coefficients with modulus below
 ``EPS_PRUNE`` are dropped on construction.  NaN or infinite coefficients
 are rejected outright.
 
-Every linear extension in the package sums through one of two kernels:
-:func:`_linear` computes Σ c·rule(k) over ``(k, c)`` items and
-:func:`_bilinear` computes Σ (ca·cb)·rule(ka, kb) over two term lists,
-each rule giving ``(key, w)`` pairs.  Their summation-order contract fixes
-the last bit of every coefficient, and so the bytes of every report: each
-key's terms are added left to right in the order the loops produce them,
-each term keeps its product grouping (``c * w``, ``(ca * cb) * w``), and a
-key's first term is stored as is, never added to ``0j``.  A term with more
-factors (a tensor slot by slot, c·w₁·w₂ left to right, as
-:func:`_slot_products` multiplies) is built by its caller and summed by
-``_linear`` with no rule.
+Sums go through three kernels: :func:`_linear` computes Σ c·rule(k) over
+``(k, c)`` items and :func:`_bilinear` Σ (ca·cb)·rule(ka, kb) over two term
+lists, each rule giving ``(key, w)`` pairs; :func:`_scalar` computes the
+complex number Σ c·rule(k).  Their summation-order contract fixes the last
+bit of every coefficient, and so the bytes of every report: terms are added
+left to right in loop order, each keeps its product grouping (``c * w``,
+``(ca * cb) * w``), a key's first term is stored as is and a scalar sum
+starts from ``0j``.  A term with more factors (c·w₁·w₂ left to right, as
+:func:`_slot_products` multiplies a tensor) is built by its caller and
+summed with no rule.  No kernel calls ``sum()``, whose algorithm CPython
+changes between versions.
 
 A sampled law's residual ``x.distance(y)`` equals ``(x - y).norm_inf()``
 but builds no difference element: it reads the difference coefficient by
@@ -109,6 +109,18 @@ def _linear(items, rule=None, start=None) -> dict:
                 cur = acc.get(key)
                 acc[key] = c * w if cur is None else cur + c * w
     return acc
+
+
+def _scalar(items, rule=None) -> complex:
+    """Σ c·rule(k) over the ``(k, c)`` items, or Σ items with no rule, added left to right from ``0j``."""
+    total = 0j
+    if rule is None:
+        for z in items:
+            total += z
+    else:
+        for k, c in items:
+            total += c * rule(k)
+    return total
 
 
 def _bilinear(a_terms, b_terms, rule) -> dict:
@@ -476,7 +488,7 @@ def comul(a: Element) -> TensorElement:
 
 def counit(a: Element) -> complex:
     inst = a.instance
-    return sum((c * inst.counit_key(k) for k, c in a.terms.items()), 0j)
+    return _scalar(a.terms.items(), inst.counit_key)
 
 
 def antipode(a: Element) -> Element:

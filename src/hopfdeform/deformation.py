@@ -40,6 +40,7 @@ from .core import (
     Memo,
     TensorElement,
     _linear,
+    _scalar,
     antipode,
     antipode_key,
     comul,
@@ -209,20 +210,13 @@ def sigma_functional(D: Deformation, sampler, samples: int = 60, tol: float = DE
     inst.require_antipode()
     L = D.generator
 
-    def rule(keys):
-        total = 0j
-        for k1, k2, c in inst.comul_terms(keys[0]):
-            total += c * L.eval_mixed((k1, antipode_key(inst, k2)))
-        return total
+    def rule(s_slot, keys):  # Σ c·L(a₍₁₎⊗a₍₂₎) over the legs of Δ(a), with S on slot s_slot
+        legs = (((k1, k2), c) for k1, k2, c in inst.comul_terms(keys[0]))
+        return _scalar(legs, lambda pair: L.eval_mixed(
+            [antipode_key(inst, k) if i == s_slot else k for i, k in enumerate(pair)]))
 
-    def rule_flipped(keys):
-        total = 0j
-        for k1, k2, c in inst.comul_terms(keys[0]):
-            total += c * L.eval_mixed((antipode_key(inst, k1), k2))
-        return total
-
-    sig = Cochain(inst, 1, rule, name=f"sigma[{L.name}]")
-    flip = Cochain(inst, 1, rule_flipped, name=f"sigma_flip[{L.name}]")
+    sig = Cochain(inst, 1, partial(rule, 1), name=f"sigma[{L.name}]")
+    flip = Cochain(inst, 1, partial(rule, 0), name=f"sigma_flip[{L.name}]")
     res = Law("sigma_flip", "L∘(id(x)S)∘Delta = L∘(S(x)id)∘Delta", lambda _, k: abs(sig.value(k) - flip.value(k)),
               tol, per_case=samples, draw=lambda s: (s.keys(1),)).fold(sampler)[1]
     if not res <= tol:
@@ -295,10 +289,8 @@ def check_deformation_axioms(
     def counit_semigroup(ts, u):
         t, s = ts
         lhs = conv_exp(L, t + s, u)
-        rhs = 0j
-        for left, right, c in tuple_comul_terms(inst, u):
-            rhs += c * conv_exp(L, t, left) * conv_exp(L, s, right)
-        return abs(lhs - rhs)
+        legs = tuple_comul_terms(inst, u)
+        return abs(lhs - _scalar(c * conv_exp(L, t, left) * conv_exp(L, s, right) for left, right, c in legs))
 
     def generator_derivative(h, u):
         a = Element(inst, {u[0]: 1.0})
@@ -389,8 +381,8 @@ def check_hopf_deformation(
 
     def exp_transport(t, a):
         transported = tensor_apply(comul(a), (None, inst.antipode_terms))
-        lhs = conv_exp(L, t, transported)
-        return abs(lhs - sum((c * conv_exp(sig, t, (k,)) for k, c in a.terms.items()), 0j))
+        lhs = _scalar(transported.terms.items(), lambda keys: conv_exp(L, t, keys))
+        return abs(lhs - _scalar(a.terms.items(), lambda k: conv_exp(sig, t, (k,))))
 
     def sigma_commuting(_, a):
         legs = comul(a).terms.items()

@@ -24,7 +24,7 @@ import cmath
 import itertools
 import math
 
-from .core import AlgebraError, BialgebraInstance, Element, Kind, NonFiniteError
+from .core import AlgebraError, BialgebraInstance, Element, Kind, NonFiniteError, _scalar
 from .convolution import Cochain
 from . import cohomology
 from .sampling import ElementSampler
@@ -241,8 +241,8 @@ def make_zd_matrix_cocycle(instance: BialgebraInstance, A, name: str | None = No
     def rule(keys):
         # (k·A)·lᵀ, each sum in index order from 0j: this order fixes the last bit of L
         k, l = keys
-        row = [sum((ki * a for ki, a in zip(k, col)), 0j) for col in columns]
-        return sum((r * lj for r, lj in zip(row, l)), 0j)
+        row = [_scalar(ki * a for ki, a in zip(k, col)) for col in columns]
+        return _scalar(r * lj for r, lj in zip(row, l))
 
     return Cochain(instance, 2, rule, name or "matrix_cocycle")
 
@@ -261,7 +261,7 @@ def make_z_polynomial_cocycle(instance: BialgebraInstance, coeffs, name: str | N
 
     def rule(keys):
         m, n = keys[0][0], keys[1][0]
-        return sum((c * m**p * n**q for p, q, c in table), 0j)
+        return _scalar(c * m**p * n**q for p, q, c in table)
 
     return Cochain(instance, 2, rule, name or "z_polynomial_cocycle")
 

@@ -349,7 +349,7 @@ def test_nan_residual_fails_its_law():
 
 # -- the summation kernels ------------------------------------------------------
 
-from hopfdeform.core import _bilinear, _linear  # noqa: E402
+from hopfdeform.core import _bilinear, _linear, _scalar  # noqa: E402
 
 _parts = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64) | st.sampled_from([0.0, -0.0])
 _coeffs = st.builds(complex, _parts, _parts)
@@ -394,6 +394,38 @@ def test_a_first_term_is_stored_as_is(z2):
 
     for terms in (_linear([("k", complex(-1.0, 0.0))], rule), _bilinear([(0, -1.0 + 0j)], [(0, 1.0 + 0j)], rule)):
         assert repr(terms["k"]) == "(-0-1j)"
+
+
+def _scalar_left_fold(terms) -> complex:
+    total = 0j
+    for z in terms:
+        total = total + z
+    return total
+
+
+def _scalar_bits(z: complex) -> tuple:
+    return repr(z.real), repr(z.imag)
+
+
+# non-dyadic parts over many magnitudes, so a change in the order or the precision of the sum shows in the bits
+_scalar_parts = st.sampled_from([0.0, -0.0, 0.1, -0.7, 1 / 3, -2 / 3, 1e8 / 7, -1e8 / 11, 1e16 / 3, -1e16 / 3, 1e-8 / 7])
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), st.builds(complex, _scalar_parts, _scalar_parts)), max_size=12),
+       st.lists(st.builds(complex, _scalar_parts, _scalar_parts), min_size=5, max_size=5))
+def test_the_scalar_kernel_sums_like_a_plain_left_fold_from_0j(items, table):
+    assert _scalar_bits(_scalar(c for _, c in items)) == _scalar_bits(_scalar_left_fold(c for _, c in items))
+    want = _scalar_left_fold(c * table[k] for k, c in items)
+    assert _scalar_bits(_scalar(items, table.__getitem__)) == _scalar_bits(want)
+
+
+def test_the_scalar_kernel_neither_compensates_nor_keeps_a_first_term():
+    # compensated summation, as math.fsum or sum() on floats from CPython 3.12, gives 1.0
+    assert _scalar_bits(_scalar([1e16 + 0j, 1.0 + 0j, -1e16 + 0j])) == ("0.0", "0.0")
+    assert _scalar_bits(_scalar([(1, 1e16 + 0j), (1, 1.0 + 0j), (1, -1e16 + 0j)], lambda k: k)) == ("0.0", "0.0")
+    # the sum starts from 0j, so a -0.0 first term comes out +0.0
+    assert _scalar_bits(_scalar([complex(-0.0, -0.0)])) == ("0.0", "0.0")
+    assert _scalar_bits(_scalar([("k", complex(-0.0, -0.0))], lambda k: 1.0)) == ("0.0", "0.0")
 
 
 def _error_of(thunk):
