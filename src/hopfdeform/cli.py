@@ -37,6 +37,7 @@ from .config import (
 )
 from .deformation import (
     Deformation,
+    SigmaFlipError,
     SplitPreconditionError,
     TrivialDeformation,
     check_deformation_axioms,
@@ -79,7 +80,10 @@ def _tabulate(report: Report, D: Deformation, pairs: list, t_grid, antipode: boo
     report.extras["tabulation"] = rows
     if not antipode:
         return
-    sig = D.sigma()
+    try:
+        sig = D.sigma()
+    except SigmaFlipError:  # recorded as the failed law sigma_flip by the suite that needed σ
+        return
     rows = []
     for key in dict.fromkeys(key for pair in pairs for key in pair):
         e = instance.basis_element(key)
@@ -172,6 +176,9 @@ def _run_command(cfg: RunConfig, report: Report) -> None:
         except SplitPreconditionError as exc:
             report.add_flag(prefix + "sigma_circ_s", "σ = σ∘S on samples", False, samples=samples)
             report.extras["split_precondition_failure"] = str(exc)
+        except SigmaFlipError as exc:
+            report.add_flag(prefix + "sigma_flip", SigmaFlipError.statement, False, samples=samples)
+            report.extras["sigma_flip_failure"] = str(exc)
     if cfg.command in ("deform", "antipode", "full-report"):
         _tabulate(report, D, pairs, cfg.t_grid, antipode=cfg.command != "deform" and instance.has_antipode)
 

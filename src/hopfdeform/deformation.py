@@ -81,6 +81,12 @@ class SplitPreconditionError(AlgebraError):
     """σ ≠ σ∘S on a sample, so the constant-antipode splitting is unavailable."""
 
 
+class SigmaFlipError(AlgebraError):
+    """σ and its flipped form disagree on a sample, so σ is unavailable."""
+
+    statement = "L∘(id(x)S)∘Delta = L∘(S(x)id)∘Delta"
+
+
 class Deformation:
     """A validated generator together with its instance.
 
@@ -217,10 +223,10 @@ def sigma_functional(D: Deformation, sampler, samples: int = 60, tol: float = DE
 
     sig = Cochain(inst, 1, partial(rule, 1), name=f"sigma[{L.name}]")
     flip = Cochain(inst, 1, partial(rule, 0), name=f"sigma_flip[{L.name}]")
-    res = Law("sigma_flip", "L∘(id(x)S)∘Delta = L∘(S(x)id)∘Delta", lambda _, k: abs(sig.value(k) - flip.value(k)),
+    res = Law("sigma_flip", SigmaFlipError.statement, lambda _, k: abs(sig.value(k) - flip.value(k)),
               tol, per_case=samples, draw=lambda s: (s.keys(1),)).fold(sampler)[1]
     if not res <= tol:
-        raise AlgebraError(f"sigma and its flipped form disagree by {res:.3e}")
+        raise SigmaFlipError(f"sigma and its flipped form disagree by {res:.3e}")
     return sig
 
 

@@ -230,6 +230,33 @@ def test_split_precondition_failure_is_a_failed_flag(command, flag, tmp_path, mo
     assert any(r["law_id"].startswith("star:") for r in report["results"]) == (command == "full-report")
 
 
+# this table cocycle passes the generator checks, but σ and its flipped form disagree
+_SIGMA_FLIP = {
+    "instance": {"type": "group_algebra_zd", "d": 3},
+    "cocycle": {"type": "grouplike_table", "entries": [[[1, 1, 1], [-1, -1, -1], 1]]},
+    "sampler": {"coord_bound": 2},
+    "sample_budget": 40,
+    "seed": 1,
+}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("antipode", ["sigma_flip"]),
+    ("split", ["sigma_flip"]),
+    ("full-report", ["hopf:sigma_flip", "split:sigma_flip"]),
+])
+def test_a_sigma_flip_disagreement_is_a_failed_law(command, flags, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["--config", _write(tmp_path, {**_SIGMA_FLIP, "command": command}), "--json-out", str(out)]) == 1
+    report = json.loads(out.read_text(encoding="utf-8"))["report"]
+    failed = [r for r in report["results"] if not r["passed"]]
+    assert [r["law_id"] for r in failed] == flags
+    assert {r["statement"] for r in failed} == {"L∘(id(x)S)∘Delta = L∘(S(x)id)∘Delta"}
+    assert report["extras"]["sigma_flip_failure"] == "sigma and its flipped form disagree by 1.000e+00"
+    assert "antipode_tabulation" not in report["extras"]
+    assert ("tabulation" in report["extras"]) == (command != "split")
+
+
 def test_list_examples(capsys):
     assert main(["--list-examples"]) == 0
     out = capsys.readouterr().out
