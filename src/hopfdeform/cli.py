@@ -19,8 +19,10 @@ configuration nor --seed provides one.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 
 from .core import CapabilityMissingError, NonFiniteError, check_structure, format_element, format_scalar
@@ -263,6 +265,12 @@ def main(argv=None) -> int:
         flags = {name: value for name, value in flags.items() if value is not None}
         if flags:
             cfg = RunConfig.from_dict({**raw, **flags})
+        # an unwritable --json-out ends the run before any suite; writing can still fail after it
+        out = args.json_out
+        if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+            raise ConfigError(f"cannot write --json-out {out!r}: {os.strerror(errno.ENOENT)}")
+        if out and os.path.isdir(out):
+            raise ConfigError(f"cannot write --json-out {out!r}: {os.strerror(errno.EISDIR)}")
 
         report = run_config(cfg)
     except ConfigError as exc:

@@ -84,6 +84,17 @@ def test_unwritable_json_out_is_a_config_error(where, tmp_path, capsys):
     assert err.startswith("configuration error:") and str(target) in err
 
 
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_an_unwritable_json_out_ends_the_run_before_any_suite(where, tmp_path, capsys):
+    target = tmp_path / "absent" / "r.json" if where == "missing_dir" else tmp_path
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["--example", "z-cubic", "--samples", "5", "--json-out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert "overall:" not in captured.out
+    assert captured.err.startswith(f"configuration error: cannot write --json-out {str(target)!r}: ")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_seed_changes_report(tmp_path):
     cfg = _fast(example_config("zd-matrix"), samples=30)
     path = _write(tmp_path, cfg)
