@@ -178,6 +178,16 @@ def test_conv_power_matches_the_direct_recursion_exactly(osc, cubic):
             assert hd.conv_power(f, k, u) == _power_by_recursion(f, k, u), (f.name, k, u)
 
 
+def test_a_negative_convolution_power_is_refused(osc):
+    M = hd.oscillator_cocycle(osc)
+    u = ((1, 0), (1, 1))
+    assert [hd.conv_power(M, k, u) for k in range(2, 6)] == [_power_by_recursion(M, k, u) for k in range(2, 6)]
+    # the stored powers must not answer for k < 0
+    for k in (-1, -2, -4):
+        with pytest.raises(hd.AlgebraError):
+            hd.conv_power(M, k, u)
+
+
 def test_conv_exp_requires_normalized_on_graded(osc):
     f = hd.Cochain(osc, 1, lambda ks: 1.0, name="const1")
     with pytest.raises(hd.NormalizationError):
