@@ -13,7 +13,8 @@ tolerance based (``EPS_EQ``); coefficients with modulus below
 ``EPS_PRUNE`` are dropped on construction.  NaN or infinite coefficients
 are rejected outright.
 
-Sums go through three kernels: :func:`_linear` computes Σ c·rule(k) over
+Sums go through three kernels (``Cochain.eval_mixed``, the coboundary and
+Horner's rule keep their own loops): :func:`_linear` computes Σ c·rule(k) over
 ``(k, c)`` items and :func:`_bilinear` Σ (ca·cb)·rule(ka, kb) over two term
 lists, each rule giving ``(key, w)`` pairs; :func:`_scalar` computes the
 complex number Σ c·rule(k).  Their summation-order contract fixes the last
