@@ -427,10 +427,12 @@ def map_conv_exp(A: LinMap, f: Cochain) -> Memo:
     inst = A.instance
 
     def expand(keys):
+        legs = tuple_comul_terms(inst, keys)
+        closed = _closed_form(f)
         return tuple(
             (c, right, A.value(left).terms)
-            for left, right, c in tuple_comul_terms(inst, keys)
-            if _closed_form(f) or any(f._coeffs.get(right) or conv_exp_coeffs(f, right))
+            for left, right, c in legs
+            if closed or any(f._coeffs.get(right) or conv_exp_coeffs(f, right))
         )
 
     legs = Memo(expand)

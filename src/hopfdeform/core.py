@@ -21,10 +21,19 @@ complex number Σ c·rule(k).  Their summation-order contract fixes the last
 bit of every coefficient, and so the bytes of every report: terms are added
 left to right in loop order, each keeps its product grouping (``c * w``,
 ``(ca * cb) * w``), a key's first term is stored as is and a scalar sum
-starts from ``0j``.  A term with more factors (c·w₁·w₂ left to right, as
-:func:`_slot_products` multiplies a tensor) is built by its caller and
-summed with no rule.  No kernel calls ``sum()``, whose algorithm CPython
+starts from ``0j``.  No kernel calls ``sum()``, whose algorithm CPython
 changes between versions.
+
+The tensor-square sums are plain rank-2 loops that read the basis tables
+directly and add each term into one dict under the same contract, with its
+factors multiplied left to right: :func:`tensor_mul` (``((cu·cv)·w₁)·w₂``
+from the product table), :func:`tensor_apply` (``(c·w₁)·w₂``, with
+``w = 1+0j`` on a slot left unchanged), the Λ expansion of a basis pair
+(``((1+0j)·c₁)·c₂``) and, in :mod:`~hopfdeform.deformation`,
+(μ_t⊗μ_s)∘Λ (``(((ca·cb)·c)·w₁)·w₂``).  :func:`_key_product` multiplies
+basis keys left to right from the product table, each step by ``1+0j`` and
+pruned as :func:`mul` would prune it.  Other ranks build each term
+``c·w₁·…·wₙ`` with :func:`_slot_products` and sum it with no rule.
 
 A sampled law's residual ``x.distance(y)`` equals ``(x - y).norm_inf()``
 but builds no difference element: it reads the difference coefficient by
@@ -141,6 +150,7 @@ def _bilinear(a_terms, b_terms, rule) -> dict:
 
 _first, _second = operator.itemgetter(0), operator.itemgetter(1)
 _neg = operator.neg
+_ONE = 1.0 + 0j
 
 
 def _slot_products(items):
@@ -515,6 +525,9 @@ def star_key(instance: BialgebraInstance, k) -> Element:
 
 
 def _expand_tuple_comul(comul_pairs: Memo, keys: tuple) -> tuple:
+    if len(keys) == 2:  # Λ on a basis pair; each leg's coefficient is ((1+0j)·c₁)·c₂
+        first, second = comul_pairs[keys[0]], comul_pairs[keys[1]]
+        return tuple(((a1, a2), (b1, b2), _ONE * c1 * c2) for (a1, b1), c1 in first for (a2, b2), c2 in second)
     legs = _slot_products([([comul_pairs[k] for k in keys], 1.0 + 0j)])
     return tuple((tuple(map(_first, pairs)), tuple(map(_second, pairs)), c) for pairs, c in legs)
 
@@ -561,16 +574,28 @@ def tensor_of(*elements: Element) -> TensorElement:
 
 
 def tensor_mul(u: TensorElement, v: TensorElement) -> TensorElement:
-    """Componentwise product in the tensor-power algebra."""
+    """Componentwise product in the tensor square, read from the product table.
+
+    Each term is ``(cu·cv)·w₁·w₂``, multiplied left to right.
+    """
     _same_tensor(u, v)
+    if u.rank != 2:
+        raise AlgebraError("tensor_mul is defined on rank-2 tensors")
     inst = u.instance
-    mul_terms = inst.mul_terms
-    terms = _linear(_slot_products(
-        ([mul_terms(a, b) for a, b in zip(ku, kv)], cu * cv)
-        for ku, cu in u.terms.items()
-        for kv, cv in v.terms.items()
-    ))
-    return TensorElement(inst, u.rank, terms)
+    table = inst._mul_cache
+    acc: dict = {}
+    v_items = v.terms.items()
+    for (a1, a2), cu in u.terms.items():
+        for (b1, b2), cv in v_items:
+            c = cu * cv
+            right = table[a2, b2]
+            for k1, w1 in table[a1, b1]:
+                cw = c * w1
+                for k2, w2 in right:
+                    key = (k1, k2)
+                    cur = acc.get(key)
+                    acc[key] = cw * w2 if cur is None else cur + cw * w2
+    return TensorElement(inst, 2, acc)
 
 
 def tensor_flip(u: TensorElement) -> TensorElement:
@@ -580,15 +605,26 @@ def tensor_flip(u: TensorElement) -> TensorElement:
 
 
 def tensor_apply(u: TensorElement, slot_maps) -> TensorElement:
-    """Apply per-slot linear basis maps; ``None`` leaves a slot unchanged.
+    """Apply per-slot linear basis maps to a tensor square; ``None`` leaves a slot unchanged.
 
-    Each map takes a basis key and returns ``(key, coeff)`` pairs.
+    Each map takes a basis key and returns ``(key, coeff)`` pairs; each
+    term is ``c·w₁·w₂``, multiplied left to right, with ``w = 1+0j`` on an
+    unchanged slot.
     """
-    terms = _linear(_slot_products(
-        ([((k, 1.0 + 0j),) if fn is None else tuple(fn(k)) for k, fn in zip(keys, slot_maps)], c)
-        for keys, c in u.terms.items()
-    ))
-    return TensorElement(u.instance, u.rank, terms)
+    if u.rank != 2:
+        raise AlgebraError("tensor_apply is defined on rank-2 tensors")
+    f1, f2 = slot_maps
+    acc: dict = {}
+    for (a1, a2), c in u.terms.items():
+        left = ((a1, _ONE),) if f1 is None else tuple(f1(a1))
+        right = ((a2, _ONE),) if f2 is None else tuple(f2(a2))
+        for k1, w1 in left:
+            cw = c * w1
+            for k2, w2 in right:
+                key = (k1, k2)
+                cur = acc.get(key)
+                acc[key] = cw * w2 if cur is None else cur + cw * w2
+    return TensorElement(u.instance, 2, acc)
 
 
 def tensor_expand_slot(u: TensorElement, slot: int) -> TensorElement:
@@ -612,11 +648,21 @@ def tensor_contract_slot(u: TensorElement, slot: int) -> TensorElement | Element
 
 
 def _key_product(instance: BialgebraInstance, keys) -> Element:
-    """The product of basis keys, left to right."""
-    prod = Element(instance, {keys[0]: 1.0})
+    """The product of basis keys, left to right, read from the product table.
+
+    Each step multiplies the running product by the next key with
+    coefficient ``1+0j`` and prunes the result, as :func:`mul` would.
+    """
+    table, prune = instance._mul_cache, instance.prune_eps
+    acc = {keys[0]: _ONE}
     for k in keys[1:]:
-        prod = mul(prod, Element(instance, {k: 1.0}))
-    return prod
+        prod, acc = _clean_terms(acc, prune), {}
+        for ka, ca in prod.items():
+            c = ca * _ONE
+            for key, w in table[ka, k]:
+                cur = acc.get(key)
+                acc[key] = c * w if cur is None else cur + c * w
+    return Element(instance, acc)
 
 
 def tensor_mul_all(u: TensorElement) -> Element:

@@ -7,8 +7,9 @@ is drawn by rejection on ``getrandbits`` and every real part is an affine
 map of ``random()``.  Those are the very draws ``randint``, ``randrange``,
 ``uniform`` and ``choice`` make on CPython, so the stream matches the one
 those calls give.  The hot draws call the primitives inline: a grouplike
-key rejects ``getrandbits`` per coordinate with its width and bit length
-fixed at construction, and an element's coefficients call ``random()``
+key rejects ``getrandbits`` per coordinate and a graded key for its
+degree and for each generator index, with the widths and bit lengths fixed
+at construction, and an element's coefficients call ``random()``
 twice each, so no draw pays a helper call.  Child samplers for independent
 checks are derived with :meth:`ElementSampler.spawn`.
 """
@@ -71,6 +72,12 @@ class ElementSampler:
         self._dim = len(instance.unit) if instance.kind is Kind.GROUPLIKE_BASIS else None
         self._width = 2 * self.coord_bound + 1
         self._bits = self._width.bit_length()
+        # a graded key draws its degree below ``max_degree + 1`` and, per unit
+        # of it, a generator index below the number of generators, likewise
+        self._gens = len(instance.unit) if instance.kind is Kind.GRADED_CONNECTED else None
+        self._gen_bits = self._gens.bit_length() if self._gens is not None else None
+        self._degrees = self.max_degree + 1
+        self._degree_bits = self._degrees.bit_length()
         self._finite_keys = None
         if instance.kind is Kind.FINITE:
             self._finite_keys = sorted(instance.basis_keys(), key=instance.sort_key)
@@ -97,16 +104,20 @@ class ElementSampler:
                     r = getrandbits(bits)
                 coords.append(lo + r)
             return tuple(coords)
-        inst = self.instance
-        below = self._below
-        if inst.kind is Kind.GRADED_CONNECTED:
-            n = len(inst.unit)
+        if self._gens is not None:
+            getrandbits, n, bits, degrees = self.rng.getrandbits, self._gens, self._gen_bits, self._degrees
+            d = getrandbits(self._degree_bits)
+            while d >= degrees:
+                d = getrandbits(self._degree_bits)
             exponents = [0] * n
-            for _ in range(below(self.max_degree + 1)):
-                exponents[below(n)] += 1
+            for _ in range(d):
+                r = getrandbits(bits)
+                while r >= n:
+                    r = getrandbits(bits)
+                exponents[r] += 1
             return tuple(exponents)
         keys = self._finite_keys
-        return keys[below(len(keys))]
+        return keys[self._below(len(keys))]
 
     def keys(self, n: int) -> tuple:
         return tuple(self.key() for _ in range(n))

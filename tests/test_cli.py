@@ -268,6 +268,21 @@ def test_a_sigma_flip_disagreement_is_a_failed_law(command, flags, tmp_path):
     assert ("tabulation" in report["extras"]) == (command != "split")
 
 
+def test_a_sigma_flip_failure_is_computed_once_per_report(monkeypatch):
+    import hopfdeform.deformation as deformation
+
+    calls = []
+    compute = deformation.sigma_functional
+    monkeypatch.setattr(deformation, "sigma_functional", lambda *args: calls.append(args) or compute(*args))
+    cfg = RunConfig.from_dict({**_SIGMA_FLIP, "command": "full-report"})
+    text = report_json(cfg, run_config(cfg))
+    # the hopf: and split: suites and the tabulation all ask for σ; the kept error answers the last two
+    assert len(calls) == 1
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "425a3ea9f1987a04db45a04e137a52801fd1998dca5b232eb23f068e0b925e6e"
+    )
+
+
 def test_list_examples(capsys):
     assert main(["--list-examples"]) == 0
     out = capsys.readouterr().out

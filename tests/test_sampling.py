@@ -100,3 +100,46 @@ def test_grouplike_draws_match_the_stdlib_calls(d, coord_bound):
         got = sampler.element().terms
         assert list(got) == list(want)
         assert all(got[k] == want[k] for k in want)
+
+
+class _CountingRandom(random.Random):
+    """``random.Random`` that counts its ``getrandbits`` calls, rejected draws included."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("max_degree", [2, 4, 7])
+def test_graded_draws_match_the_stdlib_calls(max_degree):
+    # degree widths 3, 5 and 8 over 3 generators: both draws reject
+    seed, max_support = 600 + max_degree, 3
+    sampler = hd.ElementSampler(hd.symmetric_star_algebra(("x", "y", "z")), seed,
+                                max_degree=max_degree, max_support=max_support)
+    rng = _CountingRandom(seed)
+    rejected = {"degree": 0, "index": 0}
+
+    def below(n, what):
+        before = rng.calls
+        r = rng.randrange(n)
+        rejected[what] += rng.calls - before - 1
+        return r
+
+    def key():
+        exponents = [0, 0, 0]
+        for _ in range(below(max_degree + 1, "degree")):
+            exponents[below(3, "index")] += 1
+        return tuple(exponents)
+
+    assert [sampler.key() for _ in range(60)] == [key() for _ in range(60)]
+    assert rejected["degree"] > 0 and rejected["index"] > 0
+    for _ in range(15):
+        want: dict = {}
+        for _ in range(1 + rng.randrange(max_support)):
+            k = key()
+            want[k] = want.get(k, 0j) + complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        got = sampler.element().terms
+        assert list(got) == list(want)
+        assert all(got[k] == want[k] for k in want)
