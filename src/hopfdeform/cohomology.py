@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import Element, antipode_key, star_key
+from .core import _element, antipode_key, star_key
 from .convolution import (
     Cochain,
     functional_conv_map,
@@ -42,7 +42,7 @@ def coboundary(f: Cochain, name=None) -> Cochain:
         sign = 1.0
         for i in range(1, n + 1):
             sign = -sign
-            merged = Element(inst, dict(inst.mul_terms(keys[i - 1], keys[i])))
+            merged = _element(inst, dict(inst.mul_terms(keys[i - 1], keys[i])))
             args = keys[: i - 1] + (merged,) + keys[i + 1 :]
             total += sign * f.eval_mixed(args)
         total += -sign * f.eval_mixed(keys[:n]) * inst.counit_key(keys[n])

@@ -51,12 +51,13 @@ from .core import (
     Memo,
     NonFiniteError,
     TensorElement,
-    _bilinear,
+    _element,
     _key_product,
     _linear,
     _same_instance,
     _scalar,
     _slot_products,
+    _tensor,
     mul,
 )
 
@@ -120,8 +121,14 @@ class Cochain:
         return self._cache[tuple(keys)]
 
     def eval_mixed(self, args) -> complex:
-        """Evaluate with each slot either a basis key or an :class:`Element`."""
-        slots = [tuple(a.terms.items()) if isinstance(a, Element) else ((a, 1.0 + 0j),) for a in args]
+        """Evaluate with each slot either a basis key or an :class:`Element` of this cochain's instance."""
+        slots = []
+        for a in args:
+            if isinstance(a, Element):
+                _same_instance(self, a)
+                slots.append(tuple(a.terms.items()))
+            else:
+                slots.append(((a, 1.0 + 0j),))
         total = 0j
         for keys, w in _slot_products([(slots, 1.0 + 0j)]):
             if w != 0:
@@ -133,6 +140,7 @@ class Cochain:
         if len(args) == 1 and isinstance(u := args[0], TensorElement):
             if u.rank != self.arity:
                 raise InstanceMismatchError(f"cochain arity {self.arity} vs tensor rank {u.rank}")
+            _same_instance(self, u)
             return _scalar(u.terms.items(), self.value)
         if len(args) != self.arity:
             raise AlgebraError(f"cochain of arity {self.arity} got {len(args)} arguments")
@@ -305,7 +313,11 @@ class LinMap:
     """Linear map from the rank-n tensor power into the algebra.
 
     Given by a rule on basis tuples returning an :class:`Element`, memoized
-    and extended linearly.
+    in a table keyed by the tuple and extended linearly.  Applied to an
+    element or a pair, the map is one loop over that table into a fresh
+    dict under the kernels' contract (``c * w`` and ``(ca * cb) * w``, a
+    key's first term stored as is); applied to a tensor it sums through
+    ``_linear``.  Its operands must belong to the map's instance.
     """
 
     __slots__ = ("instance", "rank", "name", "_cache")
@@ -322,38 +334,60 @@ class LinMap:
         return self._cache[tuple(keys)]
 
     def __call__(self, x) -> Element:
+        """Σ c·A(k) over the terms of an element (rank 1) or a tensor of the map's rank."""
         cache = self._cache
         if isinstance(x, Element):
             if self.rank != 1:
                 raise InstanceMismatchError(f"rank-{self.rank} map applied to an element")
-            terms = _linear(x.terms.items(), lambda k: cache[(k,)].terms.items())
+            _same_instance(self, x)
+            acc: dict = {}
+            for k, c in x.terms.items():
+                for key, w in cache[(k,)].terms.items():
+                    cur = acc.get(key)
+                    acc[key] = c * w if cur is None else cur + c * w
         elif isinstance(x, TensorElement):
             if self.rank != x.rank:
                 raise InstanceMismatchError(f"rank-{self.rank} map applied to rank-{x.rank} tensor")
-            terms = _linear(x.terms.items(), lambda keys: cache[keys].terms.items())
+            _same_instance(self, x)
+            acc = _linear(x.terms.items(), lambda keys: cache[keys].terms.items())
         else:
             raise AlgebraError(f"cannot apply map to {type(x).__name__}")
-        return Element(self.instance, terms)
+        return _element(self.instance, acc)
 
     def on_pair(self, a: Element, b: Element) -> Element:
-        """A rank-2 map on a⊗b: Σ (ca·cb)·A(ka⊗kb), summed by ``_bilinear``."""
+        """A rank-2 map on a⊗b: Σ (ca·cb)·A(ka⊗kb), one loop over the map's table."""
         if self.rank != 2:
             raise InstanceMismatchError(f"rank-{self.rank} map applied to a pair")
-        cache = self._cache
-        terms = _bilinear(a.terms.items(), b.terms.items(), lambda ka, kb: cache[ka, kb].terms.items())
-        return Element(self.instance, terms)
+        _same_instance(self, a)
+        _same_instance(self, b)
+        return _element(self.instance, _pair_terms(self._cache, a.terms.items(), b.terms.items()))
 
     def __repr__(self):
         return f"LinMap({self.name!r}, rank={self.rank}, on {self.instance.name!r})"
 
 
+def _pair_terms(table: Memo, a_items, b_items) -> dict:
+    """Σ (ca·cb)·A(ka⊗kb) over the ``(ka, ca)`` and ``(kb, cb)`` items, read from a rank-2 map's table.
+
+    ``b_items`` is walked once for every a item, so it must be re-iterable.
+    """
+    acc: dict = {}
+    for ka, ca in a_items:
+        for kb, cb in b_items:
+            c = ca * cb
+            for key, w in table[ka, kb].terms.items():
+                cur = acc.get(key)
+                acc[key] = c * w if cur is None else cur + c * w
+    return acc
+
+
 def identity_map(instance: BialgebraInstance) -> LinMap:
-    return LinMap(instance, 1, lambda ks: Element(instance, {ks[0]: 1.0}), name="id")
+    return LinMap(instance, 1, lambda ks: _element(instance, {ks[0]: 1.0}), name="id")
 
 
 def antipode_map(instance: BialgebraInstance) -> LinMap:
     instance.require_antipode()
-    return LinMap(instance, 1, lambda ks: Element(instance, dict(instance.antipode_terms(ks[0]))), name="S")
+    return LinMap(instance, 1, lambda ks: _element(instance, dict(instance.antipode_terms(ks[0]))), name="S")
 
 
 def unit_counit_map(instance: BialgebraInstance, rank: int = 1) -> LinMap:
@@ -361,7 +395,7 @@ def unit_counit_map(instance: BialgebraInstance, rank: int = 1) -> LinMap:
     return LinMap(
         instance,
         rank,
-        lambda ks: Element(instance, {instance.unit: tuple_counit(instance, ks)}),
+        lambda ks: _element(instance, {instance.unit: tuple_counit(instance, ks)}),
         name="unit∘delta",
     )
 
@@ -381,7 +415,7 @@ def convolve_maps(A: LinMap, B: LinMap, product=None, name=None) -> LinMap:
 
     def rule(keys):
         legs = (((left, right), c) for left, right, c in tuple_comul_terms(inst, keys))
-        return Element(inst, _linear(legs, lambda lr: prod(A.value(lr[0]), B.value(lr[1])).terms.items()))
+        return _element(inst, _linear(legs, lambda lr: prod(A.value(lr[0]), B.value(lr[1])).terms.items()))
 
     return LinMap(inst, A.rank, rule, name or f"({A.name}*{B.name})")
 
@@ -407,7 +441,7 @@ def _scalar_convolution(A: LinMap, f: Cochain, f_leg: int, name: str) -> LinMap:
         # A's terms on the other leg, scaled by c·v on each leg where v = f(leg) is nonzero
         scaled = ((A.value(legs[1 - f_leg]).terms, legs[2] * v)
                   for legs in tuple_comul_terms(inst, keys) if (v := f.value(legs[f_leg])) != 0)
-        return Element(inst, _linear(scaled, dict.items))
+        return _element(inst, _linear(scaled, dict.items))
 
     return LinMap(inst, A.rank, rule, name)
 
@@ -440,7 +474,7 @@ def map_conv_exp(A: LinMap, f: Cochain) -> Memo:
     def build(t):
         def rule(keys):
             scaled = ((terms, c * v) for c, right, terms in legs[keys] if (v := conv_exp(f, t, right)) != 0)
-            return Element(inst, _linear(scaled, dict.items))
+            return _element(inst, _linear(scaled, dict.items))
 
         return LinMap(inst, A.rank, rule, f"({A.name}*exp({t:g}{f.name}))")
 
@@ -459,4 +493,4 @@ def r_phi_pair_value(F: Cochain, pair: tuple) -> TensorElement:
     if F.arity != 2:
         raise AlgebraError("r_phi_pair_value expects an arity-2 functional")
     legs = tuple_comul_terms(F.instance, tuple(pair))
-    return TensorElement(F.instance, 2, _linear((left, c * v) for left, right, c in legs if (v := F.value(right)) != 0))
+    return _tensor(F.instance, 2, _linear((left, c * v) for left, right, c in legs if (v := F.value(right)) != 0))

@@ -11,7 +11,12 @@ ever grow and are safe under concurrent reads.
 Coefficients are complex doubles.  Equality of scalars and elements is
 tolerance based (``EPS_EQ``); coefficients with modulus below
 ``EPS_PRUNE`` are dropped on construction.  NaN or infinite coefficients
-are rejected outright.
+are rejected outright.  One routine, :func:`_clean_terms`, does both, in
+place on a dict it owns: the public ``Element(instance, terms)`` and
+``TensorElement(instance, rank, terms)`` hand it a copy, so a caller's
+mapping is never changed, while the structure maps hand their fresh kernel
+dicts over through :func:`_element` and :func:`_tensor`, so each result is
+cleaned once and never copied.
 
 Sums go through three kernels (``Cochain.eval_mixed``, the coboundary and
 Horner's rule keep their own loops): :func:`_linear` computes Σ c·rule(k) over
@@ -30,10 +35,16 @@ factors multiplied left to right: :func:`tensor_mul` (``((cu·cv)·w₁)·w₂``
 from the product table), :func:`tensor_apply` (``(c·w₁)·w₂``, with
 ``w = 1+0j`` on a slot left unchanged), the Λ expansion of a basis pair
 (``((1+0j)·c₁)·c₂``) and, in :mod:`~hopfdeform.deformation`,
-(μ_t⊗μ_s)∘Λ (``(((ca·cb)·c)·w₁)·w₂``).  :func:`_key_product` multiplies
-basis keys left to right from the product table, each step by ``1+0j`` and
-pruned as :func:`mul` would prune it.  Other ranks build each term
-``c·w₁·…·wₙ`` with :func:`_slot_products` and sum it with no rule.
+(μ_t⊗μ_s)∘Λ (``(((ca·cb)·c)·w₁)·w₂``, from the Λ table and the tables of
+μ_t and μ_s).  :func:`_key_product` multiplies basis keys left to right
+from the product table, each step by ``1+0j`` and pruned as :func:`mul`
+would prune it.  Other ranks build each term ``c·w₁·…·wₙ`` with
+:func:`_slot_products` and sum it with no rule.  In the same way a
+:class:`~hopfdeform.convolution.LinMap` applied to an element or a pair
+reads its own memo table in one loop (``c·w``, ``(ca·cb)·w``), and the
+antipode identity sums μ_t(S_t(k₁)⊗k₂) and μ_t(k₁⊗S_t(k₂)) from the S_t
+and μ_t tables leg by leg, with every product and cleaning step of the
+element chain S_t(1·k₁), μ_t(·⊗1·k₂), c·(·), sum + (·).
 
 A sampled law's residual ``x.distance(y)`` equals ``(x - y).norm_inf()``
 but builds no difference element: it reads the difference coefficient by
@@ -86,19 +97,37 @@ def format_scalar(z) -> str:
 _INF = math.inf
 
 
-def _clean_terms(terms, prune: float):
-    out = {}
+def _clean_terms(terms: dict, prune: float) -> dict:
+    """Check and prune ``terms`` in place and return it.
+
+    Every coefficient becomes a ``complex``; one of modulus below ``prune``
+    is deleted, which keeps the order of the keys that remain, and the first
+    non-finite one, in dict order, raises :class:`NonFiniteError` naming the
+    value as given.  The caller owns ``terms``: element construction hands
+    it a copy of a caller's mapping, and the structure maps their fresh
+    kernel dicts (:func:`_element`, :func:`_tensor`).
+    """
+    pruned = None
     for key, raw in terms.items():
-        z = raw if raw.__class__ is complex else complex(raw)
+        if raw.__class__ is complex:
+            z = raw
+        else:
+            z = terms[key] = complex(raw)  # a value, not a key, so iterating goes on
         try:
             size = abs(z)
         except OverflowError:  # both parts finite, the modulus is not
             size = _INF
         if not size < _INF:
             raise NonFiniteError(f"non-finite coefficient {raw!r} at basis key {key!r}")
-        if size >= prune:
-            out[key] = z
-    return out
+        if not size >= prune:
+            if pruned is None:
+                pruned = [key]
+            else:
+                pruned.append(key)
+    if pruned is not None:
+        for key in pruned:
+            del terms[key]
+    return terms
 
 
 def _linear(items, rule=None, start=None) -> dict:
@@ -305,18 +334,18 @@ class BialgebraInstance:
 
     def basis_element(self, key, coeff=1.0) -> "Element":
         self.check_key(key)
-        return Element(self, {key: coeff})
+        return _element(self, {key: coeff})
 
     def element(self, terms) -> "Element":
         for key in terms:
             self.check_key(key)
-        return Element(self, dict(terms))
+        return _element(self, dict(terms))
 
     def unit_element(self) -> "Element":
-        return Element(self, {self.unit: 1.0})
+        return _element(self, {self.unit: 1.0})
 
     def zero_element(self) -> "Element":
-        return Element(self, {})
+        return _element(self, {})
 
     def __repr__(self):
         return f"BialgebraInstance({self.name!r}, {self.kind.value})"
@@ -416,12 +445,12 @@ class Element(_Terms):
 
     def __init__(self, instance: BialgebraInstance, terms):
         self.instance = instance
-        self.terms = _clean_terms(terms, instance.prune_eps)
+        self.terms = _clean_terms(dict(terms), instance.prune_eps)
 
     _check = _same_element
 
-    def _new(self, terms) -> "Element":
-        return Element(self.instance, terms)
+    def _new(self, terms: dict) -> "Element":
+        return _element(self.instance, terms)
 
     def coeff(self, key) -> complex:
         return self.terms.get(key, 0j)
@@ -454,23 +483,41 @@ class TensorElement(_Terms):
             raise AlgebraError("tensor rank must be >= 1")
         self.instance = instance
         self.rank = rank
-        self.terms = _clean_terms(terms, instance.prune_eps)
+        self.terms = _clean_terms(dict(terms), instance.prune_eps)
 
     _check = _same_tensor
 
-    def _new(self, terms) -> "TensorElement":
-        return TensorElement(self.instance, self.rank, terms)
+    def _new(self, terms: dict) -> "TensorElement":
+        return _tensor(self.instance, self.rank, terms)
 
     def coeff(self, keys) -> complex:
         return self.terms.get(tuple(keys), 0j)
 
     def __rmul__(self, c):
-        return TensorElement(
-            self.instance, self.rank, {k: c * v for k, v in self.terms.items()}
-        )
+        return self._new({k: c * v for k, v in self.terms.items()})
 
     def __repr__(self):
         return f"<{format_tensor(self)}>"
+
+
+_new_object = object.__new__
+
+
+def _element(instance: BialgebraInstance, terms: dict) -> Element:
+    """The element whose terms are ``terms``, a fresh dict it takes over and cleans in place."""
+    e = _new_object(Element)
+    e.instance = instance
+    e.terms = _clean_terms(terms, instance.prune_eps)
+    return e
+
+
+def _tensor(instance: BialgebraInstance, rank: int, terms: dict) -> TensorElement:
+    """The rank-``rank`` tensor (rank ≥ 1) whose terms are ``terms``, a fresh dict it takes over."""
+    u = _new_object(TensorElement)
+    u.instance = instance
+    u.rank = rank
+    u.terms = _clean_terms(terms, instance.prune_eps)
+    return u
 
 
 # -- linear operations ------------------------------------------------------
@@ -482,19 +529,19 @@ def add(a: Element, b: Element) -> Element:
 
 def scale(c, a: Element) -> Element:
     c = complex(c)
-    return Element(a.instance, {k: c * v for k, v in a.terms.items()})
+    return _element(a.instance, {k: c * v for k, v in a.terms.items()})
 
 
 def mul(a: Element, b: Element) -> Element:
     """Bilinear extension of the basis product."""
     _same_instance(a, b)
     inst = a.instance
-    return Element(inst, _bilinear(a.terms.items(), b.terms.items(), inst.mul_terms))
+    return _element(inst, _bilinear(a.terms.items(), b.terms.items(), inst.mul_terms))
 
 
 def comul(a: Element) -> TensorElement:
     inst = a.instance
-    return TensorElement(inst, 2, _linear(a.terms.items(), inst._comul_pairs.__getitem__))
+    return _tensor(inst, 2, _linear(a.terms.items(), inst._comul_pairs.__getitem__))
 
 
 def counit(a: Element) -> complex:
@@ -505,7 +552,7 @@ def counit(a: Element) -> complex:
 def antipode(a: Element) -> Element:
     inst = a.instance
     inst.require_antipode()
-    return Element(inst, _linear(a.terms.items(), inst._antipode_cache.__getitem__))
+    return _element(inst, _linear(a.terms.items(), inst._antipode_cache.__getitem__))
 
 
 def star(a: Element) -> Element:
@@ -513,15 +560,15 @@ def star(a: Element) -> Element:
     inst = a.instance
     inst.require_star()
     conjugated = [(k, c.conjugate()) for k, c in a.terms.items()]
-    return Element(inst, _linear(conjugated, inst._star_cache.__getitem__))
+    return _element(inst, _linear(conjugated, inst._star_cache.__getitem__))
 
 
 def antipode_key(instance: BialgebraInstance, k) -> Element:
-    return Element(instance, dict(instance.antipode_terms(k)))
+    return _element(instance, dict(instance.antipode_terms(k)))
 
 
 def star_key(instance: BialgebraInstance, k) -> Element:
-    return Element(instance, dict(instance.star_terms(k)))
+    return _element(instance, dict(instance.star_terms(k)))
 
 
 def _expand_tuple_comul(comul_pairs: Memo, keys: tuple) -> tuple:
@@ -557,7 +604,7 @@ def iterated_comul(a: Element, n: int):
     if n == 0:
         return counit(a)
     inst = a.instance
-    return TensorElement(inst, n, _linear(a.terms.items(), lambda k: iterated_comul_terms(inst, k, n)))
+    return _tensor(inst, n, _linear(a.terms.items(), lambda k: iterated_comul_terms(inst, k, n)))
 
 
 # -- tensor utilities --------------------------------------------------------
@@ -570,7 +617,7 @@ def tensor_of(*elements: Element) -> TensorElement:
     for e in elements[1:]:
         _same_instance(elements[0], e)
     terms = _linear(_slot_products([([e.terms.items() for e in elements], 1.0 + 0j)]))
-    return TensorElement(inst, len(elements), terms)
+    return _tensor(inst, len(elements), terms)
 
 
 def tensor_mul(u: TensorElement, v: TensorElement) -> TensorElement:
@@ -595,13 +642,13 @@ def tensor_mul(u: TensorElement, v: TensorElement) -> TensorElement:
                     key = (k1, k2)
                     cur = acc.get(key)
                     acc[key] = cw * w2 if cur is None else cur + cw * w2
-    return TensorElement(inst, 2, acc)
+    return _tensor(inst, 2, acc)
 
 
 def tensor_flip(u: TensorElement) -> TensorElement:
     if u.rank != 2:
         raise AlgebraError("flip is defined on rank-2 tensors")
-    return TensorElement(u.instance, 2, {(b, a): c for (a, b), c in u.terms.items()})
+    return _tensor(u.instance, 2, {(b, a): c for (a, b), c in u.terms.items()})
 
 
 def tensor_apply(u: TensorElement, slot_maps) -> TensorElement:
@@ -624,7 +671,7 @@ def tensor_apply(u: TensorElement, slot_maps) -> TensorElement:
                 key = (k1, k2)
                 cur = acc.get(key)
                 acc[key] = cw * w2 if cur is None else cur + cw * w2
-    return TensorElement(u.instance, 2, acc)
+    return _tensor(u.instance, 2, acc)
 
 
 def tensor_expand_slot(u: TensorElement, slot: int) -> TensorElement:
@@ -635,7 +682,7 @@ def tensor_expand_slot(u: TensorElement, slot: int) -> TensorElement:
         for keys, c in u.terms.items()
         for k1, k2, w in inst.comul_terms(keys[slot])
     )
-    return TensorElement(inst, u.rank + 1, terms)
+    return _tensor(inst, u.rank + 1, terms)
 
 
 def tensor_contract_slot(u: TensorElement, slot: int) -> TensorElement | Element:
@@ -643,8 +690,8 @@ def tensor_contract_slot(u: TensorElement, slot: int) -> TensorElement | Element
     inst = u.instance
     terms = _linear((keys[:slot] + keys[slot + 1 :], c * inst.counit_key(keys[slot])) for keys, c in u.terms.items())
     if u.rank == 2:
-        return Element(inst, {k[0]: c for k, c in terms.items()})
-    return TensorElement(inst, u.rank - 1, terms)
+        return _element(inst, {k[0]: c for k, c in terms.items()})
+    return TensorElement(inst, u.rank - 1, terms)  # refuses rank 0
 
 
 def _key_product(instance: BialgebraInstance, keys) -> Element:
@@ -662,13 +709,13 @@ def _key_product(instance: BialgebraInstance, keys) -> Element:
             for key, w in table[ka, k]:
                 cur = acc.get(key)
                 acc[key] = c * w if cur is None else cur + c * w
-    return Element(instance, acc)
+    return _element(instance, acc)
 
 
 def tensor_mul_all(u: TensorElement) -> Element:
     """Multiply the slots together left to right."""
     inst = u.instance
-    return Element(inst, _linear(u.terms.items(), lambda keys: _key_product(inst, keys).terms.items()))
+    return _element(inst, _linear(u.terms.items(), lambda keys: _key_product(inst, keys).terms.items()))
 
 
 # -- canonical rendering -----------------------------------------------------

@@ -38,9 +38,12 @@ from .core import (
     Element,
     Kind,
     Memo,
-    TensorElement,
+    _ONE,
+    _clean_terms,
+    _element,
     _linear,
     _scalar,
+    _tensor,
     antipode,
     antipode_key,
     comul,
@@ -54,6 +57,7 @@ from .core import (
 from .convolution import (
     Cochain,
     LinMap,
+    _pair_terms,
     antipode_map,
     cochain_scale,
     cochain_sub,
@@ -200,8 +204,7 @@ def deformed_mul_pair(D: Deformation, t: float, ka, kb) -> Element:
 
 
 def deformed_mul(D: Deformation, t: float, a: Element, b: Element) -> Element:
-    if a.instance is not D.instance or b.instance is not D.instance:
-        raise AlgebraError("operands belong to a different instance")
+    """μ_t(a⊗b); an operand of another instance raises :class:`~hopfdeform.core.InstanceMismatchError`."""
     return D._mul_maps[t].on_pair(a, b)
 
 
@@ -211,15 +214,22 @@ def deformed_mul_map(D: Deformation, t: float) -> LinMap:
 
 
 def _deformed_mul_square(D: Deformation, t: float, s: float, a: Element, b: Element) -> dict:
-    """(μ_t⊗μ_s)∘Λ on a⊗b as a terms dict; each term is (((ca·cb)·c)·w₁)·w₂."""
-    inst = D.instance
+    """(μ_t⊗μ_s)∘Λ on a⊗b as a terms dict; each term is (((ca·cb)·c)·w₁)·w₂.
+
+    The Λ table and the tables of μ_t and μ_s are bound once and read
+    directly.
+    """
+    lam = D.instance._tuple_comul_cache
+    mu_t, mu_s = D._mul_maps[t]._cache, D._mul_maps[s]._cache
     acc: dict = {}
+    b_items = b.terms.items()
     for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            for left, right, c in tuple_comul_terms(inst, (ka, kb)):
-                w = ca * cb * c
-                e1 = deformed_mul_pair(D, t, left[0], left[1]).terms.items()
-                e2 = deformed_mul_pair(D, s, right[0], right[1]).terms.items()
+        for kb, cb in b_items:
+            cab = ca * cb
+            for left, right, c in lam[ka, kb]:
+                w = cab * c
+                e1 = mu_t[left].terms.items()
+                e2 = mu_s[right].terms.items()
                 for k1, w1 in e1:
                     ww = w * w1
                     for k2, w2 in e2:
@@ -227,6 +237,39 @@ def _deformed_mul_square(D: Deformation, t: float, s: float, a: Element, b: Elem
                         cur = acc.get(key)
                         acc[key] = ww * w2 if cur is None else cur + ww * w2
     return acc
+
+
+def _antipode_sides(D: Deformation, t: float, a: Element) -> tuple[dict, dict]:
+    """μ_t∘(S_t⊗id)∘Δ(a) and μ_t∘(id⊗S_t)∘Δ(a) as terms dicts, summed leg by leg.
+
+    A leg c·k₁⊗k₂ of Δ(a) adds c·μ_t(S_t(k₁)⊗k₂) to the left side and
+    c·μ_t(k₁⊗S_t(k₂)) to the right, read from the S_t and μ_t tables.  Each
+    product of the element chain S_t(e₁), μ_t(·⊗e₂), c·(·), side + (·) is
+    kept, the coefficient 1+0j of the basis elements e = 1·k included, and
+    each dict is cleaned where that chain built an element, so every
+    coefficient has the chain's bits.
+    """
+    prune = D.instance.prune_eps
+    s_t, mu_t = deformed_antipode(D, t)._cache, D._mul_maps[t]._cache
+    lhs: dict = {}
+    rhs: dict = {}
+    if not 1.0 >= prune:  # every basis element 1·k is pruned to zero, and with it every leg
+        return lhs, rhs
+    for (k1, k2), c in comul(a).terms.items():
+        s1 = _clean_terms({key: _ONE * w for key, w in s_t[(k1,)].terms.items()}, prune)
+        _add_scaled(lhs, c, _pair_terms(mu_t, s1.items(), ((k2, _ONE),)), prune)
+        s2 = _clean_terms({key: _ONE * w for key, w in s_t[(k2,)].terms.items()}, prune)
+        _add_scaled(rhs, c, _pair_terms(mu_t, ((k1, _ONE),), s2.items()), prune)
+    return lhs, rhs
+
+
+def _add_scaled(acc: dict, c: complex, terms: dict, prune: float) -> None:
+    """Add c·terms into ``acc``, cleaning ``terms``, the scaled dict and ``acc`` as the elements were."""
+    scaled = _clean_terms({k: c * v for k, v in _clean_terms(terms, prune).items()}, prune)
+    for key, v in scaled.items():
+        cur = acc.get(key)
+        acc[key] = v if cur is None else cur + v
+    _clean_terms(acc, prune)
 
 
 def deformed_convolution(D: Deformation, t: float, A: LinMap, B: LinMap) -> LinMap:
@@ -307,7 +350,7 @@ def check_deformation_axioms(
         t, s = ts
         lhs = comul(deformed_mul(D, t + s, a, b))
 
-        return lhs.distance(TensorElement(inst, 2, _deformed_mul_square(D, t, s, a, b)))
+        return lhs.distance(_tensor(inst, 2, _deformed_mul_square(D, t, s, a, b)))
 
     def counit_semigroup(ts, u):
         t, s = ts
@@ -318,7 +361,10 @@ def check_deformation_axioms(
     def generator_derivative(h, u):
         a = Element(inst, {u[0]: 1.0})
         b = Element(inst, {u[1]: 1.0})
-        fd = (counit(deformed_mul(D, h, a, b)) - counit(a) * counit(b)) / h
+        # μ_h(a⊗b) read from μ_h's table, each term (1·1)·w as deformed_mul sums it;
+        # a or b is zero when prune_eps exceeds 1
+        ab = scale(_ONE, deformed_mul_pair(D, h, *u)) if a.terms and b.terms else inst.zero_element()
+        fd = (counit(ab) - counit(a) * counit(b)) / h
         return abs(fd - L.value(u))
 
     per = _per_case(samples, len(t_grid))
@@ -369,16 +415,9 @@ def check_hopf_deformation(
     sig = D.sigma()
 
     def antipode_identity(t, a):
-        St = deformed_antipode(D, t)
         target = scale(counit(a), one)
-        lhs = inst.zero_element()
-        rhs = inst.zero_element()
-        for (k1, k2), c in comul(a).terms.items():
-            e1 = Element(inst, {k1: 1.0})
-            e2 = Element(inst, {k2: 1.0})
-            lhs = lhs + scale(c, deformed_mul(D, t, St(e1), e2))
-            rhs = rhs + scale(c, deformed_mul(D, t, e1, St(e2)))
-        return lhs.distance(target), rhs.distance(target)
+        lhs, rhs = _antipode_sides(D, t, a)
+        return _element(inst, lhs).distance(target), _element(inst, rhs).distance(target)
 
     def antipode_unit(t):
         return deformed_antipode(D, t)(one).distance(one)
@@ -411,7 +450,7 @@ def check_hopf_deformation(
         legs = comul(a).terms.items()
         lhs = _linear(legs, lambda ks: ((ks[1], sig.value(ks[:1])),))
         rhs = _linear(legs, lambda ks: ((ks[0], sig.value(ks[1:])),))
-        return Element(inst, lhs).distance(Element(inst, rhs))
+        return _element(inst, lhs).distance(_element(inst, rhs))
 
     def sigma_derivative(h, u):
         a = Element(inst, {u[0]: 1.0})

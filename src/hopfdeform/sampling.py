@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from .core import BialgebraInstance, Element, Kind
+from .core import BialgebraInstance, Element, Kind, _element
 
 _MASK = (1 << 63) - 1
 
@@ -129,7 +129,7 @@ class ElementSampler:
             k = key()
             # each part is exactly what uniform(-1.0, 1.0) evaluates
             terms[k] = terms.get(k, 0j) + complex(-1.0 + 2.0 * random_(), -1.0 + 2.0 * random_())
-        return Element(self.instance, terms)
+        return _element(self.instance, terms)
 
     def elements(self, n: int) -> list[Element]:
         return [self.element() for _ in range(n)]
