@@ -18,9 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import _element, antipode_key, star_key
+from .core import _ONE, _row_items
 from .convolution import (
     Cochain,
+    _slot_sum,
     functional_conv_map,
     map_conv_functional,
     mu_n_map,
@@ -33,19 +34,24 @@ DEFAULT_SAMPLES = 200
 
 
 def coboundary(f: Cochain, name=None) -> Cochain:
-    """The Hochschild coboundary ∂f, evaluated lazily per basis tuple."""
+    """The Hochschild coboundary ∂f, evaluated lazily per basis tuple.
+
+    Each term is f on the tuple with one product row in a slot, summed by
+    the slot loop :func:`~hopfdeform.convolution._slot_sum`.
+    """
     inst = f.instance
     n = f.arity
+    value, products, counits = f.value, inst._mul_cache, inst._counit_cache
 
     def rule(keys):
-        total = tuple_counit(inst, keys[:1]) * f.eval_mixed(keys[1:])
+        slots = [((k, _ONE),) for k in keys]
+        total = tuple_counit(inst, keys[:1]) * _slot_sum(value, slots[1:])
         sign = 1.0
         for i in range(1, n + 1):
             sign = -sign
-            merged = _element(inst, dict(inst.mul_terms(keys[i - 1], keys[i])))
-            args = keys[: i - 1] + (merged,) + keys[i + 1 :]
-            total += sign * f.eval_mixed(args)
-        total += -sign * f.eval_mixed(keys[:n]) * inst.counit_key(keys[n])
+            merged = _row_items(inst, products[keys[i - 1], keys[i]])
+            total += sign * _slot_sum(value, slots[: i - 1] + [merged] + slots[i + 1 :])
+        total += -sign * _slot_sum(value, slots[:n]) * counits[keys[n]]
         return total
 
     return Cochain(inst, n + 1, rule, name or f"d({f.name})")
@@ -55,10 +61,10 @@ def hermitian_conjugate(f: Cochain, name=None) -> Cochain:
     """f̃(a₁⊗…⊗aₙ) = conj f(aₙ*⊗…⊗a₁*)."""
     inst = f.instance
     inst.require_star()
+    value, stars = f.value, inst._star_cache
 
     def rule(keys):
-        starred = tuple(star_key(inst, k) for k in reversed(keys))
-        return f.eval_mixed(starred).conjugate()
+        return _slot_sum(value, [_row_items(inst, stars[k]) for k in reversed(keys)]).conjugate()
 
     return Cochain(inst, f.arity, rule, name or f"~{f.name}")
 
@@ -74,9 +80,10 @@ def compose_antipode_flip(f: Cochain, name=None) -> Cochain:
     inst.require_antipode()
     if f.arity != 2:
         raise ValueError("compose_antipode_flip expects an arity-2 cochain")
+    value, antipodes = f.value, inst._antipode_cache
 
     def rule(keys):
-        return f.eval_mixed((antipode_key(inst, keys[1]), antipode_key(inst, keys[0])))
+        return _slot_sum(value, [_row_items(inst, antipodes[keys[1]]), _row_items(inst, antipodes[keys[0]])])
 
     return Cochain(inst, 2, rule, name or f"({f.name}∘(S(x)S)∘tau)")
 

@@ -146,6 +146,9 @@ class RunConfig:
         )
         if cfg.sample_budget < 1:
             raise ConfigError("sample_budget must be >= 1")
+        # at 1 or above every basis element 1·k is pruned to zero
+        if not cfg.tolerances["prune"] < 1:
+            raise ConfigError(f"tolerances prune must be in [0, 1), got {cfg.tolerances['prune']!r}")
         if not isinstance(cfg.require_star, bool):
             raise ConfigError(f"require_star must be true or false, got {cfg.require_star!r}")
         if cfg.command not in COMMANDS:

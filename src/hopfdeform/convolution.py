@@ -51,12 +51,13 @@ from .core import (
     Memo,
     NonFiniteError,
     TensorElement,
+    _ONE,
     _element,
+    _first,
     _key_product,
     _linear,
     _same_instance,
     _scalar,
-    _slot_products,
     _tensor,
     mul,
 )
@@ -76,9 +77,10 @@ def tuple_comul_terms(instance: BialgebraInstance, keys: tuple):
 
 
 def tuple_counit(instance: BialgebraInstance, keys: tuple) -> complex:
+    table = instance._counit_cache
     c = 1.0 + 0j
     for k in keys:
-        c *= instance.counit_key(k)
+        c *= table[k]
     return c
 
 
@@ -126,14 +128,10 @@ class Cochain:
         for a in args:
             if isinstance(a, Element):
                 _same_instance(self, a)
-                slots.append(tuple(a.terms.items()))
+                slots.append(a.terms.items())
             else:
-                slots.append(((a, 1.0 + 0j),))
-        total = 0j
-        for keys, w in _slot_products([(slots, 1.0 + 0j)]):
-            if w != 0:
-                total += w * self.value(keys)
-        return total
+                slots.append(((a, _ONE),))
+        return _slot_sum(self.value, slots)
 
     def __call__(self, *args) -> complex:
         """Flexible evaluation: basis keys, Elements, or one TensorElement."""
@@ -152,6 +150,24 @@ class Cochain:
 
     def __repr__(self):
         return f"Cochain({self.name!r}, arity={self.arity}, on {self.instance.name!r})"
+
+
+def _slot_sum(value, slots) -> complex:
+    """Σ w·value(k₁,…,kₙ) over every choice of one ``(kᵢ, wᵢ)`` pair from each slot.
+
+    The slot loop of :meth:`Cochain.eval_mixed`: a basis key is the slot
+    ``((k, 1+0j),)`` and an element its terms.  Each weight is
+    ``(1+0j)·w₁·…·wₙ``, multiplied left to right; a choice whose weight is 0
+    is skipped, and the sum starts from ``0j``.
+    """
+    total = 0j
+    for combo in itertools.product(*slots):
+        w = _ONE
+        for _, v in combo:
+            w *= v
+        if w != 0:
+            total += w * value(tuple(map(_first, combo)))
+    return total
 
 
 def cochain_add(f: Cochain, g: Cochain, name=None) -> Cochain:

@@ -18,33 +18,51 @@ mapping is never changed, while the structure maps hand their fresh kernel
 dicts over through :func:`_element` and :func:`_tensor`, so each result is
 cleaned once and never copied.
 
-Sums go through three kernels (``Cochain.eval_mixed``, the coboundary and
-Horner's rule keep their own loops): :func:`_linear` computes Σ c·rule(k) over
-``(k, c)`` items and :func:`_bilinear` Σ (ca·cb)·rule(ka, kb) over two term
-lists, each rule giving ``(key, w)`` pairs; :func:`_scalar` computes the
-complex number Σ c·rule(k).  Their summation-order contract fixes the last
-bit of every coefficient, and so the bytes of every report: terms are added
-left to right in loop order, each keeps its product grouping (``c * w``,
+Sums go through three kernels (Horner's rule keeps its own loop):
+:func:`_linear` computes Σ c·rule(k) over ``(k, c)`` items and
+:func:`_bilinear` Σ (ca·cb)·rule(ka, kb) over two term lists, each rule
+giving ``(key, w)`` pairs; :func:`_scalar` computes the complex number
+Σ c·rule(k).  Their summation-order contract fixes the last bit of every
+coefficient, and so the bytes of every report: terms are added left to right
+in loop order, each keeps its product grouping (``c * w``,
 ``(ca * cb) * w``), a key's first term is stored as is and a scalar sum
 starts from ``0j``.  No kernel calls ``sum()``, whose algorithm CPython
 changes between versions.
 
-The tensor-square sums are plain rank-2 loops that read the basis tables
-directly and add each term into one dict under the same contract, with its
-factors multiplied left to right: :func:`tensor_mul` (``((cu·cv)·w₁)·w₂``
-from the product table), :func:`tensor_apply` (``(c·w₁)·w₂``, with
-``w = 1+0j`` on a slot left unchanged), the Λ expansion of a basis pair
-(``((1+0j)·c₁)·c₂``) and, in :mod:`~hopfdeform.deformation`,
-(μ_t⊗μ_s)∘Λ (``(((ca·cb)·c)·w₁)·w₂``, from the Λ table and the tables of
-μ_t and μ_s).  :func:`_key_product` multiplies basis keys left to right
-from the product table, each step by ``1+0j`` and pruned as :func:`mul`
-would prune it.  Other ranks build each term ``c·w₁·…·wₙ`` with
-:func:`_slot_products` and sum it with no rule.  In the same way a
-:class:`~hopfdeform.convolution.LinMap` applied to an element or a pair
-reads its own memo table in one loop (``c·w``, ``(ca·cb)·w``), and the
-antipode identity sums μ_t(S_t(k₁)⊗k₂) and μ_t(k₁⊗S_t(k₂)) from the S_t
+The structure maps that :func:`check_structure` and generator validation
+call are plain loops that read the instance's memo tables directly under the
+same contract, with each term's factors multiplied left to right, and build
+no intermediate element: :func:`comul` (``c·w`` from the coproduct table),
+:func:`counit`, ``counit_key`` and ``tuple_counit`` (from the counit table,
+which holds the basis rule's value per key), :func:`tensor_expand_slot`
+(``c·w``) and :func:`tensor_contract_slot` (``c·δ(k)``), which refuses
+rank 1.  The tensor-square sums are rank-2 loops: :func:`tensor_mul`
+(``((cu·cv)·w₁)·w₂`` from the product table), :func:`tensor_apply`
+(``(c·w₁)·w₂``, with ``w = 1+0j`` on a slot left unchanged),
+:func:`tensor_mul_all` (``c·((1+0j)·w)``, each pair's product from the
+product table checked and pruned as :func:`_key_product` builds it), the Λ
+expansion of a basis pair (``((1+0j)·c₁)·c₂``) and, in
+:mod:`~hopfdeform.deformation`, (μ_t⊗μ_s)∘Λ (``(((ca·cb)·c)·w₁)·w₂``, from
+the Λ table and the tables of μ_t and μ_s).  :func:`_key_product` multiplies
+basis keys left to right from the product table, each step by ``1+0j`` and
+pruned as :func:`mul` would prune it.  Other ranks build each term
+``c·w₁·…·wₙ`` with :func:`_slot_products` and sum it with no rule.  In the
+same way a :class:`~hopfdeform.convolution.LinMap` applied to an element or
+a pair reads its own memo table in one loop (``c·w``, ``(ca·cb)·w``), and
+the antipode identity sums μ_t(S_t(k₁)⊗k₂) and μ_t(k₁⊗S_t(k₂)) from the S_t
 and μ_t tables leg by leg, with every product and cleaning step of the
 element chain S_t(1·k₁), μ_t(·⊗1·k₂), c·(·), sum + (·).
+
+:func:`check_structure` computes each drawn triple's a·b and Δ(a) once, in
+the first law that reads them, and the later laws read the stored value; a
+value is stored only once computed, so an overflowing input raises the same
+:class:`NonFiniteError` at the same sample.  The cochain rules that put a
+table row into a slot (the coboundary, σ and its flipped form,
+``compose_antipode_flip``, ``hermitian_conjugate``) read each row as the
+element ``dict(row)`` (:func:`_row_items`: the last duplicate key wins, then
+checked and pruned) and sum through the slot loop of ``Cochain.eval_mixed``:
+weights ``(1+0j)·w₁·…·wₙ`` multiplied left to right, a zero weight skipped,
+the sum from ``0j``.
 
 A sampled law's residual ``x.distance(y)`` equals ``(x - y).norm_inf()``
 but builds no difference element: it reads the difference coefficient by
@@ -248,7 +266,6 @@ class BialgebraInstance:
         self.cocommutative = cocommutative
         self.eq_eps = eq_eps
         self.prune_eps = prune_eps
-        self._counit = counit_basis
         self._antipode = antipode_basis
         self._star = star_basis
         self._degree = degree
@@ -258,6 +275,7 @@ class BialgebraInstance:
         self._basis_iter = basis_iter
         # the memos close over the rules and each other, never over the
         # instance, so an instance is freed as soon as its last user drops it
+        self._counit_cache = Memo(lambda k: complex(counit_basis(k)))
         comul = self._comul_cache = Memo(
             lambda k: tuple((a, b, complex(c)) for a, b, c in comul_basis(k))
         )
@@ -299,7 +317,7 @@ class BialgebraInstance:
         return self._tuple_comul_cache[keys]
 
     def counit_key(self, k) -> complex:
-        return complex(self._counit(k))
+        return self._counit_cache[k]
 
     def antipode_terms(self, k):
         self.require_antipode()
@@ -520,6 +538,15 @@ def _tensor(instance: BialgebraInstance, rank: int, terms: dict) -> TensorElemen
     return u
 
 
+def _row_items(instance: BialgebraInstance, row):
+    """The terms of the element ``dict(row)`` made from a basis table's row.
+
+    The last of any duplicate keys wins, and the terms are checked and
+    pruned at the instance's current threshold.
+    """
+    return _clean_terms(dict(row), instance.prune_eps).items()
+
+
 # -- linear operations ------------------------------------------------------
 
 
@@ -541,12 +568,21 @@ def mul(a: Element, b: Element) -> Element:
 
 def comul(a: Element) -> TensorElement:
     inst = a.instance
-    return _tensor(inst, 2, _linear(a.terms.items(), inst._comul_pairs.__getitem__))
+    table = inst._comul_pairs
+    acc: dict = {}
+    for k, c in a.terms.items():
+        for key, w in table[k]:
+            cur = acc.get(key)
+            acc[key] = c * w if cur is None else cur + c * w
+    return _tensor(inst, 2, acc)
 
 
 def counit(a: Element) -> complex:
-    inst = a.instance
-    return _scalar(a.terms.items(), inst.counit_key)
+    table = a.instance._counit_cache
+    total = 0j
+    for k, c in a.terms.items():
+        total += c * table[k]
+    return total
 
 
 def antipode(a: Element) -> Element:
@@ -561,14 +597,6 @@ def star(a: Element) -> Element:
     inst.require_star()
     conjugated = [(k, c.conjugate()) for k, c in a.terms.items()]
     return _element(inst, _linear(conjugated, inst._star_cache.__getitem__))
-
-
-def antipode_key(instance: BialgebraInstance, k) -> Element:
-    return _element(instance, dict(instance.antipode_terms(k)))
-
-
-def star_key(instance: BialgebraInstance, k) -> Element:
-    return _element(instance, dict(instance.star_terms(k)))
 
 
 def _expand_tuple_comul(comul_pairs: Memo, keys: tuple) -> tuple:
@@ -675,23 +703,35 @@ def tensor_apply(u: TensorElement, slot_maps) -> TensorElement:
 
 
 def tensor_expand_slot(u: TensorElement, slot: int) -> TensorElement:
-    """Replace one slot by its coproduct, raising the rank by one."""
+    """Replace one slot by its coproduct, raising the rank by one; each term is ``c·w``."""
     inst = u.instance
-    terms = _linear(
-        (keys[:slot] + (k1, k2) + keys[slot + 1 :], c * w)
-        for keys, c in u.terms.items()
-        for k1, k2, w in inst.comul_terms(keys[slot])
-    )
-    return _tensor(inst, u.rank + 1, terms)
+    table = inst._comul_cache
+    acc: dict = {}
+    for keys, c in u.terms.items():
+        head, tail = keys[:slot], keys[slot + 1 :]
+        for k1, k2, w in table[keys[slot]]:
+            key = head + (k1, k2) + tail
+            cur = acc.get(key)
+            acc[key] = c * w if cur is None else cur + c * w
+    return _tensor(inst, u.rank + 1, acc)
 
 
 def tensor_contract_slot(u: TensorElement, slot: int) -> TensorElement | Element:
-    """Apply the counit to one slot, lowering the rank by one."""
+    """Apply the counit to one slot, lowering the rank by one; each term is ``c·δ(k)``."""
     inst = u.instance
-    terms = _linear((keys[:slot] + keys[slot + 1 :], c * inst.counit_key(keys[slot])) for keys, c in u.terms.items())
-    if u.rank == 2:
-        return _element(inst, {k[0]: c for k, c in terms.items()})
-    return TensorElement(inst, u.rank - 1, terms)  # refuses rank 0
+    table = inst._counit_cache
+    rank = u.rank
+    acc: dict = {}
+    for keys, c in u.terms.items():
+        key = keys[:slot] + keys[slot + 1 :]
+        if rank == 2:
+            key = key[0]
+        cw = c * table[keys[slot]]
+        cur = acc.get(key)
+        acc[key] = cw if cur is None else cur + cw
+    if rank == 2:
+        return _element(inst, acc)
+    return TensorElement(inst, rank - 1, acc)  # refuses rank 0
 
 
 def _key_product(instance: BialgebraInstance, keys) -> Element:
@@ -713,9 +753,29 @@ def _key_product(instance: BialgebraInstance, keys) -> Element:
 
 
 def tensor_mul_all(u: TensorElement) -> Element:
-    """Multiply the slots together left to right."""
+    """Multiply the slots together left to right.
+
+    On rank 2 each term ``c·k₁⊗k₂`` adds c times the product of the basis
+    elements 1·k₁ and 1·k₂, read from the product table: the terms
+    ``(1+0j)·w`` of its row, checked and pruned as :func:`_key_product`
+    builds them.
+    """
     inst = u.instance
-    return _element(inst, _linear(u.terms.items(), lambda keys: _key_product(inst, keys).terms.items()))
+    if u.rank != 2:
+        return _element(inst, _linear(u.terms.items(), lambda keys: _key_product(inst, keys).terms.items()))
+    table, prune = inst._mul_cache, inst.prune_eps
+    acc: dict = {}
+    if not 1.0 >= prune:  # every basis element 1·k₁ is pruned to zero, and with it every product
+        return _element(inst, acc)
+    for pair, c in u.terms.items():
+        prod: dict = {}
+        for key, w in table[pair]:
+            cur = prod.get(key)
+            prod[key] = _ONE * w if cur is None else cur + _ONE * w
+        for key, w in _clean_terms(prod, prune).items():
+            cur = acc.get(key)
+            acc[key] = c * w if cur is None else cur + c * w
+    return _element(inst, acc)
 
 
 # -- canonical rendering -----------------------------------------------------
@@ -751,7 +811,9 @@ def check_structure(instance: BialgebraInstance, sampler, tol: float = 1e-8) -> 
     """Sampled verification of the bialgebra / Hopf / star axioms.
 
     Element triples, then grouplike keys or grading key pairs, are drawn
-    once as the laws' fixed cases.  Failures are recorded, never raised.
+    once as the laws' fixed cases.  Each triple's a·b and Δ(a) are computed
+    once, by the first law that reads them, and shared by the later ones.
+    Failures are recorded, never raised.
     """
     triples = [(sampler.element(), sampler.element(), sampler.element()) for _ in range(sampler.budget)]
     if instance.kind is Kind.GROUPLIKE_BASIS:
@@ -759,16 +821,20 @@ def check_structure(instance: BialgebraInstance, sampler, tol: float = 1e-8) -> 
     elif instance.kind is Kind.GRADED_CONNECTED:
         keys = [(sampler.key(), sampler.key()) for _ in range(sampler.budget)]
     one = instance.unit_element()
+    antipode_row = instance._antipode_cache.__getitem__
+    # by triple index; a value is kept only once computed, so a failure is met again where it was first
+    products = Memo(lambda i: mul(triples[i][0], triples[i][1]))
+    coproducts = Memo(lambda i: comul(triples[i][0]))
 
     def on_triples(law_id, statement, residual, tolerance=tol):
-        return Law(law_id, statement, lambda abc: residual(*abc), tolerance, cases=triples)
+        return Law(law_id, statement, lambda i: residual(i, *triples[i]), tolerance, cases=range(len(triples)))
 
-    def coassociativity(a, *_):
-        u = comul(a)
+    def coassociativity(i, *_):
+        u = coproducts[i]
         return tensor_expand_slot(u, 0).distance(tensor_expand_slot(u, 1))
 
-    def counit_law(a, *_):
-        u = comul(a)
+    def counit_law(i, a, *_):
+        u = coproducts[i]
         return tensor_contract_slot(u, 0).distance(a), tensor_contract_slot(u, 1).distance(a)
 
     def grading(pair):
@@ -779,28 +845,28 @@ def check_structure(instance: BialgebraInstance, sampler, tol: float = 1e-8) -> 
         )
         return 0.0 if graded else 1.0, 0.0 if deg(instance.unit) == 0 else 1.0
 
-    def cocommutativity(a, *_):
-        u = comul(a)
+    def cocommutativity(i, *_):
+        u = coproducts[i]
         return tensor_flip(u).distance(u)
 
-    def antipode_law(a, *_):
-        u = comul(a)
+    def antipode_law(i, a, *_):
+        u = coproducts[i]
         target = scale(counit(a), one)
-        lhs = tensor_mul_all(tensor_apply(u, (instance.antipode_terms, None)))
-        rhs = tensor_mul_all(tensor_apply(u, (None, instance.antipode_terms)))
+        lhs = tensor_mul_all(tensor_apply(u, (antipode_row, None)))
+        rhs = tensor_mul_all(tensor_apply(u, (None, antipode_row)))
         return lhs.distance(target), rhs.distance(target)
 
     laws = [
         on_triples("associativity", "(a*b)*c = a*(b*c)",
-                   lambda a, b, c: mul(mul(a, b), c).distance(mul(a, mul(b, c)))),
+                   lambda i, a, b, c: mul(products[i], c).distance(mul(a, mul(b, c)))),
         on_triples("unit", "1*a = a = a*1",
-                   lambda a, *_: (mul(one, a).distance(a), mul(a, one).distance(a)), 1e-12),
+                   lambda i, a, *_: (mul(one, a).distance(a), mul(a, one).distance(a)), 1e-12),
         on_triples("coassociativity", "(Delta(x)id)Delta = (id(x)Delta)Delta", coassociativity),
         on_triples("counit", "(delta(x)id)Delta = id = (id(x)delta)Delta", counit_law, 1e-12),
         on_triples("comul_homomorphism", "Delta(ab) = Delta(a)Delta(b)",
-                   lambda a, b, _: comul(mul(a, b)).distance(tensor_mul(comul(a), comul(b)))),
+                   lambda i, a, b, _: comul(products[i]).distance(tensor_mul(coproducts[i], comul(b)))),
         on_triples("counit_homomorphism", "delta(ab) = delta(a)delta(b)",
-                   lambda a, b, _: abs(counit(mul(a, b)) - counit(a) * counit(b))),
+                   lambda i, a, b, _: abs(counit(products[i]) - counit(a) * counit(b))),
     ]
     if instance.kind is Kind.GROUPLIKE_BASIS:
         laws.append(Law("grouplike_basis", "Delta(b) = b(x)b and delta(b) = 1 on basis keys",
@@ -815,9 +881,10 @@ def check_structure(instance: BialgebraInstance, sampler, tol: float = 1e-8) -> 
         laws.append(on_triples("antipode", "mul(S(x)id)Delta = delta*1 = mul(id(x)S)Delta", antipode_law))
         laws.append(Law("antipode_unit", "S(1) = 1", lambda _: antipode(one).distance(one), 1e-12))
     if instance.has_star:
-        laws.append(on_triples("star_involutive", "(a*)* = a", lambda a, *_: star(star(a)).distance(a), 1e-12))
+        laws.append(on_triples("star_involutive", "(a*)* = a",
+                               lambda i, a, *_: star(star(a)).distance(a), 1e-12))
         laws.append(on_triples("star_antihomomorphism", "(ab)* = b* a*",
-                               lambda a, b, _: star(mul(a, b)).distance(mul(star(b), star(a)))))
+                               lambda i, a, b, _: star(products[i]).distance(mul(star(b), star(a)))))
     report = Report(name=f"structure:{instance.name}")
     run_laws(report, sampler, laws)
     return report

@@ -30,6 +30,7 @@ are deterministic for a given (seed, budget).
 """
 from __future__ import annotations
 
+import math
 from functools import partial
 
 from .core import (
@@ -41,23 +42,22 @@ from .core import (
     _ONE,
     _clean_terms,
     _element,
-    _linear,
+    _row_items,
     _scalar,
     _tensor,
     antipode,
-    antipode_key,
     comul,
     counit,
     mul,
     scale,
     star,
     tensor_apply,
-    tensor_flip,
 )
 from .convolution import (
     Cochain,
     LinMap,
     _pair_terms,
+    _slot_sum,
     antipode_map,
     cochain_scale,
     cochain_sub,
@@ -79,6 +79,7 @@ from .cohomology import (
 from .report import Law, Report, run_laws
 
 DEFAULT_T_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
+_INF = math.inf
 
 
 class SplitPreconditionError(AlgebraError):
@@ -264,12 +265,67 @@ def _antipode_sides(D: Deformation, t: float, a: Element) -> tuple[dict, dict]:
 
 
 def _add_scaled(acc: dict, c: complex, terms: dict, prune: float) -> None:
-    """Add c·terms into ``acc``, cleaning ``terms``, the scaled dict and ``acc`` as the elements were."""
+    """Add c·terms into ``acc``, cleaning ``terms``, the scaled dict and ``acc`` as the elements were.
+
+    ``acc`` is clean before the leg, so only the keys the leg touches are
+    checked; a non-finite one sends ``acc`` through :func:`_clean_terms`,
+    which names the first non-finite coefficient in its dict order.
+    """
     scaled = _clean_terms({k: c * v for k, v in _clean_terms(terms, prune).items()}, prune)
     for key, v in scaled.items():
         cur = acc.get(key)
         acc[key] = v if cur is None else cur + v
-    _clean_terms(acc, prune)
+    pruned = []
+    for key in scaled:
+        try:
+            size = abs(acc[key])
+        except OverflowError:  # both parts finite, the modulus is not
+            size = _INF
+        if not size < _INF:
+            _clean_terms(acc, prune)  # raises
+        if not size >= prune:
+            pruned.append(key)
+    for key in pruned:
+        del acc[key]
+
+
+def _flipped_antipodes(D: Deformation, t: float, r: float, a: Element) -> dict:
+    """(S_t⊗S_r)∘τ∘Δ(a) as a terms dict.
+
+    A leg c·k₁⊗k₂ of Δ(a) adds (c·w₁)·w₂ over the terms of S_t(k₂) ⊗ S_r(k₁),
+    read from the S_t and S_r tables, which are bound once.
+    """
+    s_t, s_r = deformed_antipode(D, t)._cache, deformed_antipode(D, r)._cache
+    acc: dict = {}
+    for (k1, k2), c in comul(a).terms.items():
+        left, right = s_t[(k2,)].terms.items(), s_r[(k1,)].terms.items()
+        for key1, w1 in left:
+            cw = c * w1
+            for key2, w2 in right:
+                key = (key1, key2)
+                cur = acc.get(key)
+                acc[key] = cw * w2 if cur is None else cur + cw * w2
+    return acc
+
+
+def _sigma_sides(sig: Cochain, a: Element) -> tuple[dict, dict]:
+    """(σ⊗id)∘Δ(a) and (id⊗σ)∘Δ(a) as terms dicts.
+
+    A leg c·k₁⊗k₂ of Δ(a) adds c·σ(k₁) at k₂ to the left side and c·σ(k₂) at
+    k₁ to the right one, read from σ's table; the left side is summed over
+    every leg before the right one.
+    """
+    values = sig._cache
+    legs = comul(a).terms.items()
+    lhs: dict = {}
+    for (k1, k2), c in legs:
+        cur = lhs.get(k2)
+        lhs[k2] = c * values[(k1,)] if cur is None else cur + c * values[(k1,)]
+    rhs: dict = {}
+    for (k1, k2), c in legs:
+        cur = rhs.get(k1)
+        rhs[k1] = c * values[(k2,)] if cur is None else cur + c * values[(k2,)]
+    return lhs, rhs
 
 
 def deformed_convolution(D: Deformation, t: float, A: LinMap, B: LinMap) -> LinMap:
@@ -281,19 +337,32 @@ def deformed_convolution(D: Deformation, t: float, A: LinMap, B: LinMap) -> LinM
     )
 
 
-def sigma_functional(D: Deformation, sampler, samples: int = 60, tol: float = DEFAULT_TOL) -> Cochain:
-    """σ(a) = Σ L(a₍₁₎ ⊗ S(a₍₂₎)); asserts agreement with the flipped form."""
+def _sigma_cochains(D: Deformation) -> tuple[Cochain, Cochain]:
+    """σ = L∘(id⊗S)∘Δ and its flipped form L∘(S⊗id)∘Δ.
+
+    Each sums c·L(k₁⊗k₂) over the legs of Δ(a) from the coproduct table,
+    with S's row on one slot, through the slot loop of
+    :meth:`~hopfdeform.convolution.Cochain.eval_mixed`.
+    """
     inst = D.instance
     inst.require_antipode()
     L = D.generator
+    value, coproducts, antipodes = L.value, inst._comul_cache, inst._antipode_cache
 
-    def rule(s_slot, keys):  # Σ c·L(a₍₁₎⊗a₍₂₎) over the legs of Δ(a), with S on slot s_slot
-        legs = (((k1, k2), c) for k1, k2, c in inst.comul_terms(keys[0]))
-        return _scalar(legs, lambda pair: L.eval_mixed(
-            [antipode_key(inst, k) if i == s_slot else k for i, k in enumerate(pair)]))
+    def rule(s_slot, keys):
+        total = 0j
+        for leg in coproducts[keys[0]]:
+            slots = [_row_items(inst, antipodes[k]) if i == s_slot else ((k, _ONE),) for i, k in enumerate(leg[:2])]
+            total += leg[2] * _slot_sum(value, slots)
+        return total
 
-    sig = Cochain(inst, 1, partial(rule, 1), name=f"sigma[{L.name}]")
-    flip = Cochain(inst, 1, partial(rule, 0), name=f"sigma_flip[{L.name}]")
+    return (Cochain(inst, 1, partial(rule, 1), name=f"sigma[{L.name}]"),
+            Cochain(inst, 1, partial(rule, 0), name=f"sigma_flip[{L.name}]"))
+
+
+def sigma_functional(D: Deformation, sampler, samples: int = 60, tol: float = DEFAULT_TOL) -> Cochain:
+    """σ(a) = Σ L(a₍₁₎ ⊗ S(a₍₂₎)); asserts agreement with the flipped form."""
+    sig, flip = _sigma_cochains(D)
     res = Law("sigma_flip", SigmaFlipError.statement, lambda _, k: abs(sig.value(k) - flip.value(k)),
               tol, per_case=samples, draw=lambda s: (s.keys(1),)).fold(sampler)[1]
     if not res <= tol:
@@ -413,6 +482,7 @@ def check_hopf_deformation(
     one = inst.unit_element()
     L = D.generator
     sig = D.sigma()
+    antipode_row = inst._antipode_cache.__getitem__
 
     def antipode_identity(t, a):
         target = scale(counit(a), one)
@@ -432,24 +502,18 @@ def check_hopf_deformation(
     def coalgebra_antihomomorphism(tr, a):
         t, r = tr
         lhs = comul(deformed_antipode(D, t + r)(a))
-        St, Sr = deformed_antipode(D, t), deformed_antipode(D, r)
-        rhs = tensor_apply(tensor_flip(comul(a)), (
-            lambda k: St.value((k,)).terms.items(), lambda k: Sr.value((k,)).terms.items()
-        ))
-        return lhs.distance(rhs)
+        return lhs.distance(_tensor(inst, 2, _flipped_antipodes(D, t, r, a)))
 
     def cocommutative_involution(t, a):
         return deformed_antipode(D, t)(deformed_antipode(D, -t)(a)).distance(a)
 
     def exp_transport(t, a):
-        transported = tensor_apply(comul(a), (None, inst.antipode_terms))
+        transported = tensor_apply(comul(a), (None, antipode_row))
         lhs = _scalar(transported.terms.items(), lambda keys: conv_exp(L, t, keys))
         return abs(lhs - _scalar(a.terms.items(), lambda k: conv_exp(sig, t, (k,))))
 
     def sigma_commuting(_, a):
-        legs = comul(a).terms.items()
-        lhs = _linear(legs, lambda ks: ((ks[1], sig.value(ks[:1])),))
-        rhs = _linear(legs, lambda ks: ((ks[0], sig.value(ks[1:])),))
+        lhs, rhs = _sigma_sides(sig, a)
         return _element(inst, lhs).distance(_element(inst, rhs))
 
     def sigma_derivative(h, u):
@@ -569,7 +633,7 @@ def check_trivial_deformation(
         return deformed_antipode(D, t)(a).distance(phi_mt(antipode(phi_mt(a))))
 
     def sigma_witness_formula(_, k):
-        rhs = psi.value(k) + psi.eval_mixed((antipode_key(inst, k[0]),))
+        rhs = psi.value(k) + _slot_sum(psi.value, [_row_items(inst, inst._antipode_cache[k[0]])])
         return abs(sig.value(k) - rhs)
 
     run_laws(report, sampler, [
@@ -654,7 +718,7 @@ def split_cocommutative(
     for _ in range(samples):
         k = s_pre.keys(1)
         lhs = sig.value(k)
-        rhs = sig.eval_mixed((antipode_key(inst, k[0]),))
+        rhs = _slot_sum(sig.value, [_row_items(inst, inst._antipode_cache[k[0]])])
         if not abs(lhs - rhs) <= tol:
             raise SplitPreconditionError(
                 f"sigma(S(a)) differs from sigma(a) by {abs(lhs - rhs):.3e} "

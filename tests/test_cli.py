@@ -850,3 +850,20 @@ def test_integer_powers_keep_their_values():
 
     fn = compile_expression("2**10 - m**3 + (-2)**-2 + 2**0.5 + (10**400) / (10**399)", ["m"])
     assert fn({"m": 3}) == complex(2**10 - 3**3 + (-2) ** -2 + 2**0.5 + 10.0)
+
+
+_HALF_ON_Z = {"instance": {"type": "group_algebra_zd", "d": 1},
+              "cocycle": {"type": "zd_matrix", "matrix": [[0.5]]}, "command": "deform"}
+
+
+@pytest.mark.parametrize("prune", [1.0, 2.0, 1e300])
+def test_a_prune_threshold_of_one_or_more_is_a_config_error(prune, tmp_path, capsys):
+    # at such a threshold every basis element 1·k is pruned, and this genuine cocycle would fail ∂L = 0
+    assert main(["--config", _write(tmp_path, {**_HALF_ON_Z, "tolerances": {"prune": prune}})]) == 2
+    assert f"tolerances prune must be in [0, 1), got {prune!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prune", [0.0, 0.5, 0.999])
+def test_a_prune_threshold_below_one_is_read(prune, tmp_path):
+    cfg = {**_HALF_ON_Z, "command": "validate", "sample_budget": 20, "tolerances": {"prune": prune}}
+    assert main(["--config", _write(tmp_path, cfg)]) == 0

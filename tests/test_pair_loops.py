@@ -17,6 +17,7 @@ import hopfdeform as hd
 from hopfdeform.convolution import LinMap, antipode_map, mu_n_map, tuple_comul_terms
 from hopfdeform.core import EPS_PRUNE, NonFiniteError
 from hopfdeform.deformation import (
+    _add_scaled,
     _antipode_sides,
     _deformed_mul_square,
     deformed_antipode,
@@ -270,3 +271,37 @@ def test_antipode_sides_are_zero_when_a_basis_element_is_pruned():
         assert _antipode_sides(D, 0.5, a) == ({}, {}) == ref_antipode_sides(D, 0.5, a)
     finally:
         inst.prune_eps = EPS_PRUNE
+
+
+# -- a running side that overflows ---------------------------------------------------
+
+
+def test_a_non_finite_leg_raises_the_error_of_the_element_chain(z2_deformation):
+    inst, D = z2_deformation
+    # at t = 0 every leg adds its coefficient at the unit: the second leg overflows the running sum
+    a = inst.element({(1, 0): 1e308, (0, 1): 1e308, (1, 1): 1.0})
+    with pytest.raises(NonFiniteError) as got:
+        _antipode_sides(D, 0.0, a)
+    with pytest.raises(NonFiniteError) as want:
+        ref_antipode_sides(D, 0.0, a)
+    assert str(got.value) == str(want.value)
+    assert "inf" in str(got.value)
+
+
+def test_a_running_sum_names_its_first_non_finite_key_in_dict_order():
+    prune = EPS_PRUNE
+    # the leg touches y before x, but x comes first in the running dict
+    acc = {"x": 1e308 + 0j, "y": 1e308 + 0j, "z": 1.0 + 0j}
+    leg = {"y": 1e308 + 0j, "z": -1.0 + 0j, "x": 1e308 + 0j}
+    want = pytest.raises(NonFiniteError, match="at basis key 'x'")
+    with want:
+        ref_add(dict(acc), ref_scale(1.0 + 0j, ref_clean(dict(leg), prune), prune), prune)
+    with pytest.raises(NonFiniteError) as got:
+        _add_scaled(dict(acc), 1.0 + 0j, dict(leg), prune)
+    assert str(got.value) == str(want.excinfo.value)
+    # without the overflow, z cancels and is pruned where it stood
+    acc["x"] = acc["y"] = 1.0 + 0j
+    got_acc = dict(acc)
+    _add_scaled(got_acc, 1.0 + 0j, dict(leg), prune)
+    _same(got_acc, ref_add(dict(acc), ref_scale(1.0 + 0j, ref_clean(dict(leg), prune), prune), prune))
+    assert list(got_acc) == ["x", "y"]
