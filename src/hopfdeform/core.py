@@ -30,13 +30,15 @@ starts from ``0j``.  No kernel calls ``sum()``, whose algorithm CPython
 changes between versions.
 
 The structure maps that :func:`check_structure` and generator validation
-call are plain loops that read the instance's memo tables directly under the
-same contract, with each term's factors multiplied left to right, and build
-no intermediate element: :func:`comul` (``c·w`` from the coproduct table),
-:func:`counit`, ``counit_key`` and ``tuple_counit`` (from the counit table,
-which holds the basis rule's value per key), :func:`tensor_expand_slot`
-(``c·w``) and :func:`tensor_contract_slot` (``c·δ(k)``), which refuses
-rank 1.  The tensor-square sums are rank-2 loops: :func:`tensor_mul`
+call read the instance's memo tables directly under the same contract, with
+each term's factors multiplied left to right, and build no intermediate
+element.  :func:`comul` sums through :func:`_linear` with the coproduct
+table as its rule (``c·w``), and :func:`counit` through :func:`_scalar`
+with the counit table, which holds the basis rule's value per key and which
+``counit_key`` and ``tuple_counit`` read too.  :func:`tensor_expand_slot`
+(``c·w``) and :func:`tensor_contract_slot` (``c·δ(k)``, refusing rank 1)
+are one loop each over the coproduct and counit tables.  The tensor-square
+sums are rank-2 loops that refuse other ranks: :func:`tensor_mul`
 (``((cu·cv)·w₁)·w₂`` from the product table), :func:`tensor_apply`
 (``(c·w₁)·w₂``, with ``w = 1+0j`` on a slot left unchanged),
 :func:`tensor_mul_all` (``c·((1+0j)·w)``, each pair's product from the
@@ -568,21 +570,11 @@ def mul(a: Element, b: Element) -> Element:
 
 def comul(a: Element) -> TensorElement:
     inst = a.instance
-    table = inst._comul_pairs
-    acc: dict = {}
-    for k, c in a.terms.items():
-        for key, w in table[k]:
-            cur = acc.get(key)
-            acc[key] = c * w if cur is None else cur + c * w
-    return _tensor(inst, 2, acc)
+    return _tensor(inst, 2, _linear(a.terms.items(), inst._comul_pairs.__getitem__))
 
 
 def counit(a: Element) -> complex:
-    table = a.instance._counit_cache
-    total = 0j
-    for k, c in a.terms.items():
-        total += c * table[k]
-    return total
+    return _scalar(a.terms.items(), a.instance._counit_cache.__getitem__)
 
 
 def antipode(a: Element) -> Element:
@@ -753,16 +745,15 @@ def _key_product(instance: BialgebraInstance, keys) -> Element:
 
 
 def tensor_mul_all(u: TensorElement) -> Element:
-    """Multiply the slots together left to right.
+    """Multiply the two slots of a tensor square together.
 
-    On rank 2 each term ``c·k₁⊗k₂`` adds c times the product of the basis
-    elements 1·k₁ and 1·k₂, read from the product table: the terms
-    ``(1+0j)·w`` of its row, checked and pruned as :func:`_key_product`
-    builds them.
+    Each term ``c·k₁⊗k₂`` adds c times the product of the basis elements
+    1·k₁ and 1·k₂, read from the product table: the terms ``(1+0j)·w`` of
+    its row, checked and pruned as :func:`_key_product` builds them.
     """
-    inst = u.instance
     if u.rank != 2:
-        return _element(inst, _linear(u.terms.items(), lambda keys: _key_product(inst, keys).terms.items()))
+        raise AlgebraError("tensor_mul_all is defined on rank-2 tensors")
+    inst = u.instance
     table, prune = inst._mul_cache, inst.prune_eps
     acc: dict = {}
     if not 1.0 >= prune:  # every basis element 1·k₁ is pruned to zero, and with it every product

@@ -30,7 +30,6 @@ are deterministic for a given (seed, budget).
 """
 from __future__ import annotations
 
-import math
 from functools import partial
 
 from .core import (
@@ -39,9 +38,11 @@ from .core import (
     Element,
     Kind,
     Memo,
+    _INF,
     _ONE,
     _clean_terms,
     _element,
+    _linear,
     _row_items,
     _scalar,
     _tensor,
@@ -79,7 +80,6 @@ from .cohomology import (
 from .report import Law, Report, run_laws
 
 DEFAULT_T_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
-_INF = math.inf
 
 
 class SplitPreconditionError(AlgebraError):
@@ -317,15 +317,8 @@ def _sigma_sides(sig: Cochain, a: Element) -> tuple[dict, dict]:
     """
     values = sig._cache
     legs = comul(a).terms.items()
-    lhs: dict = {}
-    for (k1, k2), c in legs:
-        cur = lhs.get(k2)
-        lhs[k2] = c * values[(k1,)] if cur is None else cur + c * values[(k1,)]
-    rhs: dict = {}
-    for (k1, k2), c in legs:
-        cur = rhs.get(k1)
-        rhs[k1] = c * values[(k2,)] if cur is None else cur + c * values[(k2,)]
-    return lhs, rhs
+    return (_linear(legs, lambda ks: ((ks[1], values[ks[:1]]),)),
+            _linear(legs, lambda ks: ((ks[0], values[ks[1:]]),)))
 
 
 def deformed_convolution(D: Deformation, t: float, A: LinMap, B: LinMap) -> LinMap:
