@@ -18,42 +18,46 @@ mapping is never changed, while the structure maps hand their fresh kernel
 dicts over through :func:`_element` and :func:`_tensor`, so each result is
 cleaned once and never copied.
 
-Sums go through three kernels (Horner's rule keeps its own loop):
-:func:`_linear` computes Σ c·rule(k) over ``(k, c)`` items and
-:func:`_bilinear` Σ (ca·cb)·rule(ka, kb) over two term lists, each rule
-giving ``(key, w)`` pairs; :func:`_scalar` computes the complex number
-Σ c·rule(k).  Their summation-order contract fixes the last bit of every
-coefficient, and so the bytes of every report: terms are added left to right
-in loop order, each keeps its product grouping (``c * w``,
-``(ca * cb) * w``), a key's first term is stored as is and a scalar sum
-starts from ``0j``.  No kernel calls ``sum()``, whose algorithm CPython
+Sums go through four kernels under one summation-order contract, which fixes
+the last bit of every coefficient and so the bytes of every report: each
+key's terms are added left to right in loop order, each term keeps its
+kernel's product grouping, a key's first term is stored as is and a scalar
+sum starts from ``0j``.  No kernel calls ``sum()``, whose algorithm CPython
 changes between versions.
 
-The structure maps that :func:`check_structure` and generator validation
-call read the instance's memo tables directly under the same contract, with
-each term's factors multiplied left to right, and build no intermediate
-element.  :func:`comul` sums through :func:`_linear` with the coproduct
-table as its rule (``c·w``), and :func:`counit` through :func:`_scalar`
-with the counit table, which holds the basis rule's value per key and which
-``counit_key`` and ``tuple_counit`` read too.  :func:`tensor_expand_slot`
-(``c·w``) and :func:`tensor_contract_slot` (``c·δ(k)``, refusing rank 1)
-are one loop each over the coproduct and counit tables.  The tensor-square
-sums are rank-2 loops that refuse other ranks: :func:`tensor_mul`
-(``((cu·cv)·w₁)·w₂`` from the product table), :func:`tensor_apply`
-(``(c·w₁)·w₂``, with ``w = 1+0j`` on a slot left unchanged),
-:func:`tensor_mul_all` (``c·((1+0j)·w)``, each pair's product from the
-product table checked and pruned as :func:`_key_product` builds it), the Λ
-expansion of a basis pair (``((1+0j)·c₁)·c₂``) and, in
-:mod:`~hopfdeform.deformation`, (μ_t⊗μ_s)∘Λ (``(((ca·cb)·c)·w₁)·w₂``, from
-the Λ table and the tables of μ_t and μ_s).  :func:`_key_product` multiplies
-basis keys left to right from the product table, each step by ``1+0j`` and
-pruned as :func:`mul` would prune it.  Other ranks build each term
-``c·w₁·…·wₙ`` with :func:`_slot_products` and sum it with no rule.  In the
-same way a :class:`~hopfdeform.convolution.LinMap` applied to an element or
-a pair reads its own memo table in one loop (``c·w``, ``(ca·cb)·w``), and
-the antipode identity sums μ_t(S_t(k₁)⊗k₂) and μ_t(k₁⊗S_t(k₂)) from the S_t
-and μ_t tables leg by leg, with every product and cleaning step of the
-element chain S_t(1·k₁), μ_t(·⊗1·k₂), c·(·), sum + (·).
+* :func:`_linear`: Σ c·rule(k) over ``(k, c)`` items, ``c * w`` per
+  ``(key, w)`` of rule(k); with no rule each item is a term.
+* :func:`_bilinear`: Σ (ca·cb)·rule(ka, kb) over two term lists,
+  ``(ca * cb) * w``.
+* :func:`_row_pairs`: Σ c·(row₁⊗row₂) over ``(c, row₁, row₂)`` legs,
+  ``(c * w₁) * w₂`` at ``(k₁, k₂)``; the rank-2 sums :func:`tensor_mul`,
+  :func:`tensor_apply` and the deformed antipode's (S_t⊗S_r)∘τ∘Δ.
+* :func:`_scalar`: the complex number Σ c·rule(k), or Σ items.
+
+The structure maps read one memo table per map on the instance (product,
+coproduct, counit, antipode, star, and the Λ and iterated-coproduct
+expansions built from the coproduct table) and feed its rows to a kernel.
+These loops stay hand-written, with the kernels' store pattern and their own
+grouping, each for the reason measured (paired perfbench ``wall_s``):
+
+* :func:`tensor_expand_slot` and :func:`tensor_contract_slot` splice a slot
+  into each key; as a kernel rule that is a closure and a generator per
+  term, 1.4-1.6 times the time per call on oscillator and Z² coproducts
+  (a paired micro-benchmark).
+* :func:`_key_product` and :func:`tensor_mul_all` prune each product as
+  :func:`mul` would; fed to a row kernel by a generator, group-full +2.5%
+  and cold-sweep +2.7%.
+* a ``LinMap`` applied to an element and ``convolution._pair_terms``: with
+  the two above, oscillator-full +4.4%, group-full +6.0%, cold-sweep +3.4%.
+* ``deformation._deformed_mul_square``, (μ_t⊗μ_s)∘Λ with the grouping
+  ``(((ca·cb)·c)·w₁)·w₂``: through :func:`_row_pairs`, oscillator-full +2.2%.
+* ``deformation._add_scaled`` merges a scaled, cleaned dict into a clean
+  running sum and checks only the keys it touched: a merge, not a sum of
+  products.
+
+``tests/test_sum_loops.py`` names each of these loops, so a new hand-written
+sum must be named there with its reason.  Horner's rule and the slot loop of
+``Cochain.eval_mixed`` are scalar loops with contracts of their own.
 
 :func:`check_structure` computes each drawn triple's a·b and Δ(a) once, in
 the first law that reads them, and the later laws read the stored value; a
@@ -197,6 +201,25 @@ def _bilinear(a_terms, b_terms, rule) -> dict:
     return acc
 
 
+def _row_pairs(legs) -> dict:
+    """Σ c·(row₁⊗row₂) over the ``(c, row₁, row₂)`` legs, as a new terms dict.
+
+    Each term ``(k₁, w₁)`` of row₁ and ``(k₂, w₂)`` of row₂ adds
+    ``(c * w₁) * w₂`` at ``(k₁, k₂)``.  row₁ is walked once, so it may be a
+    generator; row₂ is walked once for every term of row₁, so it must be
+    re-iterable.
+    """
+    acc: dict = {}
+    for c, row1, row2 in legs:
+        for k1, w1 in row1:
+            cw = c * w1
+            for k2, w2 in row2:
+                key = (k1, k2)
+                cur = acc.get(key)
+                acc[key] = cw * w2 if cur is None else cur + cw * w2
+    return acc
+
+
 _first, _second = operator.itemgetter(0), operator.itemgetter(1)
 _neg = operator.neg
 _ONE = 1.0 + 0j
@@ -278,13 +301,10 @@ class BialgebraInstance:
         # the memos close over the rules and each other, never over the
         # instance, so an instance is freed as soon as its last user drops it
         self._counit_cache = Memo(lambda k: complex(counit_basis(k)))
-        comul = self._comul_cache = Memo(
-            lambda k: tuple((a, b, complex(c)) for a, b, c in comul_basis(k))
-        )
+        comul_pairs = self._comul_pairs = Memo(lambda k: tuple(((a, b), complex(c)) for a, b, c in comul_basis(k)))
         self._mul_cache = Memo(lambda pair: tuple((k, complex(c)) for k, c in mul_basis(*pair)))
         self._antipode_cache = Memo(lambda k: tuple((kk, complex(c)) for kk, c in antipode_basis(k)))
         self._star_cache = Memo(lambda k: tuple((kk, complex(c)) for kk, c in star_basis(k)))
-        comul_pairs = self._comul_pairs = Memo(lambda k: tuple(((a, b), c) for a, b, c in comul[k]))
         self._tuple_comul_cache = Memo(lambda keys: _expand_tuple_comul(comul_pairs, keys))
         self._iter_comul_cache = Memo(lambda key_n: _expand_iterated_comul(comul_pairs, *key_n))
 
@@ -312,7 +332,8 @@ class BialgebraInstance:
         return self._mul_cache[k1, k2]
 
     def comul_terms(self, k):
-        return self._comul_cache[k]
+        """The coproduct of a basis key as ``(key1, key2, coeff)`` triples."""
+        return tuple((a, b, c) for (a, b), c in self._comul_pairs[k])
 
     def tuple_comul_terms(self, keys: tuple):
         """The coproduct of a basis tuple as ``(left_tuple, right_tuple, coeff)`` triples."""
@@ -475,9 +496,6 @@ class Element(_Terms):
     def coeff(self, key) -> complex:
         return self.terms.get(key, 0j)
 
-    def support(self):
-        return sorted(self.terms, key=self.instance.sort_key)
-
     def __neg__(self):
         return scale(-1.0, self)
 
@@ -599,16 +617,12 @@ def _expand_tuple_comul(comul_pairs: Memo, keys: tuple) -> tuple:
     return tuple((tuple(map(_first, pairs)), tuple(map(_second, pairs)), c) for pairs, c in legs)
 
 
-def iterated_comul_terms(instance: BialgebraInstance, key, n: int):
-    """Expansion of the n-fold coproduct of a basis key as ``(keys, coeff)``.
+def _expand_iterated_comul(comul_pairs: Memo, key, n: int) -> tuple:
+    """The n-fold coproduct of a basis key as ``(keys, coeff)`` pairs.
 
     Uses the recursion that peels one tensor factor from the left; by
     coassociativity any other bracketing gives the same expansion.
     """
-    return instance._iter_comul_cache[key, n]
-
-
-def _expand_iterated_comul(comul_pairs: Memo, key, n: int) -> tuple:
     if n == 1:
         return (((key,), 1.0 + 0j),)
     # each leg k1 (x) k2 of Delta(key) carries its w onto (k1,) + rest of Delta^(n-1)(k2)
@@ -624,7 +638,8 @@ def iterated_comul(a: Element, n: int):
     if n == 0:
         return counit(a)
     inst = a.instance
-    return _tensor(inst, n, _linear(a.terms.items(), lambda k: iterated_comul_terms(inst, k, n)))
+    table = inst._iter_comul_cache
+    return _tensor(inst, n, _linear(a.terms.items(), lambda k: table[k, n]))
 
 
 # -- tensor utilities --------------------------------------------------------
@@ -641,28 +656,16 @@ def tensor_of(*elements: Element) -> TensorElement:
 
 
 def tensor_mul(u: TensorElement, v: TensorElement) -> TensorElement:
-    """Componentwise product in the tensor square, read from the product table.
-
-    Each term is ``(cu·cv)·w₁·w₂``, multiplied left to right.
-    """
+    """Componentwise product in the tensor square: Σ (cu·cv)·(a₁b₁⊗a₂b₂), read from the product table."""
     _same_tensor(u, v)
     if u.rank != 2:
         raise AlgebraError("tensor_mul is defined on rank-2 tensors")
     inst = u.instance
     table = inst._mul_cache
-    acc: dict = {}
     v_items = v.terms.items()
-    for (a1, a2), cu in u.terms.items():
-        for (b1, b2), cv in v_items:
-            c = cu * cv
-            right = table[a2, b2]
-            for k1, w1 in table[a1, b1]:
-                cw = c * w1
-                for k2, w2 in right:
-                    key = (k1, k2)
-                    cur = acc.get(key)
-                    acc[key] = cw * w2 if cur is None else cur + cw * w2
-    return _tensor(inst, 2, acc)
+    return _tensor(inst, 2, _row_pairs(
+        (cu * cv, table[a1, b1], table[a2, b2]) for (a1, a2), cu in u.terms.items() for (b1, b2), cv in v_items
+    ))
 
 
 def tensor_flip(u: TensorElement) -> TensorElement:
@@ -674,35 +677,27 @@ def tensor_flip(u: TensorElement) -> TensorElement:
 def tensor_apply(u: TensorElement, slot_maps) -> TensorElement:
     """Apply per-slot linear basis maps to a tensor square; ``None`` leaves a slot unchanged.
 
-    Each map takes a basis key and returns ``(key, coeff)`` pairs; each
-    term is ``c·w₁·w₂``, multiplied left to right, with ``w = 1+0j`` on an
-    unchanged slot.
+    Each map takes a basis key and returns ``(key, coeff)`` pairs; an
+    unchanged slot is the row ``((key, 1+0j),)``.
     """
     if u.rank != 2:
         raise AlgebraError("tensor_apply is defined on rank-2 tensors")
     f1, f2 = slot_maps
-    acc: dict = {}
-    for (a1, a2), c in u.terms.items():
-        left = ((a1, _ONE),) if f1 is None else tuple(f1(a1))
-        right = ((a2, _ONE),) if f2 is None else tuple(f2(a2))
-        for k1, w1 in left:
-            cw = c * w1
-            for k2, w2 in right:
-                key = (k1, k2)
-                cur = acc.get(key)
-                acc[key] = cw * w2 if cur is None else cur + cw * w2
-    return _tensor(u.instance, 2, acc)
+    return _tensor(u.instance, 2, _row_pairs(
+        (c, ((a1, _ONE),) if f1 is None else tuple(f1(a1)), ((a2, _ONE),) if f2 is None else tuple(f2(a2)))
+        for (a1, a2), c in u.terms.items()
+    ))
 
 
 def tensor_expand_slot(u: TensorElement, slot: int) -> TensorElement:
     """Replace one slot by its coproduct, raising the rank by one; each term is ``c·w``."""
     inst = u.instance
-    table = inst._comul_cache
+    table = inst._comul_pairs
     acc: dict = {}
     for keys, c in u.terms.items():
         head, tail = keys[:slot], keys[slot + 1 :]
-        for k1, k2, w in table[keys[slot]]:
-            key = head + (k1, k2) + tail
+        for pair, w in table[keys[slot]]:
+            key = head + pair + tail
             cur = acc.get(key)
             acc[key] = c * w if cur is None else cur + c * w
     return _tensor(inst, u.rank + 1, acc)
@@ -813,6 +808,7 @@ def check_structure(instance: BialgebraInstance, sampler, tol: float = 1e-8) -> 
         keys = [(sampler.key(), sampler.key()) for _ in range(sampler.budget)]
     one = instance.unit_element()
     antipode_row = instance._antipode_cache.__getitem__
+    comul_pairs = instance._comul_pairs
     # by triple index; a value is kept only once computed, so a failure is met again where it was first
     products = Memo(lambda i: mul(triples[i][0], triples[i][1]))
     coproducts = Memo(lambda i: comul(triples[i][0]))
@@ -832,7 +828,7 @@ def check_structure(instance: BialgebraInstance, sampler, tol: float = 1e-8) -> 
         deg = instance.degree_key
         d1, d2 = deg(pair[0]), deg(pair[1])
         graded = all(deg(k) == d1 + d2 for k, _ in instance.mul_terms(*pair)) and all(
-            deg(a) + deg(b) == d1 for a, b, _ in instance.comul_terms(pair[0])
+            deg(a) + deg(b) == d1 for (a, b), _ in comul_pairs[pair[0]]
         )
         return 0.0 if graded else 1.0, 0.0 if deg(instance.unit) == 0 else 1.0
 
@@ -861,7 +857,7 @@ def check_structure(instance: BialgebraInstance, sampler, tol: float = 1e-8) -> 
     ]
     if instance.kind is Kind.GROUPLIKE_BASIS:
         laws.append(Law("grouplike_basis", "Delta(b) = b(x)b and delta(b) = 1 on basis keys",
-                        lambda k: (0.0 if instance.comul_terms(k) == ((k, k, 1.0 + 0j),) else 1.0,
+                        lambda k: (0.0 if comul_pairs[k] == (((k, k), 1.0 + 0j),) else 1.0,
                                    abs(instance.counit_key(k) - 1.0)), 0.0, cases=keys))
     if instance.kind is Kind.GRADED_CONNECTED:
         laws.append(Law("grading", "deg(1) = 0; the product adds degrees; the coproduct preserves them",

@@ -44,6 +44,7 @@ from .core import (
     _element,
     _linear,
     _row_items,
+    _row_pairs,
     _scalar,
     _tensor,
     antipode,
@@ -80,6 +81,10 @@ from .cohomology import (
 from .report import Law, Report, run_laws
 
 DEFAULT_T_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
+# keys drawn to compare σ with its flipped form, and pairs drawn to check a
+# generator (through validate_generator) or a witness's coboundary
+_SIGMA_FLIP_SAMPLES = 60
+_VALIDATION_SAMPLES = 120
 
 
 class SplitPreconditionError(AlgebraError):
@@ -135,14 +140,12 @@ def make_deformation(
     sampler,
     require_star: bool = False,
     witness: Cochain | None = None,
-    samples: int = 120,
-    tol: float = DEFAULT_TOL,
 ) -> Deformation:
     """Validate L and wrap it; raises when the generator conditions fail."""
     if L.instance is not instance:
         raise AlgebraError("generator belongs to a different instance")
     classifier = validate_generator(
-        L, sampler, require_star=require_star, witness=witness, samples=samples, tol=tol
+        L, sampler, require_star=require_star, witness=witness, samples=_VALIDATION_SAMPLES
     )
     if not classifier.is_generator(require_star=require_star):
         raise GeneratorValidationError(
@@ -163,17 +166,11 @@ class TrivialDeformation:
     def instance(self):
         return self.deformation.instance
 
-    @property
-    def generator(self):
-        return self.deformation.generator
-
 
 def make_trivial_deformation(
     deformation: Deformation,
     psi: Cochain,
     check: bool = True,
-    samples: int = 120,
-    tol: float = DEFAULT_TOL,
 ) -> TrivialDeformation:
     """Attach a witness; with ``check`` the match ∂ψ = L is sampled first.
 
@@ -187,9 +184,9 @@ def make_trivial_deformation(
             raise GeneratorValidationError("witness is not normalized")
         dpsi = coboundary(psi)
         L = deformation.generator
-        res = Law("witness", "∂ψ = L", lambda _, u: abs(dpsi.value(u) - L.value(u)), tol,
-                  per_case=samples, salt=29, draw=lambda s: (s.keys(2),)).fold(deformation._sampler)[1]
-        if not res <= tol:
+        res = Law("witness", "∂ψ = L", lambda _, u: abs(dpsi.value(u) - L.value(u)), DEFAULT_TOL,
+                  per_case=_VALIDATION_SAMPLES, salt=29, draw=lambda s: (s.keys(2),)).fold(deformation._sampler)[1]
+        if not res <= DEFAULT_TOL:
             raise GeneratorValidationError(
                 f"coboundary of the witness misses the generator by {res:.3e}"
             )
@@ -290,22 +287,10 @@ def _add_scaled(acc: dict, c: complex, terms: dict, prune: float) -> None:
 
 
 def _flipped_antipodes(D: Deformation, t: float, r: float, a: Element) -> dict:
-    """(S_t⊗S_r)∘τ∘Δ(a) as a terms dict.
-
-    A leg c·k₁⊗k₂ of Δ(a) adds (c·w₁)·w₂ over the terms of S_t(k₂) ⊗ S_r(k₁),
-    read from the S_t and S_r tables, which are bound once.
-    """
+    """(S_t⊗S_r)∘τ∘Δ(a) as a terms dict; a leg c·k₁⊗k₂ of Δ(a) adds c·(S_t(k₂)⊗S_r(k₁)), read from the tables."""
     s_t, s_r = deformed_antipode(D, t)._cache, deformed_antipode(D, r)._cache
-    acc: dict = {}
-    for (k1, k2), c in comul(a).terms.items():
-        left, right = s_t[(k2,)].terms.items(), s_r[(k1,)].terms.items()
-        for key1, w1 in left:
-            cw = c * w1
-            for key2, w2 in right:
-                key = (key1, key2)
-                cur = acc.get(key)
-                acc[key] = cw * w2 if cur is None else cur + cw * w2
-    return acc
+    legs = comul(a).terms.items()
+    return _row_pairs((c, s_t[(k2,)].terms.items(), s_r[(k1,)].terms.items()) for (k1, k2), c in legs)
 
 
 def _sigma_sides(sig: Cochain, a: Element) -> tuple[dict, dict]:
@@ -340,25 +325,25 @@ def _sigma_cochains(D: Deformation) -> tuple[Cochain, Cochain]:
     inst = D.instance
     inst.require_antipode()
     L = D.generator
-    value, coproducts, antipodes = L.value, inst._comul_cache, inst._antipode_cache
+    value, coproducts, antipodes = L.value, inst._comul_pairs, inst._antipode_cache
 
     def rule(s_slot, keys):
         total = 0j
-        for leg in coproducts[keys[0]]:
-            slots = [_row_items(inst, antipodes[k]) if i == s_slot else ((k, _ONE),) for i, k in enumerate(leg[:2])]
-            total += leg[2] * _slot_sum(value, slots)
+        for pair, c in coproducts[keys[0]]:
+            slots = [_row_items(inst, antipodes[k]) if i == s_slot else ((k, _ONE),) for i, k in enumerate(pair)]
+            total += c * _slot_sum(value, slots)
         return total
 
     return (Cochain(inst, 1, partial(rule, 1), name=f"sigma[{L.name}]"),
             Cochain(inst, 1, partial(rule, 0), name=f"sigma_flip[{L.name}]"))
 
 
-def sigma_functional(D: Deformation, sampler, samples: int = 60, tol: float = DEFAULT_TOL) -> Cochain:
+def sigma_functional(D: Deformation, sampler) -> Cochain:
     """σ(a) = Σ L(a₍₁₎ ⊗ S(a₍₂₎)); asserts agreement with the flipped form."""
     sig, flip = _sigma_cochains(D)
     res = Law("sigma_flip", SigmaFlipError.statement, lambda _, k: abs(sig.value(k) - flip.value(k)),
-              tol, per_case=samples, draw=lambda s: (s.keys(1),)).fold(sampler)[1]
-    if not res <= tol:
+              DEFAULT_TOL, per_case=_SIGMA_FLIP_SAMPLES, draw=lambda s: (s.keys(1),)).fold(sampler)[1]
+    if not res <= DEFAULT_TOL:
         raise SigmaFlipError(f"sigma and its flipped form disagree by {res:.3e}")
     return sig
 

@@ -428,6 +428,25 @@ def test_the_scalar_kernel_neither_compensates_nor_keeps_a_first_term():
     assert _scalar_bits(_scalar([("k", complex(-0.0, -0.0))], lambda k: 1.0)) == ("0.0", "0.0")
 
 
+from hypothesis import example  # noqa: E402
+
+from hopfdeform.core import _row_pairs  # noqa: E402
+
+# non-dyadic parts too, so that a regrouped product shows in the last bit
+_row_coeffs = st.builds(complex, _scalar_parts, _scalar_parts) | _coeffs
+_rows = st.lists(st.tuples(st.integers(0, 2), _row_coeffs), max_size=4)
+
+
+@given(st.lists(st.tuples(_row_coeffs, _rows, _rows), max_size=5))
+# (1·1)·(-0-0j) has the imaginary part -0.0, which adding to 0j would turn into +0.0
+@example([(1 + 0j, [(0, 1 + 0j)], [(0, complex(-0.0, -0.0))])])
+def test_the_row_pair_kernel_sums_like_a_plain_left_fold(legs):
+    want = _left_fold(((k1, k2), (c * w1) * w2) for c, row1, row2 in legs for k1, w1 in row1 for k2, w2 in row2)
+    # row₁ is a one-shot generator: the kernel walks it once, and row₂ once per term of it
+    got = _row_pairs((c, (term for term in row1), row2) for c, row1, row2 in legs)
+    assert _bits(got) == _bits(want)
+
+
 def _error_of(thunk):
     try:
         thunk()
