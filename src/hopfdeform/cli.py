@@ -179,7 +179,7 @@ def _run_command(cfg: RunConfig, report: Report) -> None:
             report.add_flag(prefix + "sigma_circ_s", "σ = σ∘S on samples", False, samples=samples)
             report.extras["split_precondition_failure"] = str(exc)
         except SigmaFlipError as exc:
-            report.add_flag(prefix + "sigma_flip", SigmaFlipError.statement, False, samples=samples)
+            report.add_flag(prefix + "sigma_flip", exc.statement, False, samples=exc.samples)
             report.extras["sigma_flip_failure"] = str(exc)
     if cfg.command in ("deform", "antipode", "full-report"):
         _tabulate(report, D, pairs, cfg.t_grid, antipode=cfg.command != "deform" and instance.has_antipode)

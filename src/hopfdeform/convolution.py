@@ -24,6 +24,12 @@ forms:
 Both forms are defined for every real t, so negative deformation
 parameters need no special treatment anywhere downstream.
 
+A :class:`LinMap` (μ_t, S_t, Φ_t and the other maps into the algebra)
+keeps its rule's value on each basis tuple as a row of its table, in the
+row format of :mod:`hopfdeform.core`.  Applied to an element or a tensor it
+is one ``_linear`` over that table, and on a pair one ``_bilinear``; the
+maps built here and the deformation laws read the rows directly.
+
 t enters a map ``A ⋆ e_⋆^{tf}`` only through the scalar exponential, so
 :func:`map_conv_exp` expands each basis tuple once and shares that
 expansion among the maps for every t, each of which is still memoized.
@@ -52,6 +58,7 @@ from .core import (
     NonFiniteError,
     TensorElement,
     _ONE,
+    _bilinear,
     _element,
     _first,
     _key_product,
@@ -328,12 +335,9 @@ def conv_exp(f: Cochain, t: float, u) -> complex:
 class LinMap:
     """Linear map from the rank-n tensor power into the algebra.
 
-    Given by a rule on basis tuples returning an :class:`Element`, memoized
-    in a table keyed by the tuple and extended linearly.  Applied to an
-    element or a pair, the map is one loop over that table into a fresh
-    dict under the kernels' contract (``c * w`` and ``(ca * cb) * w``, a
-    key's first term stored as is); applied to a tensor it sums through
-    ``_linear``.  Its operands must belong to the map's instance.
+    Given by a rule on basis tuples returning an :class:`Element`, whose
+    terms the map's table keeps as a row; :meth:`value` builds the element
+    back from it.  Its operands must belong to the map's instance.
     """
 
     __slots__ = ("instance", "rank", "name", "_cache")
@@ -344,57 +348,43 @@ class LinMap:
         self.instance = instance
         self.rank = rank
         self.name = name
-        self._cache = Memo(rule)
+        if rank == 1:
+            self._cache = Memo(lambda k: tuple(rule((k,)).terms.items()))
+        else:
+            self._cache = Memo(lambda keys: tuple(rule(keys).terms.items()))
+
+    def _row(self, keys) -> tuple:
+        """The table's row at a basis tuple."""
+        return self._cache[keys[0] if self.rank == 1 else tuple(keys)]
 
     def value(self, keys: tuple) -> Element:
-        return self._cache[tuple(keys)]
+        return _element(self.instance, dict(self._row(keys)))
 
     def __call__(self, x) -> Element:
         """Σ c·A(k) over the terms of an element (rank 1) or a tensor of the map's rank."""
-        cache = self._cache
         if isinstance(x, Element):
             if self.rank != 1:
                 raise InstanceMismatchError(f"rank-{self.rank} map applied to an element")
-            _same_instance(self, x)
-            acc: dict = {}
-            for k, c in x.terms.items():
-                for key, w in cache[(k,)].terms.items():
-                    cur = acc.get(key)
-                    acc[key] = c * w if cur is None else cur + c * w
+            items = x.terms.items()
         elif isinstance(x, TensorElement):
             if self.rank != x.rank:
                 raise InstanceMismatchError(f"rank-{self.rank} map applied to rank-{x.rank} tensor")
-            _same_instance(self, x)
-            acc = _linear(x.terms.items(), lambda keys: cache[keys].terms.items())
+            items = x.terms.items() if x.rank > 1 else [(keys[0], c) for keys, c in x.terms.items()]
         else:
             raise AlgebraError(f"cannot apply map to {type(x).__name__}")
-        return _element(self.instance, acc)
+        _same_instance(self, x)
+        return _element(self.instance, _linear(items, self._cache.__getitem__))
 
     def on_pair(self, a: Element, b: Element) -> Element:
-        """A rank-2 map on a⊗b: Σ (ca·cb)·A(ka⊗kb), one loop over the map's table."""
+        """A rank-2 map on a⊗b: Σ (ca·cb)·A(ka⊗kb), read from the map's table."""
         if self.rank != 2:
             raise InstanceMismatchError(f"rank-{self.rank} map applied to a pair")
         _same_instance(self, a)
         _same_instance(self, b)
-        return _element(self.instance, _pair_terms(self._cache, a.terms.items(), b.terms.items()))
+        return _element(self.instance, _bilinear(a.terms.items(), b.terms.items(), self._cache))
 
     def __repr__(self):
         return f"LinMap({self.name!r}, rank={self.rank}, on {self.instance.name!r})"
-
-
-def _pair_terms(table: Memo, a_items, b_items) -> dict:
-    """Σ (ca·cb)·A(ka⊗kb) over the ``(ka, ca)`` and ``(kb, cb)`` items, read from a rank-2 map's table.
-
-    ``b_items`` is walked once for every a item, so it must be re-iterable.
-    """
-    acc: dict = {}
-    for ka, ca in a_items:
-        for kb, cb in b_items:
-            c = ca * cb
-            for key, w in table[ka, kb].terms.items():
-                cur = acc.get(key)
-                acc[key] = c * w if cur is None else cur + c * w
-    return acc
 
 
 def identity_map(instance: BialgebraInstance) -> LinMap:
@@ -455,9 +445,9 @@ def _scalar_convolution(A: LinMap, f: Cochain, f_leg: int, name: str) -> LinMap:
 
     def rule(keys):
         # A's terms on the other leg, scaled by c·v on each leg where v = f(leg) is nonzero
-        scaled = ((A.value(legs[1 - f_leg]).terms, legs[2] * v)
+        scaled = ((A._row(legs[1 - f_leg]), legs[2] * v)
                   for legs in tuple_comul_terms(inst, keys) if (v := f.value(legs[f_leg])) != 0)
-        return _element(inst, _linear(scaled, dict.items))
+        return _element(inst, _linear(scaled, iter))
 
     return LinMap(inst, A.rank, rule, name)
 
@@ -467,7 +457,7 @@ def map_conv_exp(A: LinMap, f: Cochain) -> Memo:
 
     t enters only through the scalar exponential, so every map shares one
     expansion per basis tuple, computed once for all t: each leg's
-    coefficient, its right leg and the terms of A on its left leg.  Legs
+    coefficient, its right leg and A's row on its left leg.  Legs
     on which the exponential vanishes for every t are left out.  Each map
     is still memoized per tuple, and sums ``c·e·w`` in the order of the legs.
     """
@@ -480,7 +470,7 @@ def map_conv_exp(A: LinMap, f: Cochain) -> Memo:
         legs = tuple_comul_terms(inst, keys)
         closed = _closed_form(f)
         return tuple(
-            (c, right, A.value(left).terms)
+            (c, right, A._row(left))
             for left, right, c in legs
             if closed or any(f._coeffs.get(right) or conv_exp_coeffs(f, right))
         )
@@ -489,8 +479,8 @@ def map_conv_exp(A: LinMap, f: Cochain) -> Memo:
 
     def build(t):
         def rule(keys):
-            scaled = ((terms, c * v) for c, right, terms in legs[keys] if (v := conv_exp(f, t, right)) != 0)
-            return _element(inst, _linear(scaled, dict.items))
+            scaled = ((row, c * v) for c, right, row in legs[keys] if (v := conv_exp(f, t, right)) != 0)
+            return _element(inst, _linear(scaled, iter))
 
         return LinMap(inst, A.rank, rule, f"({A.name}*exp({t:g}{f.name}))")
 

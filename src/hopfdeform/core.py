@@ -18,6 +18,11 @@ mapping is never changed, while the structure maps hand their fresh kernel
 dicts over through :func:`_element` and :func:`_tensor`, so each result is
 cleaned once and never copied.
 
+The tables of the linear maps, the instance's product, coproduct, antipode
+and star tables and a ``LinMap``'s table alike, hold one row format: a tuple
+of ``(key, w)`` pairs, keyed by the bare basis key on rank 1 and by the
+basis tuple above it.
+
 Sums go through four kernels under one summation-order contract, which fixes
 the last bit of every coefficient and so the bytes of every report: each
 key's terms are added left to right in loop order, each term keeps its
@@ -26,9 +31,13 @@ sum starts from ``0j``.  No kernel calls ``sum()``, whose algorithm CPython
 changes between versions.
 
 * :func:`_linear`: Σ c·rule(k) over ``(k, c)`` items, ``c * w`` per
-  ``(key, w)`` of rule(k); with no rule each item is a term.
-* :func:`_bilinear`: Σ (ca·cb)·rule(ka, kb) over two term lists,
-  ``(ca * cb) * w``.
+  ``(key, w)`` of rule(k); with no rule each item is a term.  A table's
+  ``__getitem__`` is the rule of the coproduct, antipode and star maps and
+  of a ``LinMap`` on an element or a tensor.
+* :func:`_bilinear`: Σ (ca·cb)·table[ka, kb] over two term lists, read from
+  a rank-2 table, ``(ca * cb) * w``; :func:`mul`, a ``LinMap`` on a pair and
+  each step of :func:`_key_product`, whose products :func:`tensor_mul_all`
+  sums through :func:`_linear`.
 * :func:`_row_pairs`: Σ c·(row₁⊗row₂) over ``(c, row₁, row₂)`` legs,
   ``(c * w₁) * w₂`` at ``(k₁, k₂)``; the rank-2 sums :func:`tensor_mul`,
   :func:`tensor_apply` and the deformed antipode's (S_t⊗S_r)∘τ∘Δ.
@@ -44,13 +53,9 @@ grouping, each for the reason measured (paired perfbench ``wall_s``):
   into each key; as a kernel rule that is a closure and a generator per
   term, 1.4-1.6 times the time per call on oscillator and Z² coproducts
   (a paired micro-benchmark).
-* :func:`_key_product` and :func:`tensor_mul_all` prune each product as
-  :func:`mul` would; fed to a row kernel by a generator, group-full +2.5%
-  and cold-sweep +2.7%.
-* a ``LinMap`` applied to an element and ``convolution._pair_terms``: with
-  the two above, oscillator-full +4.4%, group-full +6.0%, cold-sweep +3.4%.
 * ``deformation._deformed_mul_square``, (μ_t⊗μ_s)∘Λ with the grouping
-  ``(((ca·cb)·c)·w₁)·w₂``: through :func:`_row_pairs`, oscillator-full +2.2%.
+  ``(((ca·cb)·c)·w₁)·w₂``: through :func:`_row_pairs`, oscillator-full
+  +1.4% (better in 2 of 6 pairs), and +2.2% and +2.4% in earlier sets.
 * ``deformation._add_scaled`` merges a scaled, cleaned dict into a clean
   running sum and checks only the keys it touched: a merge, not a sum of
   products.
@@ -186,16 +191,17 @@ def _scalar(items, rule=None) -> complex:
     return total
 
 
-def _bilinear(a_terms, b_terms, rule) -> dict:
-    """Σ (ca·cb)·rule(ka, kb) over the ``(ka, ca)`` and ``(kb, cb)`` terms.
+def _bilinear(a_terms, b_terms, table) -> dict:
+    """Σ (ca·cb)·table[ka, kb] over the ``(ka, ca)`` and ``(kb, cb)`` terms.
 
+    ``table`` maps a basis pair to its row of ``(key, w)`` pairs, and
     ``b_terms`` is walked once for every a term, so it must be re-iterable.
     """
     acc: dict = {}
     for ka, ca in a_terms:
         for kb, cb in b_terms:
             c = ca * cb
-            for key, w in rule(ka, kb):
+            for key, w in table[ka, kb]:
                 cur = acc.get(key)
                 acc[key] = c * w if cur is None else cur + c * w
     return acc
@@ -583,7 +589,7 @@ def mul(a: Element, b: Element) -> Element:
     """Bilinear extension of the basis product."""
     _same_instance(a, b)
     inst = a.instance
-    return _element(inst, _bilinear(a.terms.items(), b.terms.items(), inst.mul_terms))
+    return _element(inst, _bilinear(a.terms.items(), b.terms.items(), inst._mul_cache))
 
 
 def comul(a: Element) -> TensorElement:
@@ -730,12 +736,7 @@ def _key_product(instance: BialgebraInstance, keys) -> Element:
     table, prune = instance._mul_cache, instance.prune_eps
     acc = {keys[0]: _ONE}
     for k in keys[1:]:
-        prod, acc = _clean_terms(acc, prune), {}
-        for ka, ca in prod.items():
-            c = ca * _ONE
-            for key, w in table[ka, k]:
-                cur = acc.get(key)
-                acc[key] = c * w if cur is None else cur + c * w
+        acc = _bilinear(_clean_terms(acc, prune).items(), ((k, _ONE),), table)
     return _element(instance, acc)
 
 
@@ -743,25 +744,12 @@ def tensor_mul_all(u: TensorElement) -> Element:
     """Multiply the two slots of a tensor square together.
 
     Each term ``c·k₁⊗k₂`` adds c times the product of the basis elements
-    1·k₁ and 1·k₂, read from the product table: the terms ``(1+0j)·w`` of
-    its row, checked and pruned as :func:`_key_product` builds them.
+    1·k₁ and 1·k₂, checked and pruned as :func:`_key_product` builds it.
     """
     if u.rank != 2:
         raise AlgebraError("tensor_mul_all is defined on rank-2 tensors")
     inst = u.instance
-    table, prune = inst._mul_cache, inst.prune_eps
-    acc: dict = {}
-    if not 1.0 >= prune:  # every basis element 1·k₁ is pruned to zero, and with it every product
-        return _element(inst, acc)
-    for pair, c in u.terms.items():
-        prod: dict = {}
-        for key, w in table[pair]:
-            cur = prod.get(key)
-            prod[key] = _ONE * w if cur is None else cur + _ONE * w
-        for key, w in _clean_terms(prod, prune).items():
-            cur = acc.get(key)
-            acc[key] = c * w if cur is None else cur + c * w
-    return _element(inst, acc)
+    return _element(inst, _linear(u.terms.items(), lambda pair: _key_product(inst, pair).terms.items()))
 
 
 # -- canonical rendering -----------------------------------------------------

@@ -40,6 +40,7 @@ from .core import (
     Memo,
     _INF,
     _ONE,
+    _bilinear,
     _clean_terms,
     _element,
     _linear,
@@ -58,7 +59,6 @@ from .core import (
 from .convolution import (
     Cochain,
     LinMap,
-    _pair_terms,
     _slot_sum,
     antipode_map,
     cochain_scale,
@@ -95,6 +95,7 @@ class SigmaFlipError(AlgebraError):
     """σ and its flipped form disagree on a sample, so σ is unavailable."""
 
     statement = "L∘(id(x)S)∘Delta = L∘(S(x)id)∘Delta"
+    samples = _SIGMA_FLIP_SAMPLES
 
 
 class Deformation:
@@ -226,11 +227,10 @@ def _deformed_mul_square(D: Deformation, t: float, s: float, a: Element, b: Elem
             cab = ca * cb
             for left, right, c in lam[ka, kb]:
                 w = cab * c
-                e1 = mu_t[left].terms.items()
-                e2 = mu_s[right].terms.items()
-                for k1, w1 in e1:
+                row1, row2 = mu_t[left], mu_s[right]
+                for k1, w1 in row1:
                     ww = w * w1
-                    for k2, w2 in e2:
+                    for k2, w2 in row2:
                         key = (k1, k2)
                         cur = acc.get(key)
                         acc[key] = ww * w2 if cur is None else cur + ww * w2
@@ -254,10 +254,10 @@ def _antipode_sides(D: Deformation, t: float, a: Element) -> tuple[dict, dict]:
     if not 1.0 >= prune:  # every basis element 1·k is pruned to zero, and with it every leg
         return lhs, rhs
     for (k1, k2), c in comul(a).terms.items():
-        s1 = _clean_terms({key: _ONE * w for key, w in s_t[(k1,)].terms.items()}, prune)
-        _add_scaled(lhs, c, _pair_terms(mu_t, s1.items(), ((k2, _ONE),)), prune)
-        s2 = _clean_terms({key: _ONE * w for key, w in s_t[(k2,)].terms.items()}, prune)
-        _add_scaled(rhs, c, _pair_terms(mu_t, ((k1, _ONE),), s2.items()), prune)
+        s1 = _clean_terms({key: _ONE * w for key, w in s_t[k1]}, prune)
+        _add_scaled(lhs, c, _bilinear(s1.items(), ((k2, _ONE),), mu_t), prune)
+        s2 = _clean_terms({key: _ONE * w for key, w in s_t[k2]}, prune)
+        _add_scaled(rhs, c, _bilinear(((k1, _ONE),), s2.items(), mu_t), prune)
     return lhs, rhs
 
 
@@ -287,10 +287,12 @@ def _add_scaled(acc: dict, c: complex, terms: dict, prune: float) -> None:
 
 
 def _flipped_antipodes(D: Deformation, t: float, r: float, a: Element) -> dict:
-    """(S_t⊗S_r)∘τ∘Δ(a) as a terms dict; a leg c·k₁⊗k₂ of Δ(a) adds c·(S_t(k₂)⊗S_r(k₁)), read from the tables."""
+    """(S_t⊗S_r)∘τ∘Δ(a) as a terms dict.
+
+    A leg c·k₁⊗k₂ of Δ(a) adds c·(S_t(k₂)⊗S_r(k₁)), read from the tables.
+    """
     s_t, s_r = deformed_antipode(D, t)._cache, deformed_antipode(D, r)._cache
-    legs = comul(a).terms.items()
-    return _row_pairs((c, s_t[(k2,)].terms.items(), s_r[(k1,)].terms.items()) for (k1, k2), c in legs)
+    return _row_pairs((c, s_t[k2], s_r[k1]) for (k1, k2), c in comul(a).terms.items())
 
 
 def _sigma_sides(sig: Cochain, a: Element) -> tuple[dict, dict]:
@@ -405,7 +407,7 @@ def check_deformation_axioms(
         legs = tuple_comul_terms(inst, u)
         return abs(lhs - _scalar(c * conv_exp(L, t, left) * conv_exp(L, s, right) for left, right, c in legs))
 
-    def generator_derivative(h, u):
+    def generator_derivative(h, _, u):
         a = Element(inst, {u[0]: 1.0})
         b = Element(inst, {u[1]: 1.0})
         # μ_h(a⊗b) read from μ_h's table, each term (1·1)·w as deformed_mul sums it;
@@ -417,8 +419,6 @@ def check_deformation_axioms(
     per = _per_case(samples, len(t_grid))
     pairs = _grid_pairs(t_grid)
     per_pair = _per_case(samples, len(pairs))
-    s_fd = sampler.spawn(113)
-    fd_keys = [s_fd.keys(2) for _ in range(samples)]
     report = Report(name=f"deformation_axioms:{L.name}")
     run_laws(report, sampler, [
         Law("unitality", "mu_t(1(x)a) = a = mu_t(a(x)1)", unitality, 1e-12,
@@ -431,7 +431,8 @@ def check_deformation_axioms(
             cases=pairs, per_case=per_pair, salt=109, draw=lambda s: (s.keys(2),)),
         *(
             Law(f"generator_derivative_h={h:g}", "(delta∘mu_h − delta(x)delta)/h → L as h → 0",
-                partial(generator_derivative, h), fd_factor * h, cases=fd_keys)
+                partial(generator_derivative, h), fd_factor * h,
+                per_case=samples, salt=113, draw=lambda s: (s.keys(2),))
             for h in fd_steps
         ),
     ])
@@ -494,15 +495,13 @@ def check_hopf_deformation(
         lhs, rhs = _sigma_sides(sig, a)
         return _element(inst, lhs).distance(_element(inst, rhs))
 
-    def sigma_derivative(h, u):
+    def sigma_derivative(h, _, u):
         a = Element(inst, {u[0]: 1.0})
         fd = (counit(deformed_antipode(D, h)(a)) - counit(antipode(a))) / h
         return abs(fd + sig.value(u))
 
     per = _per_case(samples, len(t_grid))
     pairs = _grid_pairs(t_grid)
-    s_fd = sampler.spawn(215)
-    fd_keys = [s_fd.keys(1) for _ in range(max(1, samples // 2))]
     report = Report(name=f"hopf_deformation:{L.name}")
     run_laws(report, sampler, [
         Law("antipode_identity",
@@ -527,7 +526,8 @@ def check_hopf_deformation(
         Law("sigma_normalized", "σ(1) = 0", lambda _: abs(sig.value((inst.unit,))), 0.0),
         *(
             Law(f"sigma_derivative_h={h:g}", "(delta∘S_h − delta∘S)/h → −σ as h → 0",
-                partial(sigma_derivative, h), fd_factor * h, cases=fd_keys)
+                partial(sigma_derivative, h), fd_factor * h,
+                per_case=max(1, samples // 2), salt=215, draw=lambda s: (s.keys(1),))
             for h in fd_steps
         ),
     ])
@@ -550,12 +550,8 @@ def check_trivial_conjugation(
         return lhs.distance(phi_map(T, -t)(mul(phi_t(a), phi_t(b))))
 
     def intertwining(t, a):
-        phi_t = phi_map(T, t)
+        phi = phi_map(T, t)._cache.__getitem__
         u = comul(a)
-
-        def phi(k):
-            return phi_t.value((k,)).terms.items()
-
         return tensor_apply(u, (phi, None)).distance(tensor_apply(u, (None, phi)))
 
     report = Report(name=f"trivial_conjugation:{D.generator.name}@t={t:g}")
@@ -741,14 +737,13 @@ def split_cocommutative(
             cases=[(t, a) for t in t_grid for a in const_elems]),
     ])
 
-    s_l1 = sampler.spawn(523)
-    l1_keys = [s_l1.keys(2) for _ in range(samples)]
-    for law in (
-        Law("l1_is_zero", "L1 = 0", lambda u: abs(L1.value(u)), tol, cases=l1_keys),
-        Law("l2_equals_l", "L2 = L", lambda u: abs(L2.value(u) - L.value(u)), tol, cases=l1_keys),
-        Law("constant_antipodes", "σ = 0", lambda u: abs(sig.value(u[:1])), tol, cases=l1_keys),
+    for law_id, statement, residual in (
+        ("l1_is_zero", "L1 = 0", lambda _, u: abs(L1.value(u))),
+        ("l2_equals_l", "L2 = L", lambda _, u: abs(L2.value(u) - L.value(u))),
+        ("constant_antipodes", "σ = 0", lambda _, u: abs(sig.value(u[:1]))),
     ):
-        report.extras[law.law_id] = law.fold(sampler)[1] <= tol
+        law = Law(law_id, statement, residual, tol, per_case=samples, salt=523, draw=lambda s: (s.keys(2),))
+        report.extras[law_id] = law.fold(sampler)[1] <= tol
     report.extras["trivial"] = bool(D.classifier.witness_matches)
 
     if inst.kind is Kind.GROUPLIKE_BASIS and inst.has_star and D.classifier.hermitian:

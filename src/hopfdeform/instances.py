@@ -366,7 +366,8 @@ _MAX_POWER_BITS = 1 << 16
 
 
 def _bounded_pow(base, exp):
-    if isinstance(base, int) and isinstance(exp, int) and abs(base) > 1 and exp * math.log2(abs(base)) > _MAX_POWER_BITS:
+    if (isinstance(base, int) and isinstance(exp, int) and abs(base) > 1
+            and exp * math.log2(abs(base)) > _MAX_POWER_BITS):
         raise OverflowError(f"integer power {base}**{exp} has more than {_MAX_POWER_BITS} bits")
     return base ** exp
 

@@ -263,6 +263,8 @@ def test_a_sigma_flip_disagreement_is_a_failed_law(command, flags, tmp_path):
     failed = [r for r in report["results"] if not r["passed"]]
     assert [r["law_id"] for r in failed] == flags
     assert {r["statement"] for r in failed} == {"L∘(id(x)S)∘Delta = L∘(S(x)id)∘Delta"}
+    # the flag counts the keys that σ and its flipped form were compared on, not the sample budget
+    assert {r["samples"] for r in failed} == {60}
     assert report["extras"]["sigma_flip_failure"] == "sigma and its flipped form disagree by 1.000e+00"
     assert "antipode_tabulation" not in report["extras"]
     assert ("tabulation" in report["extras"]) == (command != "split")
@@ -279,7 +281,7 @@ def test_a_sigma_flip_failure_is_computed_once_per_report(monkeypatch):
     # the hopf: and split: suites and the tabulation all ask for σ; the kept error answers the last two
     assert len(calls) == 1
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "425a3ea9f1987a04db45a04e137a52801fd1998dca5b232eb23f068e0b925e6e"
+        "4820e71f1d806cc801f0111d7c4e954a0603278f191a2e14e47729b489c35d36"
     )
 
 

@@ -381,7 +381,8 @@ def test_kernels_sum_like_a_plain_left_fold(a, b, table):
     want = _left_fold(
         (key, (ca * cb) * w) for ka, ca in a for kb, cb in b for key, w in table.get(ka * kb % 5, [])
     )
-    assert _bits(_bilinear(a, b, lambda ka, kb: rule(ka * kb % 5))) == _bits(want)
+    pairs = {(ka, kb): rule(ka * kb % 5) for ka, _ in a for kb, _ in b}
+    assert _bits(_bilinear(a, b, pairs)) == _bits(want)
 
 
 def test_a_first_term_is_stored_as_is(z2):
@@ -392,7 +393,8 @@ def test_a_first_term_is_stored_as_is(z2):
     def rule(*_):
         return [("k", 1j)]
 
-    for terms in (_linear([("k", complex(-1.0, 0.0))], rule), _bilinear([(0, -1.0 + 0j)], [(0, 1.0 + 0j)], rule)):
+    for terms in (_linear([("k", complex(-1.0, 0.0))], rule),
+                  _bilinear([(0, -1.0 + 0j)], [(0, 1.0 + 0j)], {(0, 0): rule()})):
         assert repr(terms["k"]) == "(-0-1j)"
 
 

@@ -1,8 +1,8 @@
 """The μ_t / S_t loops that read the memo tables, against the element chains they replaced.
 
 Each reference below is the earlier implementation: ``LinMap`` application
-summed by ``_linear`` or ``_bilinear`` through a rule that looks the tuple
-up, (μ_t⊗μ_s)∘Λ read through ``deformed_mul_pair`` leg by leg, and the
+summed by ``_linear`` or ``_bilinear`` through a rule that reads the map's
+value ``A.value(keys)`` at the tuple, (μ_t⊗μ_s)∘Λ read through ``deformed_mul_pair`` leg by leg, and the
 antipode identity's sides built from basis elements, ``S_t``,
 ``deformed_mul``, ``scale`` and ``+``.  Every reference dict is cleaned by
 a copy of the earlier cleaning routine.  The loops must give the same keys
@@ -70,18 +70,15 @@ def ref_bilinear(a_terms, b_terms, rule):
 
 def ref_call(A, terms: dict) -> dict:
     """A rank-1 map on an element's terms."""
-    cache = A._cache
-    return ref_clean(ref_linear(terms.items(), lambda k: cache[(k,)].terms.items()), A.instance.prune_eps)
+    return ref_clean(ref_linear(terms.items(), lambda k: A.value((k,)).terms.items()), A.instance.prune_eps)
 
 
 def ref_call_tensor(A, terms: dict) -> dict:
-    cache = A._cache
-    return ref_clean(ref_linear(terms.items(), lambda keys: cache[keys].terms.items()), A.instance.prune_eps)
+    return ref_clean(ref_linear(terms.items(), lambda keys: A.value(keys).terms.items()), A.instance.prune_eps)
 
 
 def ref_on_pair(A, a: dict, b: dict) -> dict:
-    cache = A._cache
-    summed = ref_bilinear(a.items(), b.items(), lambda ka, kb: cache[ka, kb].terms.items())
+    summed = ref_bilinear(a.items(), b.items(), lambda ka, kb: A.value((ka, kb)).terms.items())
     return ref_clean(summed, A.instance.prune_eps)
 
 
@@ -188,9 +185,29 @@ def test_map_application_matches_the_linear_sum(case):
         a, b = sampler.elements(2)
         for A in maps:
             _same(A(a).terms, ref_call(A, a.terms))
+            _same(A(hd.tensor_of(a)).terms, ref_call(A, a.terms))
         for A in (mu_n_map(inst, 2), deformed_mul_map(D, 0.5)):
             for u in (hd.comul(a), hd.tensor_of(a, b)):
                 _same(A(u).terms, ref_call_tensor(A, u.terms))
+
+
+def test_every_map_table_holds_its_values_as_rows(case):
+    inst, D, sampler = case
+    rank_one = [hd.identity_map(inst), antipode_map(inst), deformed_antipode(D, 0.5)]
+    rank_two = [mu_n_map(inst, 2), deformed_mul_map(D, 0.5)]
+    a, b = sampler.elements(2)
+    for A in rank_one:
+        A(a)
+    for A in rank_two:
+        A.on_pair(a, b)
+    # a rank-1 table is keyed by the bare basis key, a rank-2 one by the pair; the first maps are fresh
+    assert list(rank_one[0]._cache) == list(rank_one[1]._cache) == list(a.terms)
+    assert list(rank_two[0]._cache) == [(ka, kb) for ka in a.terms for kb in b.terms]
+    for A in rank_one + rank_two:
+        assert A._cache
+        for key, row in A._cache.items():
+            assert type(row) is tuple
+            assert row == tuple(A.value((key,) if A.rank == 1 else key).terms.items())
 
 
 def test_deformed_square_binds_one_table_for_equal_parameters(case):

@@ -17,7 +17,7 @@ PACKAGE = Path(hopfdeform.__file__).resolve().parent
 
 KERNELS = {
     "core._linear": "Σ c·rule(k) over (k, c) items, c * w per term",
-    "core._bilinear": "Σ (ca·cb)·rule(ka, kb) over two term lists, (ca * cb) * w per term",
+    "core._bilinear": "Σ (ca·cb)·table[ka, kb] over two term lists and a table of rows, (ca * cb) * w per term",
     "core._row_pairs": "Σ c·(row₁⊗row₂) over (c, row₁, row₂) legs, (c * w₁) * w₂ per term",
 }
 
@@ -27,16 +27,9 @@ HAND_WRITTEN = {
                                "Z² coproducts (median of 21 alternating micro-benchmark rounds)",
     "core.tensor_contract_slot": "drops the slot and scales by δ(k); as a _linear rule, 1.38 and 1.40 times the "
                                  "time per call, measured as tensor_expand_slot",
-    "core._key_product": "prunes the running product after each key, as mul does; fed to a row kernel by a "
-                         "generator, group-full +2.5% and cold-sweep +2.7%",
-    "core.tensor_mul_all": "cleans each pair's product row as _key_product does before scaling it; measured "
-                           "together with _key_product",
-    "convolution.LinMap.__call__": "one loop over the map's table on an element; through a row kernel together "
-                                   "with _pair_terms, _key_product and tensor_mul_all, oscillator-full +4.4%, "
-                                   "group-full +6.0%, cold-sweep +3.4%",
-    "convolution._pair_terms": "one rank-2 loop over the map's table; measured together with LinMap.__call__",
     "deformation._deformed_mul_square": "(μ_t⊗μ_s)∘Λ with the grouping (((ca·cb)·c)·w₁)·w₂; through _row_pairs, "
-                                        "oscillator-full +2.2% with list legs and +2.4% with generator legs",
+                                        "oscillator-full +1.4% (the kernel form better in 2 of 6 pairs of 10-s "
+                                        "runs), and +2.2% and +2.4% in two earlier sets",
     "deformation._add_scaled": "merges a scaled, cleaned dict into a clean running sum and checks only the keys "
                                "it touched: a merge, not a sum of products",
 }
