@@ -26,13 +26,17 @@ parameters need no special treatment anywhere downstream.
 
 A :class:`LinMap` (μ_t, S_t, Φ_t and the other maps into the algebra)
 keeps its rule's value on each basis tuple as a row of its table, in the
-row format of :mod:`hopfdeform.core`.  Applied to an element or a tensor it
-is one ``_linear`` over that table, and on a pair one ``_bilinear``; the
-maps built here and the deformation laws read the rows directly.
+row format of :mod:`hopfdeform.core`.  Like a basis rule, its rule returns
+the value's ``(key, coeff)`` pairs, as a row or a mapping, never an element.
+Applied to an element or a tensor it is one ``_linear`` over that table, and
+on a pair one ``_bilinear``; the maps built here and the deformation laws
+read the rows directly.
 
 t enters a map ``A ⋆ e_⋆^{tf}`` only through the scalar exponential, so
 :func:`map_conv_exp` expands each basis tuple once and shares that
 expansion among the maps for every t, each of which is still memoized.
+Expanding again for every t, as :func:`_scalar_convolution` over
+``conv_exp`` at t would, costs oscillator-full ``wall_s`` +18% (perfbench).
 Likewise each :class:`Cochain` keeps, per tuple, the legs of the coproduct
 on which it is nonzero, and its convolution powers and Taylor coefficients
 in two plain tables, filled from those legs by the recursion
@@ -63,6 +67,7 @@ from .core import (
     _first,
     _key_product,
     _linear,
+    _row_items,
     _same_instance,
     _scalar,
     _tensor,
@@ -335,9 +340,12 @@ def conv_exp(f: Cochain, t: float, u) -> complex:
 class LinMap:
     """Linear map from the rank-n tensor power into the algebra.
 
-    Given by a rule on basis tuples returning an :class:`Element`, whose
-    terms the map's table keeps as a row; :meth:`value` builds the element
-    back from it.  Its operands must belong to the map's instance.
+    Given by a rule on basis tuples that returns the value's ``(key, coeff)``
+    pairs, as a row or a mapping (on rank 1 it gets ``(k,)``, and the table is
+    keyed by k).  The table keeps a copy of them as a row (``core._row_items``):
+    the last duplicate key wins, then it is checked and pruned at the threshold
+    read at fill time.  :meth:`value` builds the element back from the row.
+    Its operands must belong to the map's instance.
     """
 
     __slots__ = ("instance", "rank", "name", "_cache")
@@ -348,10 +356,7 @@ class LinMap:
         self.instance = instance
         self.rank = rank
         self.name = name
-        if rank == 1:
-            self._cache = Memo(lambda k: tuple(rule((k,)).terms.items()))
-        else:
-            self._cache = Memo(lambda keys: tuple(rule(keys).terms.items()))
+        self._cache = Memo(lambda keys: tuple(_row_items(instance, rule((keys,) if rank == 1 else keys))))
 
     def _row(self, keys) -> tuple:
         """The table's row at a basis tuple."""
@@ -388,22 +393,17 @@ class LinMap:
 
 
 def identity_map(instance: BialgebraInstance) -> LinMap:
-    return LinMap(instance, 1, lambda ks: _element(instance, {ks[0]: 1.0}), name="id")
+    return LinMap(instance, 1, lambda ks: {ks[0]: 1.0}, name="id")
 
 
 def antipode_map(instance: BialgebraInstance) -> LinMap:
     instance.require_antipode()
-    return LinMap(instance, 1, lambda ks: _element(instance, dict(instance.antipode_terms(ks[0]))), name="S")
+    return LinMap(instance, 1, lambda ks: instance.antipode_terms(ks[0]), name="S")
 
 
-def unit_counit_map(instance: BialgebraInstance, rank: int = 1) -> LinMap:
+def unit_counit_map(instance: BialgebraInstance) -> LinMap:
     """The map u ↦ δ(u)·1 (the ⋆-neutral element for maps)."""
-    return LinMap(
-        instance,
-        rank,
-        lambda ks: _element(instance, {instance.unit: tuple_counit(instance, ks)}),
-        name="unit∘delta",
-    )
+    return LinMap(instance, 1, lambda ks: {instance.unit: tuple_counit(instance, ks)}, name="unit∘delta")
 
 
 def mu_n_map(instance: BialgebraInstance, n: int) -> LinMap:
@@ -421,7 +421,7 @@ def convolve_maps(A: LinMap, B: LinMap, product=None, name=None) -> LinMap:
 
     def rule(keys):
         legs = (((left, right), c) for left, right, c in tuple_comul_terms(inst, keys))
-        return _element(inst, _linear(legs, lambda lr: prod(A.value(lr[0]), B.value(lr[1])).terms.items()))
+        return _linear(legs, lambda lr: prod(A.value(lr[0]), B.value(lr[1])).terms.items())
 
     return LinMap(inst, A.rank, rule, name or f"({A.name}*{B.name})")
 
@@ -447,7 +447,7 @@ def _scalar_convolution(A: LinMap, f: Cochain, f_leg: int, name: str) -> LinMap:
         # A's terms on the other leg, scaled by c·v on each leg where v = f(leg) is nonzero
         scaled = ((A._row(legs[1 - f_leg]), legs[2] * v)
                   for legs in tuple_comul_terms(inst, keys) if (v := f.value(legs[f_leg])) != 0)
-        return _element(inst, _linear(scaled, iter))
+        return _linear(scaled, iter)
 
     return LinMap(inst, A.rank, rule, name)
 
@@ -480,7 +480,7 @@ def map_conv_exp(A: LinMap, f: Cochain) -> Memo:
     def build(t):
         def rule(keys):
             scaled = ((row, c * v) for c, right, row in legs[keys] if (v := conv_exp(f, t, right)) != 0)
-            return _element(inst, _linear(scaled, iter))
+            return _linear(scaled, iter)
 
         return LinMap(inst, A.rank, rule, f"({A.name}*exp({t:g}{f.name}))")
 

@@ -21,7 +21,8 @@ cleaned once and never copied.
 The tables of the linear maps, the instance's product, coproduct, antipode
 and star tables and a ``LinMap``'s table alike, hold one row format: a tuple
 of ``(key, w)`` pairs, keyed by the bare basis key on rank 1 and by the
-basis tuple above it.
+basis tuple above it.  Every table rule returns the value's ``(key, coeff)``
+pairs, as a row or a mapping, never an element, as :func:`_key_product` does.
 
 Sums go through four kernels under one summation-order contract, which fixes
 the last bit of every coefficient and so the bytes of every report: each
@@ -727,8 +728,8 @@ def tensor_contract_slot(u: TensorElement, slot: int) -> TensorElement | Element
     return TensorElement(inst, rank - 1, acc)  # refuses rank 0
 
 
-def _key_product(instance: BialgebraInstance, keys) -> Element:
-    """The product of basis keys, left to right, read from the product table.
+def _key_product(instance: BialgebraInstance, keys) -> dict:
+    """The terms of the product of basis keys, left to right, read from the product table.
 
     Each step multiplies the running product by the next key with
     coefficient ``1+0j`` and prunes the result, as :func:`mul` would.
@@ -737,7 +738,7 @@ def _key_product(instance: BialgebraInstance, keys) -> Element:
     acc = {keys[0]: _ONE}
     for k in keys[1:]:
         acc = _bilinear(_clean_terms(acc, prune).items(), ((k, _ONE),), table)
-    return _element(instance, acc)
+    return _clean_terms(acc, prune)
 
 
 def tensor_mul_all(u: TensorElement) -> Element:
@@ -749,7 +750,7 @@ def tensor_mul_all(u: TensorElement) -> Element:
     if u.rank != 2:
         raise AlgebraError("tensor_mul_all is defined on rank-2 tensors")
     inst = u.instance
-    return _element(inst, _linear(u.terms.items(), lambda pair: _key_product(inst, pair).terms.items()))
+    return _element(inst, _linear(u.terms.items(), lambda pair: _key_product(inst, pair).items()))
 
 
 # -- canonical rendering -----------------------------------------------------

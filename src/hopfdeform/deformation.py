@@ -81,6 +81,8 @@ from .cohomology import (
 from .report import Law, Report, run_laws
 
 DEFAULT_T_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
+_FD_STEPS = (1e-3, 1e-4)
+_FD_FACTOR = 10.0
 # keys drawn to compare σ with its flipped form, and pairs drawn to check a
 # generator (through validate_generator) or a witness's coboundary
 _SIGMA_FLIP_SAMPLES = 60
@@ -379,8 +381,6 @@ def check_deformation_axioms(
     t_grid=DEFAULT_T_GRID,
     samples: int = 200,
     tol: float = DEFAULT_TOL,
-    fd_steps=(1e-3, 1e-4),
-    fd_factor: float = 10.0,
 ) -> Report:
     """Unitality, associativity, coalgebra compatibility, counit semigroup,
     and recovery of the generator as the derivative of δ∘μ_t at 0."""
@@ -431,9 +431,9 @@ def check_deformation_axioms(
             cases=pairs, per_case=per_pair, salt=109, draw=lambda s: (s.keys(2),)),
         *(
             Law(f"generator_derivative_h={h:g}", "(delta∘mu_h − delta(x)delta)/h → L as h → 0",
-                partial(generator_derivative, h), fd_factor * h,
+                partial(generator_derivative, h), _FD_FACTOR * h,
                 per_case=samples, salt=113, draw=lambda s: (s.keys(2),))
-            for h in fd_steps
+            for h in _FD_STEPS
         ),
     ])
     return report
@@ -445,8 +445,6 @@ def check_hopf_deformation(
     t_grid=DEFAULT_T_GRID,
     samples: int = 200,
     tol: float = DEFAULT_TOL,
-    fd_steps=(1e-3, 1e-4),
-    fd_factor: float = 10.0,
 ) -> Report:
     """Deformed antipode laws: two-sided ⋆_t-inverse of the identity,
     unitality, anti(co)homomorphism, the cocommutative involution, and the
@@ -526,9 +524,9 @@ def check_hopf_deformation(
         Law("sigma_normalized", "σ(1) = 0", lambda _: abs(sig.value((inst.unit,))), 0.0),
         *(
             Law(f"sigma_derivative_h={h:g}", "(delta∘S_h − delta∘S)/h → −σ as h → 0",
-                partial(sigma_derivative, h), fd_factor * h,
+                partial(sigma_derivative, h), _FD_FACTOR * h,
                 per_case=max(1, samples // 2), salt=215, draw=lambda s: (s.keys(1),))
-            for h in fd_steps
+            for h in _FD_STEPS
         ),
     ])
     return report

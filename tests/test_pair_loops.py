@@ -179,7 +179,7 @@ def test_map_application_matches_the_linear_sum(case):
     inst, D, sampler = case
     x = sampler.element()
     maps = [hd.identity_map(inst), antipode_map(inst), hd.r_phi(hd.counit_cochain(inst, 1)),
-            LinMap(inst, 1, lambda ks: hd.mul(x, inst.basis_element(ks[0])))]
+            LinMap(inst, 1, lambda ks: hd.mul(x, inst.basis_element(ks[0])).terms)]
     maps += [deformed_antipode(D, t) for t, _ in T_PAIRS]
     for _ in range(10):
         a, b = sampler.elements(2)
@@ -258,7 +258,7 @@ def test_a_pair_sum_that_cancels_is_pruned(z2_deformation):
 
 def test_a_map_sum_that_cancels_is_pruned():
     z2 = hd.group_algebra_zd(2)
-    to_unit = LinMap(z2, 1, lambda ks: z2.unit_element())
+    to_unit = LinMap(z2, 1, lambda ks: z2.unit_element().terms)
     x = z2.element({(1, 0): 1.0, (0, 1): -(1.0 - 1e-13)})
     got = to_unit(x)
     _same(got.terms, ref_call(to_unit, x.terms))

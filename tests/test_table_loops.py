@@ -5,8 +5,10 @@ counit and the slot maps summed by ``_linear`` through a rule, the counit
 read from the basis rule on every call, a product of basis keys built one
 element per step, the cochain rules wrapping each product, antipode or star
 row in an element to call the earlier ``eval_mixed``, and
-``check_structure`` computing a·b and Δ(a) again in every law.  Every
-reference dict is cleaned by a copy of the earlier cleaning routine.  The
+``check_structure`` computing a·b and Δ(a) again in every law, and the
+rules of the built-in linear maps, each building an element that the earlier
+map unwrapped into its table row at once.  Every reference dict is cleaned
+by a copy of the earlier cleaning routine.  The
 loops must give the same keys in the same dict order, and every coefficient
 and cochain value must be equal by ``repr``, so report bytes stay the same.
 """
@@ -17,14 +19,31 @@ import pytest
 
 import hopfdeform as hd
 from hopfdeform.cohomology import coboundary, compose_antipode_flip, hermitian_conjugate
-from hopfdeform.convolution import tuple_counit
+from hopfdeform.convolution import (
+    _closed_form,
+    antipode_map,
+    conv_exp,
+    conv_exp_coeffs,
+    convolve_maps,
+    functional_conv_map,
+    identity_map,
+    map_conv_functional,
+    mu_n_map,
+    tuple_comul_terms,
+    tuple_counit,
+    unit_counit_map,
+)
 from hopfdeform.core import (
     AlgebraError,
     EPS_PRUNE,
     Element,
     Kind,
+    Memo,
     NonFiniteError,
     TensorElement,
+    _bilinear,
+    _element,
+    _linear,
     check_structure,
     counit,
     scale,
@@ -36,7 +55,17 @@ from hopfdeform.core import (
     tensor_mul,
     tensor_mul_all,
 )
-from hopfdeform.deformation import _flipped_antipodes, _sigma_cochains, _sigma_sides, deformed_antipode
+from hopfdeform.deformation import (
+    DEFAULT_T_GRID,
+    _flipped_antipodes,
+    _sigma_cochains,
+    _sigma_sides,
+    deformed_antipode,
+    deformed_convolution,
+    deformed_mul_map,
+    make_trivial_deformation,
+    phi_map,
+)
 from hopfdeform.report import Law, Report, run_laws
 
 _INF = math.inf
@@ -518,6 +547,134 @@ def test_a_non_finite_product_row_raises_the_element_error():
         with pytest.raises(NonFiniteError) as want:
             ref_coboundary(f).value(u)
         assert str(got.value) == str(want.value)
+
+
+# -- the map rules: the earlier rules, each building an Element ------------------------------
+
+
+class RefMap:
+    """The earlier map: its table keeps ``tuple(rule(keys).terms.items())``."""
+
+    def __init__(self, instance, rank, rule):
+        self.instance, self.rank = instance, rank
+        if rank == 1:
+            self._cache = Memo(lambda k: tuple(rule((k,)).terms.items()))
+        else:
+            self._cache = Memo(lambda keys: tuple(rule(keys).terms.items()))
+
+    def _row(self, keys):
+        return self._cache[keys[0] if self.rank == 1 else tuple(keys)]
+
+    def value(self, keys):
+        return _element(self.instance, dict(self._row(keys)))
+
+    def on_pair(self, a, b):
+        return _element(self.instance, _bilinear(a.terms.items(), b.terms.items(), self._cache))
+
+
+def ref_identity(inst):
+    return RefMap(inst, 1, lambda ks: _element(inst, {ks[0]: 1.0}))
+
+
+def ref_antipode(inst):
+    return RefMap(inst, 1, lambda ks: _element(inst, dict(inst.antipode_terms(ks[0]))))
+
+
+def ref_unit_counit(inst):
+    return RefMap(inst, 1, lambda ks: _element(inst, {inst.unit: tuple_counit(inst, ks)}))
+
+
+def ref_mu_n(inst, n):
+    return RefMap(inst, n, lambda keys: _element(inst, ref_key_product(inst, keys)))
+
+
+def ref_convolve(A, B, product=hd.mul):
+    inst = A.instance
+
+    def rule(keys):
+        legs = (((left, right), c) for left, right, c in tuple_comul_terms(inst, keys))
+        return _element(inst, _linear(legs, lambda lr: product(A.value(lr[0]), B.value(lr[1])).terms.items()))
+
+    return RefMap(inst, A.rank, rule)
+
+
+def ref_scalar_convolution(A, f, f_leg):
+    inst = A.instance
+
+    def rule(keys):
+        scaled = ((A._row(legs[1 - f_leg]), legs[2] * v)
+                  for legs in tuple_comul_terms(inst, keys) if (v := f.value(legs[f_leg])) != 0)
+        return _element(inst, _linear(scaled, iter))
+
+    return RefMap(inst, A.rank, rule)
+
+
+def ref_map_conv_exp(A, f, t):
+    inst = A.instance
+
+    def rule(keys):
+        closed = _closed_form(f)
+        legs = tuple((c, right, A._row(left)) for left, right, c in tuple_comul_terms(inst, keys)
+                     if closed or any(f._coeffs.get(right) or conv_exp_coeffs(f, right)))
+        scaled = ((row, c * v) for c, right, row in legs if (v := conv_exp(f, t, right)) != 0)
+        return _element(inst, _linear(scaled, iter))
+
+    return RefMap(inst, A.rank, rule)
+
+
+# -- the built-in maps against the earlier rules ------------------------------------------
+
+
+def _psi(inst):
+    """A normalized arity-1 cochain with non-dyadic values; zero on a finite instance, where only 0 is certified."""
+    if inst.kind is Kind.FINITE:
+        return hd.zero_cochain(inst, 1)
+    return hd.Cochain(inst, 1, lambda ks: 0j if ks[0] == inst.unit else complex(0.1 * (len(repr(ks)) % 5), -0.3),
+                      name="psi")
+
+
+def _map_pairs(inst, L, sampler):
+    """Pairs of a built-in map and the earlier rule's map."""
+    psi = _psi(inst)
+    # no generator validation: the rows, not the laws, are compared, also on the
+    # instances that are no bialgebras and at thresholds that break the laws
+    D = hd.Deformation(inst, L, None, sampler)
+    sig = D._sigma = _sigma_cochains(D)[0]  # σ without its flip check, which those instances may fail
+    T = make_trivial_deformation(D, psi, check=False)
+    ident, anti, mu2 = ref_identity(inst), ref_antipode(inst), ref_mu_n(inst, 2)
+    pairs = [
+        (identity_map(inst), ident),
+        (antipode_map(inst), anti),
+        (unit_counit_map(inst), ref_unit_counit(inst)),
+        (mu_n_map(inst, 2), mu2),
+        (mu_n_map(inst, 3), ref_mu_n(inst, 3)),
+        (map_conv_functional(identity_map(inst), psi), ref_scalar_convolution(ident, psi, 1)),
+        (map_conv_functional(mu_n_map(inst, 2), L), ref_scalar_convolution(mu2, L, 1)),
+        (functional_conv_map(psi, antipode_map(inst)), ref_scalar_convolution(anti, psi, 0)),
+        (convolve_maps(identity_map(inst), antipode_map(inst)), ref_convolve(ident, anti)),
+        (convolve_maps(mu_n_map(inst, 2), mu_n_map(inst, 2)), ref_convolve(mu2, mu2)),
+    ]
+    for t in DEFAULT_T_GRID:
+        mu_t = ref_map_conv_exp(mu2, L, t)
+        pairs += [
+            (deformed_mul_map(D, t), mu_t),
+            (deformed_antipode(D, t), ref_map_conv_exp(anti, sig, -t)),
+            (phi_map(T, t), ref_map_conv_exp(ident, psi, t)),
+            (deformed_convolution(D, t, identity_map(inst), antipode_map(inst)),
+             ref_convolve(ident, anti, product=mu_t.on_pair)),
+        ]
+    return pairs
+
+
+def test_every_built_in_map_keeps_the_rows_of_the_element_rule(case):
+    inst, L, sampler = case
+    pairs = _map_pairs(inst, L, sampler)
+    tuples = {rank: _tuples(inst, sampler, rank, 12) for rank in (1, 2, 3)}
+    for A, R in pairs:
+        for u in tuples[A.rank]:
+            got, want = A._row(u), R._row(u)
+            assert len(got) == len(want)
+            _same(dict(got), dict(want))
 
 
 # -- the Hopf suite's table loops ----------------------------------------------------------
