@@ -14,7 +14,6 @@ from .core import (
     InstanceMismatchError,
     Kind,
     TensorElement,
-    add,
     antipode,
     check_structure,
     comul,
@@ -37,11 +36,9 @@ from .convolution import (
     conv_exp,
     conv_power,
     convolve_functionals,
-    convolve_maps,
     counit_cochain,
     identity_map,
     plan_conv_exp,
-    r_phi,
     zero_cochain,
 )
 from .cohomology import (
@@ -49,11 +46,7 @@ from .cohomology import (
     GeneratorValidationError,
     coboundary,
     hermitian_conjugate,
-    is_cocycle,
-    is_commuting,
-    is_hermitian,
     is_normalized,
-    subcomplex_stability,
     validate_generator,
 )
 from .instances import (
@@ -77,7 +70,6 @@ from .deformation import (
     check_trivial_conjugation,
     check_trivial_deformation,
     deformed_antipode,
-    deformed_convolution,
     deformed_mul,
     make_deformation,
     make_trivial_deformation,

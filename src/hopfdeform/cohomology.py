@@ -6,12 +6,13 @@ The coboundary of an n-cochain f is
                     + Σᵢ (−1)ⁱ f(a₁,…,aᵢaᵢ₊₁,…,aₙ₊₁)
                     + (−1)ⁿ⁺¹ f(a₁,…,aₙ)δ(aₙ₊₁)
 
-with the signs taken verbatim, no renormalization.  The predicates below
-classify cochains as normalized (value 0 on the all-units tuple, checked
-exactly), commuting (f ⋆ μ⁽ⁿ⁾ = μ⁽ⁿ⁾ ⋆ f, sampled), cocycle (∂f = 0,
-sampled) and hermitian (f̃ = ±f with the ceil(n/2) parity sign, sampled).
-Sampling never proves anything; it bounds residuals on a seeded set of
-basis tuples at a configured tolerance.
+with the signs taken verbatim, no renormalization.  A cochain is
+normalized when its value on the all-units tuple is 0, checked exactly;
+the residuals below measure how far it is from commuting
+(f ⋆ μ⁽ⁿ⁾ = μ⁽ⁿ⁾ ⋆ f), from a cocycle (∂f = 0) and from hermitian
+(f̃ = ±f with the ceil(n/2) parity sign), each on sampled basis tuples.
+Sampling never proves anything; :func:`validate_generator` compares the
+residuals with a configured tolerance.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .convolution import (
     mu_n_map,
     tuple_counit,
 )
-from .report import Law, Report, run_laws
+from .report import Law
 
 DEFAULT_TOL = 1e-8
 DEFAULT_SAMPLES = 200
@@ -88,7 +89,7 @@ def compose_antipode_flip(f: Cochain, name=None) -> Cochain:
     return Cochain(inst, 2, rule, name or f"({f.name}∘(S(x)S)∘tau)")
 
 
-# -- predicates ---------------------------------------------------------------
+# -- residuals ----------------------------------------------------------------
 
 
 def is_normalized(f: Cochain) -> bool:
@@ -104,18 +105,10 @@ def commuting_residual(f: Cochain, sampler, samples: int = DEFAULT_SAMPLES) -> f
                per_case=samples, draw=lambda s: (s.keys(f.arity),)).fold(sampler)[1]
 
 
-def is_commuting(f: Cochain, sampler, samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL) -> bool:
-    return commuting_residual(f, sampler.spawn(11), samples) <= tol
-
-
 def cocycle_residual(f: Cochain, sampler, samples: int = DEFAULT_SAMPLES) -> float:
     df = coboundary(f)
     return Law("cocycle", "∂f = 0", lambda _, u: abs(df.value(u)), DEFAULT_TOL,
                per_case=samples, draw=lambda s: (s.keys(f.arity + 1),)).fold(sampler)[1]
-
-
-def is_cocycle(f: Cochain, sampler, samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL) -> bool:
-    return cocycle_residual(f, sampler.spawn(13), samples) <= tol
 
 
 def hermitian_residual(f: Cochain, sampler, samples: int = DEFAULT_SAMPLES) -> float:
@@ -123,10 +116,6 @@ def hermitian_residual(f: Cochain, sampler, samples: int = DEFAULT_SAMPLES) -> f
     tilde = hermitian_conjugate(f)
     return Law("hermitian", "f̃ = ±f", lambda _, u: abs(tilde.value(u) - sign * f.value(u)), DEFAULT_TOL,
                per_case=samples, draw=lambda s: (s.keys(f.arity),)).fold(sampler)[1]
-
-
-def is_hermitian(f: Cochain, sampler, samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL) -> bool:
-    return hermitian_residual(f, sampler.spawn(17), samples) <= tol
 
 
 @dataclass
@@ -212,60 +201,3 @@ def validate_generator(
         residuals=residuals,
     )
 
-
-def subcomplex_stability(
-    f: Cochain,
-    sampler,
-    samples: int = DEFAULT_SAMPLES,
-    tol: float = DEFAULT_TOL,
-) -> Report:
-    """Check that ∂ preserves the normalized / commuting / hermitian classes.
-
-    Each implication is reported: whenever f tests inside a class, ∂f must
-    test inside the class of the next arity (with the parity sign flip for
-    the hermitian one).
-    """
-    report = Report(name=f"subcomplex_stability:{f.name}")
-    df = coboundary(f)
-
-    if is_normalized(f):
-        report.add(
-            "normalized_stable",
-            "f normalized ⇒ ∂f normalized (exact)",
-            1,
-            abs(df.value((f.instance.unit,) * df.arity)),
-            0.0,
-        )
-    else:
-        report.add_flag("normalized_stable", "f not normalized; nothing to check", True)
-
-    c_res = commuting_residual(f, sampler.spawn(31), samples)
-    if c_res <= tol:
-        dc_res = commuting_residual(df, sampler.spawn(37), samples)
-        report.add("commuting_stable", "f commuting ⇒ ∂f commuting", samples, dc_res, tol)
-        report.extras["commuting_residual_f"] = c_res
-        report.extras["commuting_residual_df"] = dc_res
-    else:
-        report.add_flag("commuting_stable", "f not commuting; nothing to check", True)
-
-    if f.instance.has_star:
-        h_res = hermitian_residual(f, sampler.spawn(41), samples)
-        if h_res <= tol:
-            dh_res = hermitian_residual(df, sampler.spawn(43), samples)
-            report.add(
-                "hermitian_stable",
-                "f in the hermitian class ⇒ ∂f in the next one (sign rule by ceil(n/2) parity)",
-                samples,
-                dh_res,
-                tol,
-            )
-        else:
-            report.add_flag("hermitian_stable", "f not in the hermitian class; nothing to check", True)
-
-    dd = coboundary(df)
-    run_laws(report, sampler, [
-        Law("d_squared_zero", "∂∘∂ = 0", lambda _, u: abs(dd.value(u)), tol,
-            per_case=samples, salt=47, draw=lambda s: (s.keys(f.arity + 2),)),
-    ])
-
-    return report

@@ -70,8 +70,6 @@ from .core import (
     _row_items,
     _same_instance,
     _scalar,
-    _tensor,
-    mul,
 )
 
 
@@ -205,27 +203,6 @@ def counit_cochain(instance: BialgebraInstance, arity: int) -> Cochain:
 
 def zero_cochain(instance: BialgebraInstance, arity: int) -> Cochain:
     return Cochain(instance, arity, lambda ks: 0j, name="0")
-
-
-def tensor_cochain(f: Cochain, g: Cochain, name=None) -> Cochain:
-    """(f⊗g)(a1..an, b1..bm) = f(a1..an)·g(b1..bm)."""
-    _same_instance(f, g)
-    n = f.arity
-    return Cochain(
-        f.instance,
-        f.arity + g.arity,
-        lambda ks: f.value(ks[:n]) * g.value(ks[n:]),
-        name or f"({f.name}(x){g.name})",
-    )
-
-
-def compose_mul(f: Cochain, name=None) -> Cochain:
-    """f∘μ as a functional on pairs (arity of f must be 1)."""
-    if f.arity != 1:
-        raise AlgebraError("compose_mul expects an arity-1 functional")
-    inst = f.instance
-    return Cochain(inst, 2, lambda ks: _scalar(inst.mul_terms(*ks), lambda k: f.value((k,))),
-                   name or f"({f.name}∘mul)")
 
 
 def _check_pair(f: Cochain, g: Cochain) -> None:
@@ -401,29 +378,9 @@ def antipode_map(instance: BialgebraInstance) -> LinMap:
     return LinMap(instance, 1, lambda ks: instance.antipode_terms(ks[0]), name="S")
 
 
-def unit_counit_map(instance: BialgebraInstance) -> LinMap:
-    """The map u ↦ δ(u)·1 (the ⋆-neutral element for maps)."""
-    return LinMap(instance, 1, lambda ks: {instance.unit: tuple_counit(instance, ks)}, name="unit∘delta")
-
-
 def mu_n_map(instance: BialgebraInstance, n: int) -> LinMap:
     """Left-to-right product of n tensor slots."""
     return LinMap(instance, n, lambda keys: _key_product(instance, keys), name=f"mul^{n}")
-
-
-def convolve_maps(A: LinMap, B: LinMap, product=None, name=None) -> LinMap:
-    """A ⋆ B = product∘(A⊗B)∘Δ, with the undeformed product by default."""
-    _same_instance(A, B)
-    if A.rank != B.rank:
-        raise InstanceMismatchError(f"mixed map ranks {A.rank} and {B.rank}")
-    prod = product or mul
-    inst = A.instance
-
-    def rule(keys):
-        legs = (((left, right), c) for left, right, c in tuple_comul_terms(inst, keys))
-        return _linear(legs, lambda lr: prod(A.value(lr[0]), B.value(lr[1])).terms.items())
-
-    return LinMap(inst, A.rank, rule, name or f"({A.name}*{B.name})")
 
 
 def map_conv_functional(A: LinMap, f: Cochain, name=None) -> LinMap:
@@ -485,18 +442,3 @@ def map_conv_exp(A: LinMap, f: Cochain) -> Memo:
         return LinMap(inst, A.rank, rule, f"({A.name}*exp({t:g}{f.name}))")
 
     return Memo(build)
-
-
-def r_phi(phi: Cochain, name=None) -> LinMap:
-    """R_φ = id ⋆ φ = (id⊗φ)∘Δ."""
-    if phi.arity != 1:
-        raise AlgebraError("r_phi expects an arity-1 functional")
-    return map_conv_functional(identity_map(phi.instance), phi, name=name or f"R[{phi.name}]")
-
-
-def r_phi_pair_value(F: Cochain, pair: tuple) -> TensorElement:
-    """R_F on the tensor-square bialgebra, evaluated at a basis pair."""
-    if F.arity != 2:
-        raise AlgebraError("r_phi_pair_value expects an arity-2 functional")
-    legs = tuple_comul_terms(F.instance, tuple(pair))
-    return _tensor(F.instance, 2, _linear((left, c * v) for left, right, c in legs if (v := F.value(right)) != 0))

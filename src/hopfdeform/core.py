@@ -506,14 +506,6 @@ class Element(_Terms):
     def __neg__(self):
         return scale(-1.0, self)
 
-    def __mul__(self, other):
-        if isinstance(other, Element):
-            return mul(self, other)
-        return scale(other, self)
-
-    def __rmul__(self, other):
-        return scale(other, self)
-
     def __repr__(self):
         return f"<{format_element(self)}>"
 
@@ -537,9 +529,6 @@ class TensorElement(_Terms):
 
     def coeff(self, keys) -> complex:
         return self.terms.get(tuple(keys), 0j)
-
-    def __rmul__(self, c):
-        return self._new({k: c * v for k, v in self.terms.items()})
 
     def __repr__(self):
         return f"<{format_tensor(self)}>"
@@ -575,10 +564,6 @@ def _row_items(instance: BialgebraInstance, row):
 
 
 # -- linear operations ------------------------------------------------------
-
-
-def add(a: Element, b: Element) -> Element:
-    return a + b
 
 
 def scale(c, a: Element) -> Element:

@@ -64,7 +64,6 @@ from .convolution import (
     cochain_scale,
     cochain_sub,
     conv_exp,
-    convolve_maps,
     identity_map,
     map_conv_exp,
     mu_n_map,
@@ -308,15 +307,6 @@ def _sigma_sides(sig: Cochain, a: Element) -> tuple[dict, dict]:
     legs = comul(a).terms.items()
     return (_linear(legs, lambda ks: ((ks[1], values[ks[:1]]),)),
             _linear(legs, lambda ks: ((ks[0], values[ks[1:]]),)))
-
-
-def deformed_convolution(D: Deformation, t: float, A: LinMap, B: LinMap) -> LinMap:
-    """A ⋆_t B = μ_t∘(A⊗B)∘Δ."""
-    if A.instance is not D.instance or B.instance is not D.instance:
-        raise AlgebraError("maps belong to a different instance")
-    return convolve_maps(
-        A, B, product=lambda a, b: deformed_mul(D, t, a, b), name=f"({A.name}*_{t:g}{B.name})"
-    )
 
 
 def _sigma_cochains(D: Deformation) -> tuple[Cochain, Cochain]:

@@ -24,7 +24,7 @@ import cmath
 import itertools
 import math
 
-from .core import AlgebraError, BialgebraInstance, Element, Kind, NonFiniteError, _scalar
+from .core import AlgebraError, BialgebraInstance, Kind, NonFiniteError, _scalar
 from .convolution import Cochain
 from . import cohomology
 from .sampling import ElementSampler

@@ -1,4 +1,4 @@
-"""Star products, convolution exponentials, and the R operators."""
+"""Star products of functionals, convolution exponentials, and maps convolved with functionals."""
 import itertools
 import math
 
@@ -9,12 +9,8 @@ from hopfdeform.convolution import (
     conv_exp_coeffs,
     counit_cochain,
     map_conv_functional,
-    r_phi_pair_value,
-    tensor_cochain,
-    compose_mul,
     tuple_comul_terms,
     tuple_counit,
-    unit_counit_map,
     mu_n_map,
 )
 from hopfdeform.deformation import DEFAULT_T_GRID
@@ -233,91 +229,10 @@ def test_conv_exp_plan_strategies(z1, osc):
     assert hd.plan_conv_exp(hd.zero_cochain(hd.sweedler_h4(), 1)).strategy == "zero_functional"
 
 
-def test_convolve_maps_hopf_axiom(z1, osc):
-    from hopfdeform.convolution import antipode_map
-
-    for inst in (z1, osc, hd.sweedler_h4()):
-        ident = hd.identity_map(inst)
-        conv = hd.convolve_maps(ident, antipode_map(inst))
-        target = unit_counit_map(inst)
-        sampler = hd.ElementSampler(inst, seed=31, budget=40)
-        for _ in range(40):
-            a = sampler.element()
-            assert (conv(a) - target(a)).norm_inf() < 1e-9
-
-
-def test_convolve_maps_counit_neutral(z1):
-    ident = hd.identity_map(z1)
-    target = unit_counit_map(z1)
-    left = hd.convolve_maps(target, ident)
-    right = hd.convolve_maps(ident, target)
-    sampler = hd.ElementSampler(z1, seed=37, budget=30)
-    for _ in range(30):
-        a = sampler.element()
-        assert (left(a) - a).norm_inf() < 1e-12
-        assert (right(a) - a).norm_inf() < 1e-12
-
-
-def _sample_functionals(inst, which):
-    if which == "cubic":
-        L, psi = hd.make_z_cubic_coboundary(inst)
-        phi = hd.Cochain(inst, 1, lambda ks: 0.5 * ks[0][0] ** 2, name="halfsq")
-        return psi, phi
-    psi = hd.make_trivializing_functional(inst, hd.oscillator_cocycle(inst))
-    phi = hd.Cochain(inst, 1, lambda ks: float(sum(ks[0]) == 1), name="deg1")
-    return psi, phi
-
-
-@pytest.mark.parametrize("which", ["cubic", "oscillator"])
-def test_r_phi_lemma_five_identities(which, z1, osc):
-    inst = z1 if which == "cubic" else osc
-    psi, phi = _sample_functionals(inst, which)
-    delta = counit_cochain(inst, 1)
-    sampler = hd.ElementSampler(inst, seed=41, budget=100, coord_bound=3)
-
-    r_phi_psi = hd.r_phi(hd.convolve_functionals(phi, psi))
-    r_phi = hd.r_phi(phi)
-    r_psi = hd.r_phi(psi)
-    r_delta = hd.r_phi(delta)
-
-    for _ in range(100):
-        a = sampler.element()
-        # 1. composition: R_phi∘R_psi = R_{phi*psi}
-        assert (r_phi(r_psi(a)) - r_phi_psi(a)).norm_inf() <= 1e-9
-        # 2. delta∘R_phi = phi
-        assert abs(hd.counit(r_phi(a)) - phi(a)) <= 1e-9
-        # R_delta = id
-        assert (r_delta(a) - a).norm_inf() <= 1e-9
-
-    # identities 3-5 live on the tensor square
-    dphi = tensor_cochain(delta, phi)
-    phid = tensor_cochain(phi, delta)
-    phim = compose_mul(phi)
-    for _ in range(100):
-        pair = sampler.keys(2)
-        u3 = r_phi_pair_value(dphi, pair)
-        want3 = hd.TensorElement(inst, 2, {})
-        for k1, k2, c in inst.comul_terms(pair[1]):
-            want3 = want3 + hd.TensorElement(inst, 2, {(pair[0], k1): c * phi.value((k2,))})
-        assert (u3 - want3).norm_inf() <= 1e-9  # R_{delta(x)phi} = id (x) R_phi
-
-        u4 = r_phi_pair_value(phid, pair)
-        want4 = hd.TensorElement(inst, 2, {})
-        for k1, k2, c in inst.comul_terms(pair[0]):
-            want4 = want4 + hd.TensorElement(inst, 2, {(k1, pair[1]): c * phi.value((k2,))})
-        assert (u4 - want4).norm_inf() <= 1e-9  # R_{phi(x)delta} = R_phi (x) id
-
-        lhs5 = r_phi_pair_value(phim, pair)
-        prod = hd.mul(inst.basis_element(pair[0]), inst.basis_element(pair[1]))
-        lhs5_mul = mu_n_map(inst, 2)(lhs5)
-        rhs5 = r_phi(prod)
-        assert (lhs5_mul - rhs5).norm_inf() <= 1e-9  # mul∘R_{phi∘mul} = R_phi∘mul
-
-
 def test_r_phi_commuting_intertwines_coproduct(z1):
     _, psi = hd.make_z_cubic_coboundary(z1)
     sampler = hd.ElementSampler(z1, seed=43, budget=60, coord_bound=4)
-    r = hd.r_phi(psi)
+    r = map_conv_functional(hd.identity_map(z1), psi)  # R_ψ = id ⋆ ψ
     for _ in range(60):
         a = sampler.element()
         u = hd.comul(a)

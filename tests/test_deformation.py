@@ -11,7 +11,6 @@ from hopfdeform.convolution import (
     identity_map,
     map_conv_functional,
     mu_n_map,
-    unit_counit_map,
 )
 from hopfdeform.deformation import DEFAULT_T_GRID, deformed_mul_map
 
@@ -91,33 +90,6 @@ def test_ccr_commutator_at_t_one(oscillator):
     comm = hd.deformed_mul(D, 1.0, x, xs) - hd.deformed_mul(D, 1.0, xs, x)
     assert abs(comm.coeff((0, 0)) - 1.0) <= 1e-12
     assert (comm - inst.unit_element()).norm_inf() <= 1e-12
-
-
-def test_deformed_convolution_neutral_and_t_zero(cubic):
-    inst, D, _, _ = cubic
-    ident = hd.identity_map(inst)
-    neutral = unit_counit_map(inst)
-    sampler = hd.ElementSampler(inst, seed=17, coord_bound=2, budget=40)
-    conv0 = hd.deformed_convolution(D, 0.0, ident, ident)
-    plain = hd.convolve_maps(ident, ident)
-    left_neutral = hd.deformed_convolution(D, 0.75, neutral, ident)
-    for _ in range(40):
-        a = sampler.element()
-        assert (conv0(a) - plain(a)).norm_inf() < 1e-12
-        assert (left_neutral(a) - a).norm_inf() < 1e-12
-
-
-def test_identity_convolved_with_deformed_antipode(cubic):
-    inst, D, _, _ = cubic
-    ident = hd.identity_map(inst)
-    neutral = unit_counit_map(inst)
-    sampler = hd.ElementSampler(inst, seed=19, coord_bound=2, budget=40)
-    for t in (-0.5, 1.0):
-        St = hd.deformed_antipode(D, t)
-        conv = hd.deformed_convolution(D, t, ident, St)
-        for _ in range(20):
-            a = sampler.element()
-            assert (conv(a) - neutral(a)).norm_inf() < 1e-10
 
 
 def test_phi_map_grouplike_closed_form(cubic):

@@ -14,7 +14,7 @@ import math
 import pytest
 
 import hopfdeform as hd
-from hopfdeform.convolution import LinMap, antipode_map, mu_n_map, tuple_comul_terms
+from hopfdeform.convolution import LinMap, antipode_map, map_conv_functional, mu_n_map, tuple_comul_terms
 from hopfdeform.core import EPS_PRUNE, NonFiniteError
 from hopfdeform.deformation import (
     _add_scaled,
@@ -178,7 +178,8 @@ def test_on_pair_matches_the_bilinear_sum(case):
 def test_map_application_matches_the_linear_sum(case):
     inst, D, sampler = case
     x = sampler.element()
-    maps = [hd.identity_map(inst), antipode_map(inst), hd.r_phi(hd.counit_cochain(inst, 1)),
+    maps = [hd.identity_map(inst), antipode_map(inst),
+            map_conv_functional(hd.identity_map(inst), hd.counit_cochain(inst, 1)),
             LinMap(inst, 1, lambda ks: hd.mul(x, inst.basis_element(ks[0])).terms)]
     maps += [deformed_antipode(D, t) for t, _ in T_PAIRS]
     for _ in range(10):

@@ -24,14 +24,12 @@ from hopfdeform.convolution import (
     antipode_map,
     conv_exp,
     conv_exp_coeffs,
-    convolve_maps,
     functional_conv_map,
     identity_map,
     map_conv_functional,
     mu_n_map,
     tuple_comul_terms,
     tuple_counit,
-    unit_counit_map,
 )
 from hopfdeform.core import (
     AlgebraError,
@@ -41,7 +39,6 @@ from hopfdeform.core import (
     Memo,
     NonFiniteError,
     TensorElement,
-    _bilinear,
     _element,
     _linear,
     check_structure,
@@ -61,7 +58,6 @@ from hopfdeform.deformation import (
     _sigma_cochains,
     _sigma_sides,
     deformed_antipode,
-    deformed_convolution,
     deformed_mul_map,
     make_trivial_deformation,
     phi_map,
@@ -565,12 +561,6 @@ class RefMap:
     def _row(self, keys):
         return self._cache[keys[0] if self.rank == 1 else tuple(keys)]
 
-    def value(self, keys):
-        return _element(self.instance, dict(self._row(keys)))
-
-    def on_pair(self, a, b):
-        return _element(self.instance, _bilinear(a.terms.items(), b.terms.items(), self._cache))
-
 
 def ref_identity(inst):
     return RefMap(inst, 1, lambda ks: _element(inst, {ks[0]: 1.0}))
@@ -580,22 +570,8 @@ def ref_antipode(inst):
     return RefMap(inst, 1, lambda ks: _element(inst, dict(inst.antipode_terms(ks[0]))))
 
 
-def ref_unit_counit(inst):
-    return RefMap(inst, 1, lambda ks: _element(inst, {inst.unit: tuple_counit(inst, ks)}))
-
-
 def ref_mu_n(inst, n):
     return RefMap(inst, n, lambda keys: _element(inst, ref_key_product(inst, keys)))
-
-
-def ref_convolve(A, B, product=hd.mul):
-    inst = A.instance
-
-    def rule(keys):
-        legs = (((left, right), c) for left, right, c in tuple_comul_terms(inst, keys))
-        return _element(inst, _linear(legs, lambda lr: product(A.value(lr[0]), B.value(lr[1])).terms.items()))
-
-    return RefMap(inst, A.rank, rule)
 
 
 def ref_scalar_convolution(A, f, f_leg):
@@ -645,14 +621,11 @@ def _map_pairs(inst, L, sampler):
     pairs = [
         (identity_map(inst), ident),
         (antipode_map(inst), anti),
-        (unit_counit_map(inst), ref_unit_counit(inst)),
         (mu_n_map(inst, 2), mu2),
         (mu_n_map(inst, 3), ref_mu_n(inst, 3)),
         (map_conv_functional(identity_map(inst), psi), ref_scalar_convolution(ident, psi, 1)),
         (map_conv_functional(mu_n_map(inst, 2), L), ref_scalar_convolution(mu2, L, 1)),
         (functional_conv_map(psi, antipode_map(inst)), ref_scalar_convolution(anti, psi, 0)),
-        (convolve_maps(identity_map(inst), antipode_map(inst)), ref_convolve(ident, anti)),
-        (convolve_maps(mu_n_map(inst, 2), mu_n_map(inst, 2)), ref_convolve(mu2, mu2)),
     ]
     for t in DEFAULT_T_GRID:
         mu_t = ref_map_conv_exp(mu2, L, t)
@@ -660,8 +633,6 @@ def _map_pairs(inst, L, sampler):
             (deformed_mul_map(D, t), mu_t),
             (deformed_antipode(D, t), ref_map_conv_exp(anti, sig, -t)),
             (phi_map(T, t), ref_map_conv_exp(ident, psi, t)),
-            (deformed_convolution(D, t, identity_map(inst), antipode_map(inst)),
-             ref_convolve(ident, anti, product=mu_t.on_pair)),
         ]
     return pairs
 
