@@ -227,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="override the sampling seed")
     parser.add_argument("--samples", type=int, help="override the sample budget")
     parser.add_argument("--tolerance", type=float, help="override the law tolerance")
-    parser.add_argument("--t-grid", type=grid, help="override the parameter grid, e.g. '-1,0,1'")
+    parser.add_argument("--t-grid", type=grid, help="override the parameter grid, e.g. --t-grid=-1,0,1 "
+                        "(a grid that starts with a negative number needs the '=')")
     parser.add_argument("--command", help=f"override the command ({', '.join(COMMANDS)})")
     return parser
 

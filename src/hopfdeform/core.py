@@ -287,8 +287,6 @@ class BialgebraInstance:
         key_str: Callable | None = None,
         key_sort: Callable | None = None,
         basis_iter: Callable | None = None,
-        eq_eps: float = EPS_EQ,
-        prune_eps: float = EPS_PRUNE,
     ):
         if kind is Kind.GRADED_CONNECTED and degree is None:
             raise AlgebraError("graded connected instances need a degree map")
@@ -296,8 +294,8 @@ class BialgebraInstance:
         self.kind = kind
         self.unit = unit
         self.cocommutative = cocommutative
-        self.eq_eps = eq_eps
-        self.prune_eps = prune_eps
+        self.eq_eps = EPS_EQ
+        self.prune_eps = EPS_PRUNE
         self._antipode = antipode_basis
         self._star = star_basis
         self._degree = degree

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfdeform.cli import main, run_config, report_json
+from hopfdeform.cli import build_parser, main, run_config, report_json
 from hopfdeform.config import COMMANDS, RunConfig, build_instance
 from hopfdeform.deformation import SplitPreconditionError
 from hopfdeform.registry import example_config, example_names
@@ -488,6 +488,12 @@ def test_a_t_grid_flag_that_is_not_numbers_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["--example", "z-cubic", "--t-grid=a,1"])
     assert exc.value.code == 2
+
+
+def test_the_t_grid_help_names_the_form_that_takes_a_negative_first_number(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one help line per flag, so the form is not wrapped at a hyphen
+    assert "--t-grid=-1,0,1" in build_parser().format_help()
+    assert main(["--example", "z-cubic", "--t-grid=-1,0,1", "--command", "validate"]) == 0
 
 
 def test_an_involution_naming_an_unknown_generator_exits_2(tmp_path, capsys):

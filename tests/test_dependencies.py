@@ -32,9 +32,13 @@ def test_import_loads_only_the_standard_library():
 
 
 # besides the standard library, the tests may import the test runner, its
-# property-testing library, the package, and the benchmark's own modules in
-# perfbench/, which one test imports to check the names the tracer reads
-_TEST_IMPORTS = {"pytest", "hypothesis", "hopfdeform", *(path.stem for path in (ROOT / "perfbench").glob("*.py"))}
+# property-testing library, the package, the reference model in
+# tests/reference.py, which the kernel tests compare the package with, and the
+# benchmark's own modules in perfbench/, which one test imports to check the
+# names the tracer reads
+_TEST_IMPORTS = {
+    "pytest", "hypothesis", "hopfdeform", "reference", *(path.stem for path in (ROOT / "perfbench").glob("*.py"))
+}
 
 
 def _imported_modules(path: Path):
