@@ -69,6 +69,17 @@ def test_every_map_table_holds_its_values_as_rows(case):
             assert row == tuple(A.value((key,) if A.rank == 1 else key).terms.items())
 
 
+def test_deformed_square_binds_one_table_for_equal_parameters(case):
+    # unequal t and s are compared in test_tensor_loops
+    inst, m, D, sampler = case
+    for t in (0.5, -1.0):
+        mu_t = m.deformed_mul(D.generator, t)
+        for _ in range(8):
+            a, b = sampler.elements(2)
+            got = hd.TensorElement(inst, 2, _deformed_mul_square(D, t, t, a, b))
+            ref.same(got.terms, m.mul_square(mu_t, mu_t, a.terms, b.terms))
+
+
 def _model_sides(m, D, t):
     """The model's chain for the antipode identity's sides at t, on the terms of an element."""
     mu_t, s_t = m.deformed_mul(D.generator, t), m.deformed_antipode(D.generator, t)

@@ -61,8 +61,8 @@ def test_deformed_square_matches_the_generator_sum(case):
     inst, m, L, sampler = case
     # the skewed instance is no bialgebra, so its generator is not validated
     D = hd.Deformation(inst, L, None, sampler) if inst.name == "skewed" else hd.make_deformation(inst, L, sampler)
-    # unequal t and s, then equal ones, where μ_t and μ_s are one table
-    for t, s in ((-1.0, 0.5), (0.25, 1.0), (0.0, -0.75), (0.5, 0.5), (-1.0, -1.0)):
+    # equal t and s, where μ_t and μ_s are one table, are compared in test_pair_loops
+    for t, s in ((-1.0, 0.5), (0.25, 1.0), (0.0, -0.75)):
         mu_t, mu_s = m.deformed_mul(L, t), m.deformed_mul(L, s)
         for _ in range(8):
             a, b = sampler.elements(2)
