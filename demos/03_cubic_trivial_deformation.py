@@ -16,8 +16,7 @@ import hopfdeform as hd
 z = hd.group_algebra_zd(1)
 L, psi = hd.make_z_cubic_coboundary(z)
 sampler = hd.ElementSampler(z, seed=314, coord_bound=1, budget=120)
-D = hd.make_deformation(z, L, sampler, witness=psi)
-T = hd.make_trivial_deformation(D, psi)
+D = hd.make_deformation(z, L, sampler, witness=psi)  # checks dpsi = L on samples
 
 one = z.basis_element((1,))
 print("deformed products of (1) with itself:")
@@ -28,7 +27,7 @@ print()
 
 print("conjugating group Phi_t on basis keys (closed form e^(t psi(k)) (k)):")
 for t in (0.5, 1.0):
-    phi = hd.phi_map(T, t)
+    phi = hd.phi_map(D, t)
     row = ", ".join(
         f"({k}) -> {hd.format_element(phi(z.basis_element((k,))))}" for k in (-2, 1, 2)
     )
@@ -36,7 +35,7 @@ for t in (0.5, 1.0):
 print()
 
 print("conjugation identity and the group law, sampled:")
-rep = hd.check_trivial_deformation(T, sampler.spawn(9), samples=120)
+rep = hd.check_trivial_deformation(D, sampler.spawn(9), samples=120)
 for line in rep.summary_lines():
     print(" ", line)
 print("antipodes constant:", rep.extras["antipodes_constant"])

@@ -46,7 +46,6 @@ from .cohomology import (
     GeneratorValidationError,
     coboundary,
     hermitian_conjugate,
-    is_normalized,
     validate_generator,
 )
 from .instances import (
@@ -64,7 +63,6 @@ from .instances import (
 from .deformation import (
     Deformation,
     SplitPreconditionError,
-    TrivialDeformation,
     check_deformation_axioms,
     check_hopf_deformation,
     check_trivial_conjugation,
@@ -72,7 +70,6 @@ from .deformation import (
     deformed_antipode,
     deformed_mul,
     make_deformation,
-    make_trivial_deformation,
     phi_map,
     sigma_functional,
     split_cocommutative,

@@ -41,7 +41,6 @@ from .deformation import (
     Deformation,
     SigmaFlipError,
     SplitPreconditionError,
-    TrivialDeformation,
     check_deformation_axioms,
     check_hopf_deformation,
     check_trivial_deformation,
@@ -99,21 +98,20 @@ def _law_args(cfg: RunConfig) -> tuple:
 
 
 # One row per suite: the command that runs it alone, its salt and report prefix
-# inside full-report, when full-report runs it (given D and the witness), and
-# the suite itself (given D, the witness, a sampler and the config).
+# inside full-report, when full-report runs it (given D), and the suite itself
+# (given D, a sampler and the config).
 _SUITES = (
-    ("deform", 1, "axioms:", lambda D, witness: True,
-     lambda D, witness, sampler, cfg: check_deformation_axioms(D, sampler, *_law_args(cfg))),
-    ("antipode", 2, "hopf:", lambda D, witness: D.instance.has_antipode,
-     lambda D, witness, sampler, cfg: check_hopf_deformation(D, sampler, *_law_args(cfg))),
-    ("split", 3, "split:", lambda D, witness: D.instance.has_antipode and D.instance.cocommutative,
-     lambda D, witness, sampler, cfg: split_cocommutative(
+    ("deform", 1, "axioms:", lambda D: True,
+     lambda D, sampler, cfg: check_deformation_axioms(D, sampler, *_law_args(cfg))),
+    ("antipode", 2, "hopf:", lambda D: D.instance.has_antipode,
+     lambda D, sampler, cfg: check_hopf_deformation(D, sampler, *_law_args(cfg))),
+    ("split", 3, "split:", lambda D: D.instance.has_antipode and D.instance.cocommutative,
+     lambda D, sampler, cfg: split_cocommutative(
          D, sampler, *_law_args(cfg), strict_tol=cfg.tolerances["strict"])[2]),
-    ("trivial-check", 4, "trivial:", lambda D, witness: witness is not None,
-     lambda D, witness, sampler, cfg: check_trivial_deformation(
-         TrivialDeformation(D, witness), sampler, *_law_args(cfg))),
-    (None, 5, "star:", lambda D, witness: D.instance.has_star and D.classifier.hermitian,
-     lambda D, witness, sampler, cfg: star_deformation_check(D, sampler, *_law_args(cfg))),
+    ("trivial-check", 4, "trivial:", lambda D: D.witness is not None,
+     lambda D, sampler, cfg: check_trivial_deformation(D, sampler, *_law_args(cfg))),
+    (None, 5, "star:", lambda D: D.instance.has_star and D.classifier.hermitian,
+     lambda D, sampler, cfg: star_deformation_check(D, sampler, *_law_args(cfg))),
 )
 
 
@@ -161,20 +159,20 @@ def _run_command(cfg: RunConfig, report: Report) -> None:
         report.extras["aborted"] = "generator validation failed; no deformation was built"
         return
 
-    D = Deformation(instance, cocycle, classifier, sampler.spawn(2))
+    D = Deformation(instance, cocycle, classifier, sampler.spawn(2), witness)
     suite_sampler = sampler.spawn(3)
     full = cfg.command == "full-report"
     if full:
         report.merge(check_structure(instance, sampler.spawn(4), tol), prefix="structure:")
     for command, salt, prefix, applies, suite in _SUITES:
-        if full and applies(D, witness):
+        if full and applies(D):
             stream = suite_sampler.spawn(salt)
         elif command == cfg.command:
             stream, prefix = suite_sampler, ""
         else:
             continue
         try:
-            report.merge(suite(D, witness, stream, cfg), prefix=prefix)
+            report.merge(suite(D, stream, cfg), prefix=prefix)
         except SplitPreconditionError as exc:
             report.add_flag(prefix + "sigma_circ_s", "σ = σ∘S on samples", False, samples=samples)
             report.extras["split_precondition_failure"] = str(exc)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import _ONE, _row_items
+from .core import AlgebraError, _ONE, _row_items
 from .convolution import (
     Cochain,
     _slot_sum,
@@ -92,10 +92,6 @@ def compose_antipode_flip(f: Cochain, name=None) -> Cochain:
 # -- residuals ----------------------------------------------------------------
 
 
-def is_normalized(f: Cochain) -> bool:
-    return f.is_normalized
-
-
 def commuting_residual(f: Cochain, sampler, samples: int = DEFAULT_SAMPLES) -> float:
     """max ‖(f⋆μ⁽ⁿ⁾ − μ⁽ⁿ⁾⋆f)(u)‖∞ over sampled basis tuples."""
     mu_n = mu_n_map(f.instance, f.arity)
@@ -126,7 +122,6 @@ class CochainClassifier:
     commuting: bool
     cocycle: bool
     hermitian: bool | None = None
-    coboundary_witness: Cochain | None = None
     witness_matches: bool | None = None
     residuals: dict = field(default_factory=dict)
 
@@ -142,7 +137,7 @@ class CochainClassifier:
             "commuting": self.commuting,
             "cocycle": self.cocycle,
             "hermitian": self.hermitian,
-            "has_witness": self.coboundary_witness is not None,
+            "has_witness": bool(self.witness_matches),
             "witness_matches": self.witness_matches,
             "residuals": dict(sorted(self.residuals.items())),
         }
@@ -163,15 +158,19 @@ def validate_generator(
     """Classify an arity-2 cochain as deformation generator.
 
     Never raises on failed checks; callers inspect the flags.  A witness
-    ψ, when supplied, is accepted when ∂ψ matches L on the samples.
+    ψ, when supplied, is accepted when ∂ψ matches L on the samples; one of
+    arity ≠ 1 or on another instance raises :class:`AlgebraError` before
+    anything is drawn.
     """
     if L.arity != 2:
         raise ValueError("deformation generators have arity 2")
+    if witness is not None and (witness.arity != 1 or witness.instance is not L.instance):
+        raise AlgebraError("witness must be an arity-1 functional on the generator's instance")
     if require_star:
         L.instance.require_star()
 
     residuals: dict = {}
-    normalized = is_normalized(L)
+    normalized = L.is_normalized
     c_res = commuting_residual(L, sampler.spawn(11), samples)
     residuals["commuting"] = c_res
     z_res = cocycle_residual(L, sampler.spawn(13), samples)
@@ -196,7 +195,6 @@ def validate_generator(
         commuting=c_res <= tol,
         cocycle=z_res <= tol,
         hermitian=hermitian,
-        coboundary_witness=witness if witness_matches else None,
         witness_matches=witness_matches,
         residuals=residuals,
     )

@@ -45,8 +45,9 @@ changes between versions.
 * :func:`_scalar`: the complex number Σ c·rule(k), or Σ items.
 
 The structure maps read one memo table per map on the instance (product,
-coproduct, counit, antipode, star, and the Λ and iterated-coproduct
-expansions built from the coproduct table) and feed its rows to a kernel.
+coproduct, counit, antipode, star, and the Λ expansion built from the
+coproduct table) and feed its rows to a kernel; the iterated coproduct is
+Δ with its last slot expanded again by :func:`tensor_expand_slot`.
 These loops stay hand-written, with the kernels' store pattern and their own
 grouping, each for the reason measured (paired perfbench ``wall_s``):
 
@@ -311,7 +312,6 @@ class BialgebraInstance:
         self._antipode_cache = Memo(lambda k: tuple((kk, complex(c)) for kk, c in antipode_basis(k)))
         self._star_cache = Memo(lambda k: tuple((kk, complex(c)) for kk, c in star_basis(k)))
         self._tuple_comul_cache = Memo(lambda keys: _expand_tuple_comul(comul_pairs, keys))
-        self._iter_comul_cache = Memo(lambda key_n: _expand_iterated_comul(comul_pairs, *key_n))
 
     # -- capabilities ------------------------------------------------------
 
@@ -607,29 +607,22 @@ def _expand_tuple_comul(comul_pairs: Memo, keys: tuple) -> tuple:
     return tuple((tuple(map(_first, pairs)), tuple(map(_second, pairs)), c) for pairs, c in legs)
 
 
-def _expand_iterated_comul(comul_pairs: Memo, key, n: int) -> tuple:
-    """The n-fold coproduct of a basis key as ``(keys, coeff)`` pairs.
-
-    Uses the recursion that peels one tensor factor from the left; by
-    coassociativity any other bracketing gives the same expansion.
-    """
-    if n == 1:
-        return (((key,), 1.0 + 0j),)
-    # each leg k1 (x) k2 of Delta(key) carries its w onto (k1,) + rest of Delta^(n-1)(k2)
-    return tuple(_linear(comul_pairs[key], lambda legs: (
-        ((legs[0],) + rest, c) for rest, c in _expand_iterated_comul(comul_pairs, legs[1], n - 1)
-    )).items())
-
-
 def iterated_comul(a: Element, n: int):
-    """n-fold coproduct; n=0 gives the counit scalar, n=1 the identity."""
+    """n-fold coproduct; n=0 gives the counit scalar, n=1 the rank-1 tensor of a.
+
+    Above that, Δ(a) with its last slot expanded n − 2 times; by
+    coassociativity any other bracketing gives the same tensor.
+    """
     if n < 0:
         raise AlgebraError("iterated coproduct needs n >= 0")
     if n == 0:
         return counit(a)
-    inst = a.instance
-    table = inst._iter_comul_cache
-    return _tensor(inst, n, _linear(a.terms.items(), lambda k: table[k, n]))
+    if n == 1:
+        return tensor_of(a)
+    u = comul(a)
+    for _ in range(n - 2):
+        u = tensor_expand_slot(u, u.rank - 1)
+    return u
 
 
 # -- tensor utilities --------------------------------------------------------

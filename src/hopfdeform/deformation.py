@@ -83,7 +83,7 @@ DEFAULT_T_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
 _FD_STEPS = (1e-3, 1e-4)
 _FD_FACTOR = 10.0
 # keys drawn to compare σ with its flipped form, and pairs drawn to check a
-# generator (through validate_generator) or a witness's coboundary
+# generator and its witness (through validate_generator)
 _SIGMA_FLIP_SAMPLES = 60
 _VALIDATION_SAMPLES = 120
 
@@ -100,23 +100,26 @@ class SigmaFlipError(AlgebraError):
 
 
 class Deformation:
-    """A validated generator together with its instance.
+    """A generator L with its instance and, for a trivial deformation, a witness ψ with ∂ψ = L.
 
-    Carries lazily computed data (σ, and μ_t and S_t once per t) and the
-    sampler used for internal consistency assertions.
+    Carries lazily computed data (σ, and μ_t, S_t and, with ψ, Φ_t once per
+    t) and the sampler used for internal consistency assertions.  Nothing is
+    checked here; :func:`make_deformation` is the checked constructor.
     """
 
     def __init__(self, instance: BialgebraInstance, generator: Cochain,
-                 classifier: CochainClassifier, sampler):
+                 classifier: CochainClassifier, sampler, witness: Cochain | None = None):
         self.instance = instance
         self.generator = generator
         self.classifier = classifier
+        self.witness = witness
         self._sampler = sampler
         # σ once computed, or the SigmaFlipError that computing it raised
         self._sigma: Cochain | SigmaFlipError | None = None
         self._mul_maps = map_conv_exp(mu_n_map(instance, 2), generator)
         # S ⋆ e_⋆^{sσ} per s, built on first use since σ is computed lazily
         self._antipode_maps: Memo | None = None
+        self._phis = None if witness is None else map_conv_exp(identity_map(instance), witness)
 
     def sigma(self) -> Cochain:
         """σ = L∘(id⊗S)∘Δ; the flipped form L∘(S⊗id)∘Δ must agree.
@@ -143,7 +146,8 @@ def make_deformation(
     require_star: bool = False,
     witness: Cochain | None = None,
 ) -> Deformation:
-    """Validate L and wrap it; raises when the generator conditions fail."""
+    """Validate L, and the witness ψ when given, and wrap them; raises :class:`GeneratorValidationError`
+    when L is no generator, ψ is not normalized (checked exactly) or the sampled ∂ψ = L misses or is NaN."""
     if L.instance is not instance:
         raise AlgebraError("generator belongs to a different instance")
     classifier = validate_generator(
@@ -153,46 +157,14 @@ def make_deformation(
         raise GeneratorValidationError(
             f"cochain {L.name!r} is not a deformation generator: {classifier.to_dict()}"
         )
-    return Deformation(instance, L, classifier, sampler)
-
-
-class TrivialDeformation:
-    """A deformation together with a witness ψ whose coboundary is L."""
-
-    def __init__(self, deformation: Deformation, psi: Cochain):
-        self.deformation = deformation
-        self.psi = psi
-        self._phis = map_conv_exp(identity_map(psi.instance), psi)
-
-    @property
-    def instance(self):
-        return self.deformation.instance
-
-
-def make_trivial_deformation(
-    deformation: Deformation,
-    psi: Cochain,
-    check: bool = True,
-) -> TrivialDeformation:
-    """Attach a witness; with ``check`` the match ∂ψ = L is sampled first.
-
-    ``check=False`` deliberately skips validation so negative controls can
-    exercise the failure reporting.
-    """
-    if psi.arity != 1 or psi.instance is not deformation.instance:
-        raise AlgebraError("witness must be an arity-1 functional on the same instance")
-    if check:
-        if not psi.is_normalized:
+    if witness is not None:
+        if not witness.is_normalized:
             raise GeneratorValidationError("witness is not normalized")
-        dpsi = coboundary(psi)
-        L = deformation.generator
-        res = Law("witness", "∂ψ = L", lambda _, u: abs(dpsi.value(u) - L.value(u)), DEFAULT_TOL,
-                  per_case=_VALIDATION_SAMPLES, salt=29, draw=lambda s: (s.keys(2),)).fold(deformation._sampler)[1]
-        if not res <= DEFAULT_TOL:
+        if not classifier.witness_matches:
             raise GeneratorValidationError(
-                f"coboundary of the witness misses the generator by {res:.3e}"
+                f"coboundary of the witness misses the generator by {classifier.residuals['witness']:.3e}"
             )
-    return TrivialDeformation(deformation, psi)
+    return Deformation(instance, L, classifier, sampler, witness)
 
 
 # -- deformed structure maps ----------------------------------------------------
@@ -349,9 +321,11 @@ def deformed_antipode(D: Deformation, t: float) -> LinMap:
     return D._antipode_maps[-t]
 
 
-def phi_map(T: TrivialDeformation, t: float) -> LinMap:
-    """Φ_t = id ⋆ e_⋆^{tψ}, the conjugating one-parameter group, built once per t."""
-    return T._phis[t]
+def phi_map(D: Deformation, t: float) -> LinMap:
+    """Φ_t = id ⋆ e_⋆^{tψ}, the conjugating one-parameter group of D's witness ψ, built once per t."""
+    if D._phis is None:
+        raise AlgebraError(f"{D!r} has no witness, so no Φ_t")
+    return D._phis[t]
 
 
 # -- verification suites ---------------------------------------------------------
@@ -523,22 +497,21 @@ def check_hopf_deformation(
 
 
 def check_trivial_conjugation(
-    T: TrivialDeformation,
+    D: Deformation,
     t: float,
     sampler,
     samples: int = 100,
     tol: float = DEFAULT_TOL,
 ) -> Report:
     """μ_t as conjugation of μ by Φ_t, plus the commutation of Φ_t with Δ."""
-    D = T.deformation
 
     def conjugation(t, a, b):
         lhs = deformed_mul(D, t, a, b)
-        phi_t = phi_map(T, t)
-        return lhs.distance(phi_map(T, -t)(mul(phi_t(a), phi_t(b))))
+        phi_t = phi_map(D, t)
+        return lhs.distance(phi_map(D, -t)(mul(phi_t(a), phi_t(b))))
 
     def intertwining(t, a):
-        phi = phi_map(T, t)._cache.__getitem__
+        phi = phi_map(D, t)._cache.__getitem__
         u = comul(a)
         return tensor_apply(u, (phi, None)).distance(tensor_apply(u, (None, phi)))
 
@@ -553,7 +526,7 @@ def check_trivial_conjugation(
 
 
 def check_trivial_deformation(
-    T: TrivialDeformation,
+    D: Deformation,
     sampler,
     t_grid=DEFAULT_T_GRID,
     samples: int = 200,
@@ -561,37 +534,36 @@ def check_trivial_deformation(
 ) -> Report:
     """Full trivial-deformation suite: conjugation per grid point, the
     one-parameter group laws of Φ, the antipode conjugation formula, the
-    witness formula for σ, and the constant-antipode criterion."""
-    D = T.deformation
-    inst = T.instance
+    witness formula for σ, and the constant-antipode criterion; D needs a witness."""
+    inst = D.instance
     report = Report(name=f"trivial_deformation:{D.generator.name}")
     one = inst.unit_element()
     per = _per_case(samples, len(t_grid))
 
     for i, t in enumerate(t_grid):
-        sub = check_trivial_conjugation(T, t, sampler.spawn(310 + i), per, tol)
+        sub = check_trivial_conjugation(D, t, sampler.spawn(310 + i), per, tol)
         report.merge(sub, prefix=f"t={t:g}:")
 
     def phi_group_law(ts, a):
         t, s = ts
-        return phi_map(T, t)(phi_map(T, s)(a)).distance(phi_map(T, t + s)(a))
+        return phi_map(D, t)(phi_map(D, s)(a)).distance(phi_map(D, t + s)(a))
 
     pairs = _grid_pairs(t_grid)
     run_laws(report, sampler, [
-        Law("phi_unit", "Phi_t(1) = 1", lambda t: phi_map(T, t)(one).distance(one), 1e-12, cases=t_grid),
+        Law("phi_unit", "Phi_t(1) = 1", lambda t: phi_map(D, t)(one).distance(one), 1e-12, cases=t_grid),
         Law("phi_group_law", "Phi_t∘Phi_s = Phi_{t+s}", phi_group_law, tol,
             cases=pairs, per_case=_per_case(samples, len(pairs)), salt=331, draw=lambda s: (s.element(),)),
-        Law("phi_inverse", "Phi_t∘Phi_{−t} = id", lambda t, a: phi_map(T, t)(phi_map(T, -t)(a)).distance(a),
+        Law("phi_inverse", "Phi_t∘Phi_{−t} = id", lambda t, a: phi_map(D, t)(phi_map(D, -t)(a)).distance(a),
             tol, cases=t_grid, per_case=per, salt=337, draw=lambda s: (s.element(),)),
     ])
     if not inst.has_antipode:
         return report
 
     sig = D.sigma()
-    psi = T.psi
+    psi = D.witness
 
     def antipode_conjugation(t, a):
-        phi_mt = phi_map(T, -t)
+        phi_mt = phi_map(D, -t)
         return deformed_antipode(D, t)(a).distance(phi_mt(antipode(phi_mt(a))))
 
     def sigma_witness_formula(_, k):
@@ -614,7 +586,7 @@ def check_trivial_deformation(
 
     def s_phi_commutation(case):
         t, a = case
-        return antipode(phi_map(T, t)(a)).distance(phi_map(T, -t)(antipode(a)))
+        return antipode(phi_map(D, t)(a)).distance(phi_map(D, -t)(antipode(a)))
 
     res_const = Law("s_t_minus_s", "S_t = S", s_t_minus_s, tol, cases=const_cases).fold(sampler)[1]
     res_crit = Law("s_phi_commutation", "S∘Phi_t = Phi_{−t}∘S", s_phi_commutation, tol,

@@ -112,8 +112,7 @@ def test_criterion_02_deformation_axioms(examples):
 
 def test_criterion_03_trivial_deformation(examples):
     ex = examples["z-cubic"]
-    T = hd.make_trivial_deformation(ex.deformation, ex.witness)
-    rep = check_trivial_deformation(T, ex.sampler.spawn(1_003), GRID, samples=200)
+    rep = check_trivial_deformation(ex.deformation, ex.sampler.spawn(1_003), GRID, samples=200)
     wanted = [r for r in rep.results if
               r.law_id.endswith("conjugation") or r.law_id.endswith("intertwining")
               or r.law_id == "phi_group_law"]

@@ -26,8 +26,7 @@ def cubic():
     L, psi = hd.make_z_cubic_coboundary(inst)
     sampler = hd.ElementSampler(inst, seed=7, coord_bound=1, budget=120)
     D = hd.make_deformation(inst, L, sampler, witness=psi)
-    T = hd.make_trivial_deformation(D, psi)
-    return inst, D, T, psi
+    return inst, D, psi
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +48,7 @@ def zd_matrix():
 
 
 def test_deformed_mul_cubic_closed_form(cubic):
-    inst, D, _, _ = cubic
+    inst, D, _ = cubic
     one1 = inst.basis_element((1,))
     for t in (-1.0, -0.25, 0.0, 0.5, 1.0):
         out = hd.deformed_mul(D, t, one1, one1)
@@ -58,7 +57,7 @@ def test_deformed_mul_cubic_closed_form(cubic):
 
 
 def test_deformed_mul_at_zero_is_plain(cubic):
-    inst, D, _, _ = cubic
+    inst, D, _ = cubic
     a = inst.element({(1,): 0.5, (-1,): 2.0})
     b = inst.element({(0,): 1.0, (1,): -1.0})
     assert hd.deformed_mul(D, 0.0, a, b) == hd.mul(a, b)
@@ -93,9 +92,9 @@ def test_ccr_commutator_at_t_one(oscillator):
 
 
 def test_phi_map_grouplike_closed_form(cubic):
-    inst, _, T, psi = cubic
+    inst, D, psi = cubic
     for t in (-1.0, 0.4, 1.0):
-        phi = hd.phi_map(T, t)
+        phi = hd.phi_map(D, t)
         for k in (-2, -1, 0, 1, 2):
             out = phi(inst.basis_element((k,)))
             want = math.exp(t * (-(k**3) / 3.0))
@@ -103,29 +102,29 @@ def test_phi_map_grouplike_closed_form(cubic):
 
 
 def test_phi_zero_is_identity_and_fixes_unit(cubic):
-    inst, _, T, _ = cubic
-    phi0 = hd.phi_map(T, 0.0)
+    inst, D, _ = cubic
+    phi0 = hd.phi_map(D, 0.0)
     sampler = hd.ElementSampler(inst, seed=23, coord_bound=3, budget=30)
     for _ in range(30):
         a = sampler.element()
         assert (phi0(a) - a).norm_inf() == 0.0
-    assert (hd.phi_map(T, 2.5)(inst.unit_element()) - inst.unit_element()).norm_inf() == 0.0
+    assert (hd.phi_map(D, 2.5)(inst.unit_element()) - inst.unit_element()).norm_inf() == 0.0
 
 
 def test_trivial_conjugation_report(cubic):
-    inst, _, T, _ = cubic
+    inst, D, _ = cubic
     sampler = hd.ElementSampler(inst, seed=29, coord_bound=1, budget=60)
     for t in (-1.0, -0.3, 0.0, 0.3, 1.0):
-        rep = hd.check_trivial_conjugation(T, t, sampler, samples=60)
+        rep = hd.check_trivial_conjugation(D, t, sampler, samples=60)
         assert rep.overall_pass, [r.law_id for r in rep.failures()]
         assert max(r.max_residual for r in rep.results) <= 1e-8
 
 
 def test_trivial_conjugation_negative_control(cubic):
-    inst, D, _, _ = cubic
+    inst, D, _ = cubic
     # corrupt the witness so its coboundary misses L
     bad_psi = hd.Cochain(inst, 1, lambda ks: -(ks[0][0] ** 3) / 3.0 + ks[0][0] ** 2, name="bad")
-    bad = hd.make_trivial_deformation(D, bad_psi, check=False)
+    bad = hd.Deformation(inst, D.generator, D.classifier, D._sampler, witness=bad_psi)
     sampler = hd.ElementSampler(inst, seed=31, coord_bound=1, budget=40)
     rep = hd.check_trivial_conjugation(bad, 1.0, sampler, samples=40)
     assert not rep.overall_pass
@@ -133,22 +132,43 @@ def test_trivial_conjugation_negative_control(cubic):
     assert "conjugation" in failed
 
 
-def test_make_trivial_deformation_rejects_bad_witness(cubic):
-    inst, D, _, _ = cubic
+def test_make_deformation_rejects_bad_witness(cubic):
+    inst, D, _ = cubic
     bad_psi = hd.Cochain(inst, 1, lambda ks: -(ks[0][0] ** 3) / 3.0 + ks[0][0] ** 2, name="bad")
-    with pytest.raises(hd.GeneratorValidationError):
-        hd.make_trivial_deformation(D, bad_psi)
+    with pytest.raises(hd.GeneratorValidationError, match="misses the generator"):
+        hd.make_deformation(inst, D.generator, D._sampler, witness=bad_psi)
 
 
-def test_make_trivial_deformation_rejects_nan_witness(cubic):
-    inst, D, _, _ = cubic
+def test_make_deformation_rejects_nan_witness(cubic):
+    inst, D, _ = cubic
     nan_psi = hd.Cochain(inst, 1, lambda ks: 0.0 if ks[0] == (0,) else math.nan, name="nan")
-    with pytest.raises(hd.GeneratorValidationError):
-        hd.make_trivial_deformation(D, nan_psi)
+    with pytest.raises(hd.GeneratorValidationError, match="misses the generator by nan"):
+        hd.make_deformation(inst, D.generator, D._sampler, witness=nan_psi)
+
+
+def test_make_deformation_rejects_unnormalized_witness(cubic):
+    inst, D, psi = cubic
+    shifted = hd.Cochain(inst, 1, lambda ks: psi.value(ks) + 1.0, name="shifted")  # ψ(1) = 1
+    with pytest.raises(hd.GeneratorValidationError, match="not normalized"):
+        hd.make_deformation(inst, D.generator, D._sampler, witness=shifted)
+
+
+def test_make_deformation_refuses_a_witness_of_another_arity_or_instance(cubic):
+    inst, D, _ = cubic
+    other = hd.group_algebra_zd(1)
+    for witness in (hd.zero_cochain(inst, 2), hd.make_z_cubic_coboundary(other)[1]):
+        with pytest.raises(hd.AlgebraError, match="arity-1 functional on the generator's instance"):
+            hd.make_deformation(inst, D.generator, D._sampler, witness=witness)
+
+
+def test_phi_map_needs_a_witness(zd_matrix):
+    _, D, _ = zd_matrix
+    with pytest.raises(hd.AlgebraError, match="no witness"):
+        hd.phi_map(D, 0.5)
 
 
 def test_sigma_values_cubic(cubic):
-    _, D, _, _ = cubic
+    _, D, _ = cubic
     sig = D.sigma()
     for k in range(-10, 11):
         assert abs(sig.value(((k,),))) <= 1e-12
@@ -283,7 +303,7 @@ def test_split_hermitian_purely_imaginary():
 
 
 def test_split_cubic_reports_constancy(cubic):
-    inst, D, _, _ = cubic
+    inst, D, _ = cubic
     sampler = hd.ElementSampler(inst, seed=79, coord_bound=1, budget=80)
     L1, L2, rep = hd.split_cocommutative(D, sampler, samples=80)
     assert rep.overall_pass
@@ -310,9 +330,9 @@ def test_star_deformation_hermitian_matrix():
 
 
 def test_trivial_suite_full(cubic):
-    inst, D, T, _ = cubic
+    inst, D, _ = cubic
     sampler = hd.ElementSampler(inst, seed=97, coord_bound=1, budget=150)
-    rep = hd.check_trivial_deformation(T, sampler, samples=150)
+    rep = hd.check_trivial_deformation(D, sampler, samples=150)
     assert rep.overall_pass, [r.law_id for r in rep.failures()]
     assert rep.extras["antipodes_constant"]
 
@@ -354,18 +374,18 @@ def test_trivialization_preserves_skew_part(oscillator):
 
 
 def test_deformed_mul_map_wraps_pair_rule(cubic):
-    inst, D, _, _ = cubic
+    inst, D, _ = cubic
     m = deformed_mul_map(D, 0.5)
     u = hd.tensor_of(inst.basis_element((1,)), inst.basis_element((1,)))
     assert abs(m(u).coeff((2,)) - math.exp(1.0)) < 1e-12
 
 
 def test_structure_maps_are_built_once_per_t(cubic):
-    _, D, T, _ = cubic
+    _, D, _ = cubic
     for t in (-0.5, 0.0, 1.0):
         assert deformed_mul_map(D, t) is deformed_mul_map(D, t)
         assert hd.deformed_antipode(D, t) is hd.deformed_antipode(D, t)
-        assert hd.phi_map(T, t) is hd.phi_map(T, t)
+        assert hd.phi_map(D, t) is hd.phi_map(D, t)
 
 
 def _old_construction(base, f, t):
@@ -376,32 +396,30 @@ def _old_construction(base, f, t):
 def _h4_zero():
     inst = hd.sweedler_h4()
     sampler = hd.ElementSampler(inst, seed=59, budget=40)
-    D = hd.make_deformation(inst, hd.zero_cochain(inst, 2), sampler)
-    return inst, D, hd.make_trivial_deformation(D, hd.zero_cochain(inst, 1))
+    return inst, hd.make_deformation(inst, hd.zero_cochain(inst, 2), sampler, witness=hd.zero_cochain(inst, 1))
 
 
 def _irregular_oscillator():
     # non-dyadic entries, so a different summation order shows in the bits
     inst = hd.symmetric_star_algebra(("x", "xstar"))
     L = hd.make_primitive_bilinear_cocycle(inst, [[0.3, 0.7 + 0.1j], [-0.1, 0.45]])
-    D = hd.make_deformation(inst, L, hd.ElementSampler(inst, seed=61, budget=40))
-    # any normalized ψ exercises the degree-truncated Φ_t
+    sampler = hd.ElementSampler(inst, seed=61, budget=40)
+    D = hd.make_deformation(inst, L, sampler)
+    # any normalized ψ exercises the degree-truncated Φ_t; it need not be a witness of L
     psi = hd.make_trivializing_functional(inst, L)
-    return inst, D, hd.make_trivial_deformation(D, psi, check=False)
+    return inst, hd.Deformation(inst, L, D.classifier, sampler, witness=psi)
 
 
 @pytest.mark.parametrize("which", ["oscillator", "zd_matrix", "cubic", "h4_zero"])
 def test_structure_maps_match_the_per_t_exponential_exactly(which, request):
     if which == "h4_zero":
-        inst, D, T = _h4_zero()
+        inst, D = _h4_zero()
         pairs = list(itertools.product(inst.basis_keys(), repeat=2))
     else:
         if which == "oscillator":
-            inst, D, T = _irregular_oscillator()
+            inst, D = _irregular_oscillator()
         else:
-            fixture = request.getfixturevalue(which)
-            inst, D = fixture[0], fixture[1]
-            T = fixture[2] if which == "cubic" else None
+            inst, D = request.getfixturevalue(which)[:2]
         keys = hd.ElementSampler(inst, seed=83, coord_bound=3, max_degree=5, budget=1)
         pairs = [keys.keys(2) for _ in range(60)]
     mu, S, ident = mu_n_map(inst, 2), antipode_map(inst), identity_map(inst)
@@ -409,8 +427,8 @@ def test_structure_maps_match_the_per_t_exponential_exactly(which, request):
         checks = [(deformed_mul_map(D, t), _old_construction(mu, D.generator, t), pairs)]
         singles = [pair[:1] for pair in pairs] + [pair[1:] for pair in pairs]
         checks.append((hd.deformed_antipode(D, t), _old_construction(S, D.sigma(), -t), singles))
-        if T is not None:
-            checks.append((hd.phi_map(T, t), _old_construction(ident, T.psi, t), singles))
+        if D.witness is not None:
+            checks.append((hd.phi_map(D, t), _old_construction(ident, D.witness, t), singles))
         for new, old, tuples in checks:
             for u in tuples:
                 assert list(new.value(u).terms.items()) == list(old.value(u).terms.items()), (t, u)

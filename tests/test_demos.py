@@ -1,5 +1,6 @@
-"""The narrative demo scripts must stay runnable."""
+"""The narrative demo scripts and the README's library quick start must stay runnable."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +25,12 @@ def test_demo_runs_cleanly(script):
 
 def test_demo_directory_is_populated():
     assert len(DEMOS) == 4
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    # a line documented as "# True" must evaluate to True
+    code = re.sub(r"^(.+?)\s+# True$", r"assert \1", block, flags=re.M)
+    assert code.count("assert ") == block.count("# True") >= 1
+    exec(compile(code, "README.md (Library quick start)", "exec"), {})

@@ -96,7 +96,7 @@ def test_primitive_bilinear_is_cocycle(osc):
     sampler = hd.ElementSampler(osc, seed=5)
     assert cocycle_residual(L, sampler.spawn(13)) <= DEFAULT_TOL
     assert commuting_residual(L, sampler.spawn(11)) <= DEFAULT_TOL
-    assert hd.is_normalized(L)
+    assert L.is_normalized
 
 
 def test_trivializer_on_symmetric_cocycle(osc):

@@ -15,7 +15,7 @@ from hopfdeform.convolution import (antipode_map, functional_conv_map, identity_
 from hopfdeform.core import (AlgebraError, EPS_PRUNE, Kind, NonFiniteError, TensorElement, check_structure, counit,
                              scale, tensor_apply, tensor_contract_slot, tensor_expand_slot, tensor_mul_all)
 from hopfdeform.deformation import (DEFAULT_T_GRID, _flipped_antipodes, _sigma_cochains, _sigma_sides,
-                                    deformed_antipode, deformed_mul_map, make_trivial_deformation, phi_map)
+                                    deformed_antipode, deformed_mul_map, phi_map)
 
 import reference as ref
 
@@ -201,9 +201,8 @@ def _map_pairs(inst, m, L, sampler):
     psi = _psi(inst)
     # no generator validation: the rows, not the laws, are compared, also on the
     # instances that are no bialgebras and at thresholds that break the laws
-    D = hd.Deformation(inst, L, None, sampler)
+    D = hd.Deformation(inst, L, None, sampler, witness=psi)
     D._sigma = _sigma_cochains(D)[0]  # σ without its flip check, which those instances may fail
-    T = make_trivial_deformation(D, psi, check=False)
     ident, anti, mu2 = m.identity_map(), m.antipode_map(), m.mu_n_map(2)
     pairs = [
         (identity_map(inst), ident),
@@ -218,7 +217,7 @@ def _map_pairs(inst, m, L, sampler):
         pairs += [
             (deformed_mul_map(D, t), m.deformed_mul(L, t)),
             (deformed_antipode(D, t), m.deformed_antipode(L, t)),
-            (phi_map(T, t), m.map_conv_exp(ident, psi, t)),
+            (phi_map(D, t), m.map_conv_exp(ident, psi, t)),
         ]
     return pairs
 
