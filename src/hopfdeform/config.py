@@ -33,8 +33,8 @@ class ConfigError(Exception):
 
 
 def read_int(value, what: str) -> int:
-    """Read an integer field; ``2.0`` reads as 2, a bool or ``2.5`` is rejected."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """Read a JSON integer field; ``2.0`` reads as 2, a bool, a string or ``2.5`` is rejected."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     try:
         return int(value)
@@ -123,7 +123,11 @@ class RunConfig:
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown configuration fields: {sorted(unknown)}")
-        default_seed = read_int(os.environ.get("HOPFDEFORM_SEED") or cls.seed, "HOPFDEFORM_SEED")
+        env_seed = os.environ.get("HOPFDEFORM_SEED")
+        try:  # the one integer that arrives as a string
+            default_seed = int(env_seed) if env_seed else cls.seed
+        except ValueError as exc:
+            raise ConfigError(f"HOPFDEFORM_SEED must be an integer, got {env_seed!r}") from exc
         t_grid = raw.get("t_grid", DEFAULT_T_GRID)
         if not isinstance(t_grid, (list, tuple)) or not t_grid:
             raise ConfigError(f"t_grid must be a non-empty list of numbers, got {t_grid!r}")

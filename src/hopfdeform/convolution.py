@@ -70,6 +70,8 @@ from .core import (
     _row_items,
     _same_instance,
     _scalar,
+    _second,
+    _slot_products,
 )
 
 
@@ -77,13 +79,21 @@ class NormalizationError(AlgebraError):
     """A degree-truncated exponential needs a normalized functional."""
 
 
-def tuple_comul_terms(instance: BialgebraInstance, keys: tuple):
+def tuple_comul_terms(instance: BialgebraInstance, keys: tuple) -> tuple:
     """Coproduct expansion of a basis tuple in the rank-n tensor power.
 
     Returns ``(left_tuple, right_tuple, coeff)`` triples; for n = 1 this
-    is the plain coproduct, for n = 2 the Λ expansion.
+    is the plain coproduct, for n = 2 the Λ expansion Δ(k₁)⊗Δ(k₂) with the
+    middle legs swapped.  The triples are read from the instance's coproduct
+    rows on each call and kept nowhere; each coefficient is
+    ``(1+0j)·c₁·…·cₙ``, multiplied left to right.
     """
-    return instance.tuple_comul_terms(keys)
+    rows = instance._comul_pairs
+    if len(keys) == 2:
+        first, second = rows[keys[0]], rows[keys[1]]
+        return tuple(((a1, a2), (b1, b2), _ONE * c1 * c2) for (a1, b1), c1 in first for (a2, b2), c2 in second)
+    legs = _slot_products([([rows[k] for k in keys], _ONE)])
+    return tuple((tuple(map(_first, pairs)), tuple(map(_second, pairs)), c) for pairs, c in legs)
 
 
 def tuple_counit(instance: BialgebraInstance, keys: tuple) -> complex:

@@ -45,9 +45,10 @@ changes between versions.
 * :func:`_scalar`: the complex number Σ c·rule(k), or Σ items.
 
 The structure maps read one memo table per map on the instance (product,
-coproduct, counit, antipode, star, and the Λ expansion built from the
-coproduct table) and feed its rows to a kernel; the iterated coproduct is
-Δ with its last slot expanded again by :func:`tensor_expand_slot`.
+coproduct, counit, antipode, star) and feed its rows to a kernel; the
+iterated coproduct is Δ with its last slot expanded again by
+:func:`tensor_expand_slot`.  Λ, the coproduct of the tensor square, is read
+from the coproduct table when needed and kept nowhere.
 These loops stay hand-written, with the kernels' store pattern and their own
 grouping, each for the reason measured (paired perfbench ``wall_s``):
 
@@ -56,8 +57,9 @@ grouping, each for the reason measured (paired perfbench ``wall_s``):
   term, 1.4-1.6 times the time per call on oscillator and Z² coproducts
   (a paired micro-benchmark).
 * ``deformation._deformed_mul_square``, (μ_t⊗μ_s)∘Λ with the grouping
-  ``(((ca·cb)·c)·w₁)·w₂``: through :func:`_row_pairs`, oscillator-full
-  +1.4% (better in 2 of 6 pairs), and +2.2% and +2.4% in earlier sets.
+  ``(((ca·cb)·c)·w₁)·w₂``, c = ``((1+0j)·c₁)·c₂`` from the coproduct rows:
+  through :func:`_row_pairs`, oscillator-full +1.4% (better in 2 of 6
+  pairs), and +2.2% and +2.4% in earlier sets.
 * ``deformation._add_scaled`` merges a scaled, cleaned dict into a clean
   running sum and checks only the keys it touched: a merge, not a sum of
   products.
@@ -307,11 +309,10 @@ class BialgebraInstance:
         # the memos close over the rules and each other, never over the
         # instance, so an instance is freed as soon as its last user drops it
         self._counit_cache = Memo(lambda k: complex(counit_basis(k)))
-        comul_pairs = self._comul_pairs = Memo(lambda k: tuple(((a, b), complex(c)) for a, b, c in comul_basis(k)))
+        self._comul_pairs = Memo(lambda k: tuple(((a, b), complex(c)) for a, b, c in comul_basis(k)))
         self._mul_cache = Memo(lambda pair: tuple((k, complex(c)) for k, c in mul_basis(*pair)))
         self._antipode_cache = Memo(lambda k: tuple((kk, complex(c)) for kk, c in antipode_basis(k)))
         self._star_cache = Memo(lambda k: tuple((kk, complex(c)) for kk, c in star_basis(k)))
-        self._tuple_comul_cache = Memo(lambda keys: _expand_tuple_comul(comul_pairs, keys))
 
     # -- capabilities ------------------------------------------------------
 
@@ -339,10 +340,6 @@ class BialgebraInstance:
     def comul_terms(self, k):
         """The coproduct of a basis key as ``(key1, key2, coeff)`` triples."""
         return tuple((a, b, c) for (a, b), c in self._comul_pairs[k])
-
-    def tuple_comul_terms(self, keys: tuple):
-        """The coproduct of a basis tuple as ``(left_tuple, right_tuple, coeff)`` triples."""
-        return self._tuple_comul_cache[keys]
 
     def counit_key(self, k) -> complex:
         return self._counit_cache[k]
@@ -597,14 +594,6 @@ def star(a: Element) -> Element:
     inst.require_star()
     conjugated = [(k, c.conjugate()) for k, c in a.terms.items()]
     return _element(inst, _linear(conjugated, inst._star_cache.__getitem__))
-
-
-def _expand_tuple_comul(comul_pairs: Memo, keys: tuple) -> tuple:
-    if len(keys) == 2:  # Λ on a basis pair; each leg's coefficient is ((1+0j)·c₁)·c₂
-        first, second = comul_pairs[keys[0]], comul_pairs[keys[1]]
-        return tuple(((a1, a2), (b1, b2), _ONE * c1 * c2) for (a1, b1), c1 in first for (a2, b2), c2 in second)
-    legs = _slot_products([([comul_pairs[k] for k in keys], 1.0 + 0j)])
-    return tuple((tuple(map(_first, pairs)), tuple(map(_second, pairs)), c) for pairs, c in legs)
 
 
 def iterated_comul(a: Element, n: int):

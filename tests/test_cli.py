@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -298,10 +299,24 @@ def test_exit_2_on_bad_json(tmp_path, capsys):
     assert main(["--config", str(path)]) == 2
 
 
+# a string is not a number, not even one that int() reads; read as one, each of these configs runs
+_STRING_INTS = [
+    ("sample_budget_string", {**_ZD_SMALL, "sample_budget": "5"}, "sample_budget"),
+    ("sample_budget_underscored_string", {**_ZD_SMALL, "sample_budget": "1_0"}, "sample_budget"),
+    ("seed_string", {**_ZD_SMALL, "seed": "7"}, "seed"),
+    ("coord_bound_string", {**_ZD_SMALL, "sampler": {"coord_bound": "2"}}, "sampler coord_bound"),
+    ("d_string", {**_ZD_SMALL, "instance": {"type": "group_algebra_zd", "d": "2"}}, "instance d"),
+    ("tabulate_key_string", {**_ZD_SMALL, "tabulate": [[["1", "0"], [0, 1]]]}, "basis key coordinate"),
+    ("z_polynomial_exponent_string", {**_ZERO_ON_Z, "cocycle": {"type": "z_polynomial", "coeffs": [["2", 1, 0.0]]}},
+     "z_polynomial exponent"),
+]
+
+
 @pytest.mark.parametrize(
     "payload",
     [
         pytest.param({"instance": {"type": "nope"}, "cocycle": {"type": "zero"}}, id="unknown_instance"),
+        *(pytest.param(payload, id=name) for name, payload, _ in _STRING_INTS),
         pytest.param(
             {
                 "instance": {"type": "symmetric_star", "generators": ["x", "y"]},
@@ -421,6 +436,12 @@ def test_exit_2_on_bad_json(tmp_path, capsys):
 )
 def test_exit_2_on_unknown_instance(payload, tmp_path):
     assert main(["--config", _write(tmp_path, payload)]) == 2
+
+
+@pytest.mark.parametrize("payload, field", [pytest.param(p, f, id=name) for name, p, f in _STRING_INTS])
+def test_a_string_in_an_integer_field_is_named_in_the_message(payload, field, tmp_path, capsys):
+    assert main(["--config", _write(tmp_path, payload)]) == 2
+    assert f"{field} must be an integer" in capsys.readouterr().err
 
 
 def _no_sampler(*args, **kwargs):
@@ -837,6 +858,20 @@ def test_a_run_leaves_no_reference_cycle(name):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_deform_run_keeps_no_table_of_lambda_legs():
+    # the run's traced peak is about 3 MB; a table that kept every basis
+    # pair's Λ legs, not read from the coproduct table, adds about 10 MB
+    cfg = RunConfig.from_dict({**_fast(example_config("oscillator"), samples=200), "command": "deform"})
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_config(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
 
 
 def test_a_huge_integer_power_ends_at_once(tmp_path):
