@@ -57,7 +57,8 @@ grouping, each for the reason measured (paired perfbench ``wall_s``):
   term, 1.4-1.6 times the time per call on oscillator and Z² coproducts
   (a paired micro-benchmark).
 * ``deformation._deformed_mul_square``, (μ_t⊗μ_s)∘Λ with the grouping
-  ``(((ca·cb)·c)·w₁)·w₂``, c = ``((1+0j)·c₁)·c₂`` from the coproduct rows:
+  ``(((ca·cb)·c)·w₁)·w₂``, Λ from ``tuple_comul_terms`` (c =
+  ``((1+0j)·c₁)·c₂`` from the coproduct rows):
   through :func:`_row_pairs`, oscillator-full +1.4% (better in 2 of 6
   pairs), and +2.2% and +2.4% in earlier sets.
 * ``deformation._add_scaled`` merges a scaled, cleaned dict into a clean

@@ -188,30 +188,26 @@ def deformed_mul_map(D: Deformation, t: float) -> LinMap:
 def _deformed_mul_square(D: Deformation, t: float, s: float, a: Element, b: Element) -> dict:
     """(μ_t⊗μ_s)∘Λ on a⊗b as a terms dict; each term is (((ca·cb)·c)·w₁)·w₂.
 
-    Λ is read from the coproduct rows of ka and kb and kept nowhere: the
-    legs c₁·a₁⊗b₁ of Δ(ka) and c₂·a₂⊗b₂ of Δ(kb) give the leg
-    (a₁, a₂)⊗(b₁, b₂) with c = ((1+0j)·c₁)·c₂, as in ``tuple_comul_terms``.
-    The coproduct table and the tables of μ_t and μ_s are bound once and
-    read directly.
+    Λ on each basis pair comes from ``tuple_comul_terms``, which reads it
+    from the coproduct rows and keeps it nowhere (c = ((1+0j)·c₁)·c₂).  The
+    tables of μ_t and μ_s are bound once and read directly.
     """
-    rows = D.instance._comul_pairs
+    inst = D.instance
     mu_t, mu_s = D._mul_maps[t]._cache, D._mul_maps[s]._cache
     acc: dict = {}
-    b_rows = [(rows[kb], cb) for kb, cb in b.terms.items()]
+    b_items = b.terms.items()
     for ka, ca in a.terms.items():
-        a_row = [(a1, b1, _ONE * c1) for (a1, b1), c1 in rows[ka]]
-        for b_row, cb in b_rows:
+        for kb, cb in b_items:
             cab = ca * cb
-            for a1, b1, c1 in a_row:
-                for (a2, b2), c2 in b_row:
-                    w = cab * (c1 * c2)
-                    row1, row2 = mu_t[a1, a2], mu_s[b1, b2]
-                    for k1, w1 in row1:
-                        ww = w * w1
-                        for k2, w2 in row2:
-                            key = (k1, k2)
-                            cur = acc.get(key)
-                            acc[key] = ww * w2 if cur is None else cur + ww * w2
+            for left, right, c in tuple_comul_terms(inst, (ka, kb)):
+                w = cab * c
+                row1, row2 = mu_t[left], mu_s[right]
+                for k1, w1 in row1:
+                    ww = w * w1
+                    for k2, w2 in row2:
+                        key = (k1, k2)
+                        cur = acc.get(key)
+                        acc[key] = ww * w2 if cur is None else cur + ww * w2
     return acc
 
 

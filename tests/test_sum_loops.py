@@ -27,10 +27,10 @@ HAND_WRITTEN = {
                                "Z² coproducts (median of 21 alternating micro-benchmark rounds)",
     "core.tensor_contract_slot": "drops the slot and scales by δ(k); as a _linear rule, 1.38 and 1.40 times the "
                                  "time per call, measured as tensor_expand_slot",
-    "deformation._deformed_mul_square": "(μ_t⊗μ_s)∘Λ with the grouping (((ca·cb)·c)·w₁)·w₂, c = ((1+0j)·c₁)·c₂ "
-                                        "read from the coproduct rows; through _row_pairs, "
-                                        "oscillator-full +1.4% (the kernel form better in 2 of 6 pairs of 10-s "
-                                        "runs), and +2.2% and +2.4% in two earlier sets",
+    "deformation._deformed_mul_square": "(μ_t⊗μ_s)∘Λ with the grouping (((ca·cb)·c)·w₁)·w₂, Λ from "
+                                        "tuple_comul_terms, c = ((1+0j)·c₁)·c₂ read from the coproduct rows; "
+                                        "through _row_pairs, oscillator-full +1.4% (the kernel form better in 2 "
+                                        "of 6 pairs of 10-s runs), and +2.2% and +2.4% in two earlier sets",
     "deformation._add_scaled": "merges a scaled, cleaned dict into a clean running sum and checks only the keys "
                                "it touched: a merge, not a sum of products",
 }
