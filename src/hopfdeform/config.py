@@ -32,10 +32,17 @@ class ConfigError(Exception):
     """The run configuration cannot be parsed or resolved."""
 
 
+# above 2**53 a float need not be the integer written (2**53 + 1 reads as 2**53)
+_EXACT_FLOAT_INT = 2**53
+
+
 def read_int(value, what: str) -> int:
-    """Read a JSON integer field; ``2.0`` reads as 2, a bool, a string or ``2.5`` is rejected."""
+    """Read a JSON integer field; ``2.0`` reads as 2, a bool, a string, ``2.5`` or a float beyond 2**53 is rejected."""
     if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if isinstance(value, float) and abs(value) > _EXACT_FLOAT_INT:
+        raise ConfigError(f"{what} must be an integer, got the float {value!r}, beyond 2**53, where a float "
+                          "need not be the integer written")
     try:
         return int(value)
     except (TypeError, ValueError) as exc:

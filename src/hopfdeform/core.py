@@ -23,6 +23,12 @@ and star tables and a ``LinMap``'s table alike, hold one row format: a tuple
 of ``(key, w)`` pairs, keyed by the bare basis key on rank 1 and by the
 basis tuple above it.  Every table rule returns the value's ``(key, coeff)``
 pairs, as a row or a mapping, never an element, as :func:`_key_product` does.
+A ``LinMap`` copies a user rule's pairs before it cleans them; the package's
+own map rules hand their fresh dict over to be cleaned in place, as the
+structure maps do (``convolution.LinMap._owned``).  μ²'s rule is
+:func:`_key_product_terms`, the key product before its last clean, so its
+row on a pair is cleaned once, by the table, where the copying fill cleaned
+it three times and copied it once.
 
 Sums go through four kernels under one summation-order contract, which fixes
 the last bit of every coefficient and so the bytes of every report: each
@@ -64,6 +70,9 @@ grouping, each for the reason measured (paired perfbench ``wall_s``):
 * ``deformation._add_scaled`` merges a scaled, cleaned dict into a clean
   running sum and checks only the keys it touched: a merge, not a sum of
   products.
+* the rule of each map of ``convolution.map_conv_exp`` (μ_t, S_t, Φ_t) sums
+  ``(c·e)·w`` over its shared expansion's legs; as ``_linear`` over a
+  generator of legs, cold-sweep +2.4%.
 
 ``tests/test_sum_loops.py`` names each of these loops, so a new hand-written
 sum must be named there with its reason.  Horner's rule and the slot loop of
@@ -700,11 +709,18 @@ def _key_product(instance: BialgebraInstance, keys) -> dict:
     Each step multiplies the running product by the next key with
     coefficient ``1+0j`` and prunes the result, as :func:`mul` would.
     """
+    return _clean_terms(_key_product_terms(instance, keys), instance.prune_eps)
+
+
+def _key_product_terms(instance: BialgebraInstance, keys) -> dict:
+    """:func:`_key_product` before the last step's check and pruning, a fresh dict for a caller that cleans it."""
     table, prune = instance._mul_cache, instance.prune_eps
-    acc = {keys[0]: _ONE}
-    for k in keys[1:]:
-        acc = _bilinear(_clean_terms(acc, prune).items(), ((k, _ONE),), table)
-    return _clean_terms(acc, prune)
+    # the basis element 1·k₀ checked and pruned (1+0j is finite, of modulus 1);
+    # each later running product is checked and pruned before the next step
+    acc = {keys[0]: _ONE} if 1.0 >= prune else {}
+    for i, k in enumerate(keys[1:]):
+        acc = _bilinear((_clean_terms(acc, prune) if i else acc).items(), ((k, _ONE),), table)
+    return acc
 
 
 def tensor_mul_all(u: TensorElement) -> Element:

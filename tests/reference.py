@@ -13,10 +13,10 @@ coefficient equal by ``repr``.
 A :class:`RefMap` fills its row on a basis tuple as a ``LinMap`` table does:
 the rule's ``(key, coeff)`` pairs are copied, then checked and pruned at the
 threshold read at fill time, so a rule may return a dict that something else
-still holds.  ``mu_n_map``'s rule returns a key product that is already
-clean, and the copy cleans it once more; a prototype that handed such a dict
-over without the copy measured no wall-time gain, so the contract stays.
-Cochains are wrapped in the package's ``Cochain`` only for its value memo.
+still holds.  The package's own rules hand their fresh dict over to be
+cleaned in place instead; that is the same row, since nothing else holds the
+dict.  Cochains are wrapped in the package's ``Cochain`` only for its value
+memo.
 """
 import cmath
 import functools
@@ -230,15 +230,29 @@ class Model:
             self._powers[f, k, keys] = total
         return self._powers[f, k, keys]
 
+    def nonzero_legs(self, f, keys):
+        """The legs of Λ(u) where f(u₍₁₎) ≠ 0, as ``(right, c·f(left))``."""
+        return [(right, c * v) for left, right, c in self.tuple_comul(keys) if (v := f.value(left)) != 0]
+
+    def exp_coeffs(self, f, keys):
+        """f^{⋆k}(u)/k! for k ≤ deg(u) on a graded connected instance, else for k = 0 only."""
+        top = sum(map(self.inst.degree_key, keys)) if self.inst.kind is Kind.GRADED_CONNECTED else 0
+        return [self.conv_power(f, k, keys) / math.factorial(k) for k in range(top + 1)]
+
     def conv_exp(self, f, t, keys):
-        """e_⋆^{tf}(u): exp(t·f(u)) on a grouplike basis, else Horner's rule on f^{⋆k}(u)/k! for k ≤ deg(u)."""
-        kind = self.inst.kind
-        if kind is Kind.GROUPLIKE_BASIS:
+        """e_⋆^{tf}(u): exp(t·f(u)) on a grouplike basis, else Horner's rule on its Taylor coefficients."""
+        if self.inst.kind is Kind.GROUPLIKE_BASIS:
             return cmath.exp(t * f.value(keys))
         total = 0j
-        for k in reversed(range(sum(map(self.inst.degree_key, keys)) + 1 if kind is Kind.GRADED_CONNECTED else 1)):
-            total = total * t + self.conv_power(f, k, keys) / math.factorial(k)
+        for c in reversed(self.exp_coeffs(f, keys)):
+            total = total * t + c
         return total
+
+    def exp_legs(self, A, f, keys):
+        """``(c, right, A(left))`` over the legs of Λ(u) where e_⋆^{tf}(right) is nonzero for some t."""
+        grouplike = self.inst.kind is Kind.GROUPLIKE_BASIS
+        return [(c, right, A.row(left)) for left, right, c in self.tuple_comul(keys)
+                if grouplike or any(self.exp_coeffs(f, right))]
 
     # -- maps into the algebra
 
@@ -380,6 +394,30 @@ class RefMap:
 
     def on_pair(self, a, b):
         return self.model.clean(bilinear(a.items(), b.items(), lambda ka, kb: self.row((ka, kb))))
+
+
+# -- the built-in cocycle rules, from their definitions
+
+
+def zd_matrix_value(matrix, keys):
+    """L(k, l) = Σⱼ (Σᵢ kᵢ·Aᵢⱼ)·lⱼ, each sum in index order from 0j."""
+    k, l = keys
+    total = 0j
+    for j in range(len(l)):
+        r = 0j
+        for i in range(len(k)):
+            r += k[i] * complex(matrix[i][j])
+        total += r * l[j]
+    return total
+
+
+def z_polynomial_value(coeffs, keys):
+    """L(m, n) = Σ (c·mᵖ)·n^q over the ``(p, q, c)`` terms in their order, from 0j."""
+    (m,), (n,) = keys
+    total = 0j
+    for p, q, c in coeffs:
+        total += complex(c) * m**p * n**q
+    return total
 
 
 # -- the test instances

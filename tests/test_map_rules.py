@@ -95,8 +95,16 @@ def _builds_element(node) -> bool:
                in ("_element", "Element") for n in ast.walk(node))
 
 
+def _builds_map(call) -> bool:
+    """Whether a call is ``LinMap(…)`` or the package's private path ``LinMap._owned(…)``."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr == "_owned" and getattr(func.value, "id", None) == "LinMap"
+    return getattr(func, "id", None) == "LinMap"
+
+
 def _map_rules(tree):
-    """The rule of every ``LinMap(`` call: a lambda, or the function of that name defined beside the call."""
+    """The rule of every ``LinMap(`` or ``LinMap._owned(`` call: a lambda, or the function of that name defined beside the call."""
     rules = []
 
     def visit(node, defs):
@@ -104,7 +112,7 @@ def _map_rules(tree):
         if isinstance(body, list):
             defs = {**defs, **{n.name: n for n in body if isinstance(n, ast.FunctionDef)}}
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "LinMap":
+            if isinstance(child, ast.Call) and _builds_map(child):
                 rule = child.args[2] if len(child.args) > 2 else {k.arg: k.value for k in child.keywords}["rule"]
                 rules.append(defs[rule.id] if isinstance(rule, ast.Name) else rule)
             visit(child, defs)
@@ -134,5 +142,13 @@ def named_rule(inst):
 
 def row_rule(inst):
     return LinMap(inst, 1, lambda ks: {ks[0]: 1.0})
+
+def owned_rule(inst):
+    def rule(keys):
+        return hd.Element(inst, {keys[0]: 1.0}).terms
+    return LinMap._owned(inst, 1, rule, "owned")
+
+def other_call(inst):
+    return Other._owned(inst, 1, lambda ks: _element(inst, {ks[0]: 1.0}))
 '''
-    assert [_builds_element(r) for r in _map_rules(ast.parse(source))] == [True, True, False]
+    assert [_builds_element(r) for r in _map_rules(ast.parse(source))] == [True, True, False, True]

@@ -27,6 +27,11 @@ HAND_WRITTEN = {
                                "Z² coproducts (median of 21 alternating micro-benchmark rounds)",
     "core.tensor_contract_slot": "drops the slot and scales by δ(k); as a _linear rule, 1.38 and 1.40 times the "
                                  "time per call, measured as tensor_expand_slot",
+    "convolution.map_conv_exp.build.rule": "the row of μ_t, S_t or Φ_t on a basis tuple, Σ (c·e)·w over the shared "
+                                           "expansion's legs where e = e_⋆^{tf}(right) ≠ 0; as _linear over a "
+                                           "generator of (row, c·e) legs with iter as the rule, cold-sweep +2.4% "
+                                           "(1.031 against 1.007 s, medians of 4 rotating rounds of 10-s runs, the "
+                                           "loop lower in all 4) and oscillator-full even (0.695 against 0.696 s)",
     "deformation._deformed_mul_square": "(μ_t⊗μ_s)∘Λ with the grouping (((ca·cb)·c)·w₁)·w₂, Λ from "
                                         "tuple_comul_terms, c = ((1+0j)·c₁)·c₂ read from the coproduct rows; "
                                         "through _row_pairs, oscillator-full +1.4% (the kernel form better in 2 "

@@ -10,8 +10,9 @@ import pytest
 
 import hopfdeform as hd
 from hopfdeform.cohomology import coboundary, compose_antipode_flip, hermitian_conjugate
-from hopfdeform.convolution import (antipode_map, functional_conv_map, identity_map, map_conv_functional, mu_n_map,
-                                    tuple_counit)
+from hopfdeform import convolution, core
+from hopfdeform.convolution import (_exp_legs, antipode_map, functional_conv_map, identity_map, map_conv_functional,
+                                    mu_n_map, tuple_comul_terms, tuple_counit)
 from hopfdeform.core import (AlgebraError, EPS_PRUNE, Kind, NonFiniteError, TensorElement, check_structure, counit,
                              scale, tensor_apply, tensor_contract_slot, tensor_expand_slot, tensor_mul_all)
 from hopfdeform.deformation import (DEFAULT_T_GRID, _flipped_antipodes, _sigma_cochains, _sigma_sides,
@@ -231,6 +232,100 @@ def test_every_built_in_map_keeps_the_rows_of_the_element_rule(case):
             got, want = A._row(u), R.row(u)
             assert len(got) == len(want)
             ref.same(dict(got), dict(want))
+
+
+# -- the one-pass fills --------------------------------------------------------------------
+
+
+def test_the_nonzero_legs_match_the_model(case):
+    inst, m, L, sampler = case
+    for f in (L, _psi(inst), _dense(inst, 1), _dense(inst, 2)):
+        for u in _tuples(inst, sampler, f.arity, 12):
+            assert repr(f._legs[u]) == repr(tuple(m.nonzero_legs(f, u)))
+
+
+def test_the_shared_expansions_of_map_conv_exp_match_the_model(case):
+    inst, m, L, sampler = case
+    psi = _psi(inst)
+    D = hd.Deformation(inst, L, None, sampler, witness=psi)
+    sigma = _sigma_cochains(D)[0]
+    # μ with L, S with σ and the identity with ψ, as μ_t, S_t and Φ_t expand them
+    for A, R, f in ((mu_n_map(inst, 2), m.mu_n_map(2), L), (antipode_map(inst), m.antipode_map(), sigma),
+                    (identity_map(inst), m.identity_map(), psi)):
+        legs = _exp_legs(A, f)
+        for u in _tuples(inst, sampler, A.rank, 12):
+            assert repr(legs[u]) == repr(tuple(m.exp_legs(R, f, u)))
+
+
+def test_the_lambda_coefficient_keeps_its_grouping():
+    # coproduct coefficients whose signed zeros make ((1+0j)·c₁)·c₂ and (1+0j)·(c₁·c₂) differ
+    base = hd.group_algebra_zd(1)
+    coeffs = {-1: complex(1.0, -0.0), 0: complex(-1.0, -0.0), 1: complex(-0.0, 1.0), 2: complex(-1.0, 0.0)}
+    inst = hd.BialgebraInstance(
+        "signed_coproduct", hd.Kind.GROUPLIKE_BASIS, base.unit, mul_basis=base.mul_terms,
+        comul_basis=lambda k: [(k, k, coeffs[k[0]])], counit_basis=base.counit_key,
+        antipode_basis=base.antipode_terms,
+    )
+    m, L = ref.Model(inst), hd.make_zd_matrix_cocycle(inst, [[0.3]])
+    pairs = [((a,), (b,)) for a in coeffs for b in coeffs]
+    assert any(repr((ref.ONE * c1) * c2) != repr(ref.ONE * (c1 * c2)) for c1 in coeffs.values() for c2 in coeffs.values())
+    legs = _exp_legs(mu_n_map(inst, 2), L)
+    for u in pairs:
+        assert repr(tuple_comul_terms(inst, u)) == repr(tuple(m.tuple_comul(u)))
+        assert repr(L._legs[u]) == repr(tuple(m.nonzero_legs(L, u)))
+        assert repr(legs[u]) == repr(tuple(m.exp_legs(m.mu_n_map(2), L, u)))
+
+
+_MATRICES = {
+    "z2": [[0.3, 0.7], [-0.1, 0.2]],
+    "signed_zeros": [[0.3, -0.0], [-0.1, 0.2]],
+    "z3": [[0.1, -0.7, 0.3], [0.2, 1 / 3, -0.9], [-0.0, 0.6, 0.7]],
+}
+
+
+@pytest.mark.parametrize("matrix", list(_MATRICES.values()), ids=list(_MATRICES))
+def test_the_zd_matrix_rule_matches_its_definition(matrix):
+    d = len(matrix)
+    inst = hd.group_algebra_zd(d)
+    L = hd.make_zd_matrix_cocycle(inst, matrix)
+    want = hd.Cochain(inst, 2, lambda keys: ref.zd_matrix_value(matrix, keys))
+    coords = [-3, -1, 0, 2, 5, 7]
+    keys = [tuple(coords[(i * j + j) % len(coords)] for j in range(d)) for i in range(len(coords))]
+    _same_values(L, want, [(k, l) for k in keys for l in keys])
+    huge = ((10**400,) + (0,) * (d - 1), (1,) * d)  # an integer too large for a float
+    with pytest.raises(NonFiniteError) as got:
+        L.value(huge)
+    with pytest.raises(NonFiniteError) as expected:
+        want.value(huge)
+    assert str(got.value).replace("matrix_cocycle", "f") == str(expected.value)
+
+
+def test_the_z_polynomial_rule_matches_its_definition():
+    inst = hd.group_algebra_zd(1)
+    coeffs = [(2, 1, 0.1), (1, 2, complex(0.3, -0.7)), (0, 0, 1 / 3), (3, 0, -0.2), (1, 1, complex(-0.0, 0.9))]
+    L = hd.make_z_polynomial_cocycle(inst, coeffs)
+    want = hd.Cochain(inst, 2, lambda keys: ref.z_polynomial_value(coeffs, keys))
+    points = [(-7,), (-2,), (0,), (1,), (3,), (11,)]
+    _same_values(L, want, [(a, b) for a in points for b in points])
+
+
+def test_a_first_mu_t_fill_evaluates_the_cocycle_once_and_cleans_each_row_once(monkeypatch):
+    inst = hd.group_algebra_zd(2)
+    base = hd.make_zd_matrix_cocycle(inst, [[0.3, 0.7], [-0.1, 0.2]])
+    evaluated, cleaned = [], []
+    L = hd.Cochain(inst, 2, lambda keys: evaluated.append(keys) or base.value(keys))
+    for module in (core, convolution):
+        monkeypatch.setattr(module, "_clean_terms", lambda terms, prune, clean=module._clean_terms:
+                            cleaned.append(dict(terms)) or clean(terms, prune))
+    D = hd.Deformation(inst, L, None, None)
+    pair = ((1, -1), (2, 1))
+    D._mul_maps[0.5]._row(pair)
+    # μ²'s row on the pair, then μ_t's, each cleaned once where it is filled
+    assert evaluated == [pair]
+    assert cleaned == [{(3, 0): ref.ONE}, dict(D._mul_maps[0.5]._row(pair))]
+    # another t reads μ²'s row and L's value from their tables
+    D._mul_maps[1.0]._row(pair)
+    assert evaluated == [pair] and len(cleaned) == 3
 
 
 # -- the Hopf suite's table loops ----------------------------------------------------------
