@@ -43,7 +43,8 @@ read the rows directly.  A row is filled in one of two ways:
 Both check and prune at the threshold read at fill time and give the same
 row.  Together with the Λ filter below and the loop-form cocycle rules of
 :mod:`hopfdeform.instances`, this one-pass fill took cold-sweep ``wall_s``
-from 1.109 to 1.007 s (perfbench medians of 4 rounds of 10-s runs).
+from 1.080 to 0.987 s (−8.7%; medians of ten alternating pairs of 30-s
+perfbench runs, the fill lower in all ten).
 
 t enters a map ``A ⋆ e_⋆^{tf}`` only through the scalar exponential, so
 :func:`map_conv_exp` expands each basis tuple once and shares that
