@@ -189,6 +189,42 @@ def test_h4_report_digest(command):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == H4_DIGESTS[command]
 
 
+# sha256 of report_json for the oscillator with its pairing entries at ±1e308,
+# at budget 25: σ and the convolution powers overflow, and a power that would
+# be 0 on finite values turns NaN through inf·0, so these pin where the run
+# meets its first non-finite value and what it reports there
+NEAR_LIMIT_DIGESTS = {
+    "antipode": "c47c404e5d94b791b18d8a12506809111e441d83fc924cdb8c2a0b1a604f5520",
+    "full-report": "29ca6fa004fa1c8e28e17db9635d948040d98f36979f9a376d234ccac79d1343",
+}
+
+
+@pytest.mark.parametrize("command", sorted(NEAR_LIMIT_DIGESTS))
+def test_near_limit_pairing_report_digest(command):
+    cfg = RunConfig.from_dict({
+        "instance": _OSC_INSTANCE | {"involution": [["x", "xstar"]]},
+        "cocycle": {"type": "primitive_bilinear", "matrix": [[[0.0, 0.0], [1e308, 0.0]], [[-1e308, 0.0], [0.0, 0.0]]]},
+        "seed": 20240817,
+        "sample_budget": 25,
+        "sampler": {"max_degree": 4},
+        "command": command,
+    })
+    report = run_config(cfg)
+    assert [r.law_id for r in report.failures()] == ["non_finite"]
+    text = report_json(cfg, report)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == NEAR_LIMIT_DIGESTS[command]
+
+
+def test_deep_pair_report_digest(tmp_path):
+    # tabulates μ_t on the degree-24 pair (x⁶x*⁶, x⁶x*⁶), whose Taylor series
+    # in t is the longest any test reads
+    out = tmp_path / "report.json"
+    assert main(["--config", str(DATA / "oscillator_deep.json"), "--json-out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "0bf4ed5c20ff4ce240ee0baf2ffd43b4b074c7c62b765c6a66b639bb0c10cc00"
+    )
+
+
 # sha256 of report_json for each single command at budget 25: every built-in
 # example (trivial-check on z-cubic, the one with a witness) and Sweedler H4
 # with the zero cocycle and witness
