@@ -37,22 +37,34 @@ DEFAULT_SAMPLES = 200
 def coboundary(f: Cochain, name=None) -> Cochain:
     """The Hochschild coboundary ∂f, evaluated lazily per basis tuple.
 
-    Each term is f on the tuple with one product row in a slot, summed by
-    the slot loop :func:`~hopfdeform.convolution._slot_sum`.
+    Each term is f on the tuple with one product row in a slot, summed in
+    one pass over that row as the slot loop of :meth:`Cochain.eval_mixed`
+    sums it: a basis key is the slot ``((k, 1+0j),)``, so a row term's
+    weight is ``(1+0j)·c`` times ``1+0j`` once for each slot after the row,
+    multiplied left to right, a zero weight is skipped, and each sum starts
+    from ``0j``.  The factors and starts are kept as the slot loop has them:
+    on a value of f, ``(1+0j)·`` can turn an infinite part into NaN and
+    ``0j +`` can change a zero's sign.
     """
     inst = f.instance
     n = f.arity
     value, products, counits = f.value, inst._mul_cache, inst._counit_cache
 
     def rule(keys):
-        slots = [((k, _ONE),) for k in keys]
-        total = tuple_counit(inst, keys[:1]) * _slot_sum(value, slots[1:])
+        total = tuple_counit(inst, keys[:1]) * (0j + _ONE * value(keys[1:]))
         sign = 1.0
         for i in range(1, n + 1):
             sign = -sign
-            merged = _row_items(inst, products[keys[i - 1], keys[i]])
-            total += sign * _slot_sum(value, slots[: i - 1] + [merged] + slots[i + 1 :])
-        total += -sign * _slot_sum(value, slots[:n]) * counits[keys[n]]
+            before, after = keys[: i - 1], keys[i + 1 :]
+            term = 0j
+            for key, c in _row_items(inst, products[keys[i - 1], keys[i]]):
+                w = _ONE * c
+                for _ in after:
+                    w *= _ONE
+                if w != 0:
+                    term += w * value(before + (key,) + after)
+            total += sign * term
+        total += -sign * (0j + _ONE * value(keys[:n])) * counits[keys[n]]
         return total
 
     return Cochain(inst, n + 1, rule, name or f"d({f.name})")

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfdeform.cli import build_parser, main, run_config, report_json
-from hopfdeform.config import COMMANDS, ConfigError, RunConfig, build_instance, read_int
+from hopfdeform.config import COMMANDS, ConfigError, RunConfig, build_cocycle, build_instance, read_int
 from hopfdeform.convolution import tuple_comul_terms
 from hopfdeform.deformation import SplitPreconditionError
 from hopfdeform.registry import example_config, example_names
@@ -189,30 +189,38 @@ def test_h4_report_digest(command):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == H4_DIGESTS[command]
 
 
-# sha256 of report_json for the oscillator with its pairing entries at ±1e308,
-# at budget 25: σ and the convolution powers overflow, and a power that would
-# be 0 on finite values turns NaN through inf·0, so these pin where the run
-# meets its first non-finite value and what it reports there
+# sha256 of report_json for the oscillator with pairing entries at ±1e308, at
+# budget 25: σ and the convolution powers overflow, and a power that would be
+# 0 on finite values turns NaN through inf·0, so these pin where each run meets
+# its first non-finite value and what it reports there.  With only
+# L(x⊗x*) = 1e308 and degree ≤ 2, that first value is such a NaN power.
+NEAR_LIMIT_PAIRINGS = {
+    "antisymmetric": ([[[0.0, 0.0], [1e308, 0.0]], [[-1e308, 0.0], [0.0, 0.0]]], 4),
+    "one_sided": ([[[0.0, 0.0], [1e308, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], 2),
+}
 NEAR_LIMIT_DIGESTS = {
-    "antipode": "c47c404e5d94b791b18d8a12506809111e441d83fc924cdb8c2a0b1a604f5520",
-    "full-report": "29ca6fa004fa1c8e28e17db9635d948040d98f36979f9a376d234ccac79d1343",
+    ("antisymmetric", "antipode"): "c47c404e5d94b791b18d8a12506809111e441d83fc924cdb8c2a0b1a604f5520",
+    ("antisymmetric", "full-report"): "29ca6fa004fa1c8e28e17db9635d948040d98f36979f9a376d234ccac79d1343",
+    ("one_sided", "antipode"): "2d6afe897c64b1f515f68b9015ca49d61afac3d2bdbc5a5ffaf8fe0336a9189e",
+    ("one_sided", "full-report"): "ed00f1f33acdca893477fd0024f98d8af65a4da9a5a188b2bbc4d71707ab35d0",
 }
 
 
-@pytest.mark.parametrize("command", sorted(NEAR_LIMIT_DIGESTS))
-def test_near_limit_pairing_report_digest(command):
+@pytest.mark.parametrize("pairing, command", sorted(NEAR_LIMIT_DIGESTS))
+def test_near_limit_pairing_report_digest(pairing, command):
+    matrix, max_degree = NEAR_LIMIT_PAIRINGS[pairing]
     cfg = RunConfig.from_dict({
         "instance": _OSC_INSTANCE | {"involution": [["x", "xstar"]]},
-        "cocycle": {"type": "primitive_bilinear", "matrix": [[[0.0, 0.0], [1e308, 0.0]], [[-1e308, 0.0], [0.0, 0.0]]]},
+        "cocycle": {"type": "primitive_bilinear", "matrix": matrix},
         "seed": 20240817,
         "sample_budget": 25,
-        "sampler": {"max_degree": 4},
+        "sampler": {"max_degree": max_degree},
         "command": command,
     })
     report = run_config(cfg)
     assert [r.law_id for r in report.failures()] == ["non_finite"]
     text = report_json(cfg, report)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == NEAR_LIMIT_DIGESTS[command]
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == NEAR_LIMIT_DIGESTS[pairing, command]
 
 
 def test_deep_pair_report_digest(tmp_path):
@@ -932,6 +940,17 @@ def test_an_oscillator_deform_run_peaks_under_6_mb_traced():
     finally:
         tracemalloc.stop()
     assert peak < 6_000_000
+
+
+def test_an_oscillator_deform_run_stores_few_convolution_powers(monkeypatch):
+    # each Taylor series stops at the highest power its coproduct legs can
+    # reach; the full series up to the degree stored 7,390 powers of L here
+    built = []
+    monkeypatch.setattr("hopfdeform.cli.build_cocycle", lambda *args: built.append(build_cocycle(*args)) or built[-1])
+    cfg = RunConfig.from_dict({**_fast(example_config("oscillator"), samples=200), "command": "deform"})
+    assert run_config(cfg).overall_pass
+    L, = built
+    assert 0 < sum(map(len, L._powers.values())) < 7390 / 4
 
 
 def test_a_huge_integer_power_ends_at_once(tmp_path):

@@ -15,6 +15,8 @@ from hopfdeform.convolution import (
 )
 from hopfdeform.deformation import DEFAULT_T_GRID
 
+import reference as ref
+
 
 @pytest.fixture(scope="module")
 def z1():
@@ -258,3 +260,42 @@ def test_map_functional_convolution_orders(z1, cubic):
     for _ in range(60):
         pair = sampler.keys(2)
         assert (lhs.value(pair) - rhs.value(pair)).norm_inf() < 1e-9
+
+
+def _box(inst, top=4):
+    """The exponent vectors of degree ≤ top on a symmetric algebra, lowest degree first."""
+    keys = itertools.product(range(top + 1), repeat=len(inst.unit))
+    return sorted((k for k in keys if sum(k) <= top), key=lambda k: (sum(k), k))
+
+
+def _dense(inst):
+    """A normalized arity-1 functional, nonzero off the unit with non-dyadic parts: every bit of its mask is set."""
+    return hd.Cochain(inst, 1, lambda ks: 0j if ks[0] == inst.unit else complex(
+        math.sin(1.3 * sum(i * e for i, e in enumerate(ks[0], 2))), -0.7 / (1 + sum(ks[0]))), name="dense")
+
+
+@pytest.mark.parametrize("case", ["oscillator", "three_generators", "dense", "near_limit"])
+def test_conv_exp_matches_the_full_series_on_a_box(osc, case):
+    # the model sums every power up to the degree, so it is the oracle for the
+    # series that stops at the support mask's highest bit
+    if case == "three_generators":
+        inst = hd.symmetric_star_algebra(("x", "y", "z"))
+        f = hd.make_primitive_bilinear_cocycle(inst, [[0.0, 0.3, -0.7j], [-0.3, 0.1, 1.3], [0.7j, -1.3, 0.0]])
+    elif case == "near_limit":
+        inst, f = osc, hd.make_primitive_bilinear_cocycle(osc, [[0.0, 1e308], [-1e308, 0.0]])
+    else:
+        inst = osc
+        f = _dense(inst) if case == "dense" else hd.oscillator_cocycle(inst)
+    model = ref.Model(inst)
+    keys = _box(inst)
+    tuples = [(k,) for k in _box(inst, 8)] if f.arity == 1 else list(itertools.product(keys, repeat=2))
+    for u in tuples:
+        degrees = [sum(k) for k in u]
+        coeffs = conv_exp_coeffs(f, u)
+        if case == "dense":
+            assert len(coeffs) == sum(degrees) + 1, u
+        elif case != "near_limit":
+            # L^{⋆k}(a⊗b) = 0 for k > min(deg a, deg b): L lives on degree (1, 1)
+            assert len(coeffs) <= max(1, min(degrees)) + 1, (u, coeffs)
+        for t in DEFAULT_T_GRID:
+            assert repr(hd.conv_exp(f, t, u)) == repr(model.conv_exp(f, t, u)), (case, u, t)

@@ -43,6 +43,13 @@ def _dense(inst, arity):
                       complex(-0.0, -((len(repr(ks)) + 3 * len(repr(ks[0]))) % 7) * 0.3), name=f"dense{arity}")
 
 
+def _huge(inst, arity):
+    """A cochain with parts -1e308, inf and signed zeros, so that a regrouped product shows in a NaN or a zero's sign."""
+    parts = (-1e308, -0.0, 2.5, math.inf, 0.0)
+    return hd.Cochain(inst, arity, lambda ks: complex(parts[len(repr(ks)) % 5], parts[(3 * len(repr(ks)) + 1) % 5]),
+                      name=f"huge{arity}")
+
+
 def _signed(a):
     """``a`` with each coefficient's real or imaginary part, in turn, replaced by -0.0."""
     return a.instance.element({k: complex(-0.0, c.imag) if i % 2 else complex(c.real, -0.0)
@@ -144,7 +151,7 @@ def test_cancelling_sums_are_pruned():
 
 def test_coboundaries_match_the_element_rules(case):
     inst, m, L, sampler = case
-    for f in (L, _dense(inst, 1), _dense(inst, 2), hd.counit_cochain(inst, 1)):
+    for f in (L, _dense(inst, 1), _dense(inst, 2), _huge(inst, 1), _huge(inst, 2), hd.counit_cochain(inst, 1)):
         _same_values(coboundary(f), m.coboundary(f), _tuples(inst, sampler, f.arity + 1))
     df = coboundary(_dense(inst, 1))
     _same_values(coboundary(df), m.coboundary(df), _tuples(inst, sampler, 3))
