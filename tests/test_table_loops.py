@@ -151,10 +151,16 @@ def test_cancelling_sums_are_pruned():
 
 def test_coboundaries_match_the_element_rules(case):
     inst, m, L, sampler = case
-    for f in (L, _dense(inst, 1), _dense(inst, 2), _huge(inst, 1), _huge(inst, 2), hd.counit_cochain(inst, 1)):
+    for f in (L, _dense(inst, 1), _dense(inst, 2), hd.counit_cochain(inst, 1)):
         _same_values(coboundary(f), m.coboundary(f), _tuples(inst, sampler, f.arity + 1))
     df = coboundary(_dense(inst, 1))
     _same_values(coboundary(df), m.coboundary(df), _tuples(inst, sampler, 3))
+
+
+def test_coboundaries_of_cochains_with_infinite_parts_match_the_element_rule(case):
+    inst, m, _, sampler = case
+    for f in (_huge(inst, 1), _huge(inst, 2)):
+        _same_values(coboundary(f), m.coboundary(f), _tuples(inst, sampler, f.arity + 1))
 
 
 def test_the_antipode_rules_match_the_element_rules(case):
