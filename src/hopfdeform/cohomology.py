@@ -37,14 +37,14 @@ DEFAULT_SAMPLES = 200
 def coboundary(f: Cochain, name=None) -> Cochain:
     """The Hochschild coboundary ∂f, evaluated lazily per basis tuple.
 
-    Each term is f on the tuple with one product row in a slot, summed in
-    one pass over that row as the slot loop of :meth:`Cochain.eval_mixed`
-    sums it: a basis key is the slot ``((k, 1+0j),)``, so a row term's
-    weight is ``(1+0j)·c`` times ``1+0j`` once for each slot after the row,
-    multiplied left to right, a zero weight is skipped, and each sum starts
-    from ``0j``.  The factors and starts are kept as the slot loop has them:
-    on a value of f, ``(1+0j)·`` can turn an infinite part into NaN and
-    ``0j +`` can change a zero's sign.
+    Each inner term is f on the tuple with one product row in a slot,
+    summed in one pass over that row from ``0j``: a row term's weight is its
+    coefficient c, and a term with c = 0 (kept only at prune 0) is skipped,
+    so inf·0 is never formed.  The slot loop of :meth:`Cochain.eval_mixed`
+    would weigh it ``(1+0j)·c·(1+0j)⋯``; c is finite, so those factors change
+    at most a zero's sign, which the ``0j``-started sum drops.  The first and
+    last terms keep ``0j + (1+0j)·f(…)``: on a value of f, ``(1+0j)·`` can
+    turn an infinite part into NaN and ``0j +`` can change a zero's sign.
     """
     inst = f.instance
     n = f.arity
@@ -58,11 +58,8 @@ def coboundary(f: Cochain, name=None) -> Cochain:
             before, after = keys[: i - 1], keys[i + 1 :]
             term = 0j
             for key, c in _row_items(inst, products[keys[i - 1], keys[i]]):
-                w = _ONE * c
-                for _ in after:
-                    w *= _ONE
-                if w != 0:
-                    term += w * value(before + (key,) + after)
+                if c != 0:
+                    term += c * value(before + (key,) + after)
             total += sign * term
         total += -sign * (0j + _ONE * value(keys[:n])) * counits[keys[n]]
         return total

@@ -17,15 +17,17 @@ forms:
   ``f^{⋆k}(u)/k!`` are cached per tuple.  On ``GRADED_CONNECTED``
   instances a normalized functional vanishes on the unique degree-0 basis
   tuple, so ``f^{⋆k}(u) = 0`` exactly for k above the total degree of u.
-  Each tuple's series stops sooner, at the highest power its support mask
-  (:func:`_support_mask`) lets be nonzero: bit 1 is set when f(u) ≠ 0, and
-  bit k+1 when bit k is set on the right tuple of one of f's nonzero legs
-  of u.  A power whose bit is clear is exactly ``0j``, and dropping
-  trailing ``0j`` coefficients changes no bit of Horner's rule, so every
-  value is the one the full series up to the degree gives; the reference
-  model of the tests keeps that full series as the oracle.  On ``FINITE``
-  instances only the zero functional is certified, and its exponential is
-  the counit, the polynomial of degree 0.  Anything else is refused.
+  Each tuple keeps its own series of powers (:func:`_series`): f^{⋆0}(u)
+  up to its last nonzero power, and the one value every later power has,
+  ``0j``, or NaN where a leg weight overflowed on u or below it (such a
+  series runs to deg(u), as the full one does, since there inf·0 = NaN).
+  A power left off is a ``0j``-started sum of finite weights times exact
+  zeros, ``+0j``, and dropping trailing ``0j`` coefficients changes no bit
+  of Horner's rule, so every value is the one the full series up to the
+  degree gives; the reference model of the tests keeps that full series as
+  the oracle.  On ``FINITE`` instances only the zero functional is
+  certified, and its exponential is the counit, the polynomial of degree
+  0.  Anything else is refused, by :func:`conv_power` too.
 
 Both forms are defined for every real t, so negative deformation
 parameters need no special treatment anywhere downstream.
@@ -60,13 +62,9 @@ Expanding again for every t, as :func:`_scalar_convolution` over
 Each map sums its row over that expansion in a hand-written loop, the
 kernels' store pattern with ``(c·e)·w`` per term (``tests/test_sum_loops.py``
 holds its measured reason).  Likewise each :class:`Cochain` keeps, per
-tuple, the legs of the coproduct on which it is nonzero, and its
-convolution powers, Taylor coefficients and support masks in three plain
-tables, filled from those legs by the recursion
-``f^{⋆j}(u) = Σ (c·f(u₍₁₎))·f^{⋆(j−1)}(u₍₂₎)``.  In the oscillator-full
-seed-1 batch the masks cut the ``conv_power`` calls from 18,385 to 2,187,
-and in an oscillator ``deform`` at budget 200 the stored powers from 7,390
-to 12.
+tuple, the legs of the coproduct on which it is nonzero, and its series of
+powers and Taylor coefficients in two plain tables, filled from those legs
+by the recursion ``f^{⋆k}(u) = Σ (c·f(u₍₁₎))·f^{⋆(k−1)}(u₍₂₎)``.
 
 The expansion, the nonzero legs and the scalar convolutions walk Λ through
 one filter-first walk, :func:`_legs_where`, which tests each leg on the
@@ -82,7 +80,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 
@@ -133,7 +130,9 @@ def _legs_where(instance: BialgebraInstance, keys: tuple, keep=None, side: int =
     ``keep`` is called on each leg's left tuple (``side`` 0) or right tuple
     (``side`` 1) and the leg is kept when the result is true; with no
     ``keep`` every leg is.  On a pair the other tuple and the coefficient
-    ``((1+0j)·c₁)·c₂`` are built only for the legs kept.
+    ``((1+0j)·c₁)·c₂`` are built only for the legs kept.  The pair branch
+    stays because the n-ary walk in its place read oscillator-full
+    ``wall_s`` +28% (three alternating 10-s perfbench pairs, slower in all).
     """
     rows = instance._comul_pairs
     if len(keys) == 2:
@@ -166,12 +165,12 @@ class Cochain:
 
     Arity 0 is a single scalar (the empty tuple).  Values are memoized per
     basis tuple; rules must be pure.  Per tuple it also keeps the nonzero
-    legs of the coproduct, the convolution powers f^{⋆2}, f^{⋆3}, … and the
-    Taylor coefficients of the exponential, which is certified once, and
-    under a degree-truncated certificate the support mask of its powers.
+    legs of the coproduct, and under a polynomial certificate, made once,
+    the series of its convolution powers (:func:`_series`) and the Taylor
+    coefficients of the exponential.
     """
 
-    __slots__ = ("instance", "arity", "name", "_cache", "_legs", "_powers", "_coeffs", "_masks", "_plan")
+    __slots__ = ("instance", "arity", "name", "_cache", "_legs", "_powers", "_coeffs", "_plan")
 
     def __init__(self, instance, arity: int, rule, name: str = "f"):
         if arity < 0:
@@ -188,11 +187,9 @@ class Cochain:
 
         values = self._cache = Memo(evaluate)
         self._legs = Memo(lambda keys: _nonzero_legs(instance, values, keys))
-        # plain tables, which refer back to no cochain: f^{⋆k}(u) at [k][u], Taylor coefficients at [u],
-        # and, once a degree-truncated plan is certified, the support masks of :func:`_support_mask` at [u]
-        self._powers: defaultdict = defaultdict(dict)
+        # plain tables, which refer back to no cochain: u's series of powers and its Taylor coefficients at [u]
+        self._powers: dict = {}
         self._coeffs: dict = {}
-        self._masks: dict | None = None
         self._plan: ConvExpPlan | None = None
 
     def value(self, keys: tuple) -> complex:
@@ -234,7 +231,9 @@ def _slot_sum(value, slots) -> complex:
     The slot loop of :meth:`Cochain.eval_mixed`: a basis key is the slot
     ``((k, 1+0j),)`` and an element its terms.  Each weight is
     ``(1+0j)·w₁·…·wₙ``, multiplied left to right; a choice whose weight is 0
-    is skipped, and the sum starts from ``0j``.
+    is skipped, and the sum starts from ``0j``.  The ``1+0j`` start is the
+    weight of the empty choice (arity 0); on the finite weights of elements
+    it changes at most a zero's sign, which the ``0j``-started sum drops.
     """
     total = 0j
     for combo in itertools.product(*slots):
@@ -319,79 +318,74 @@ def _closed_form(f: Cochain) -> bool:
     """Whether f's certified exponential is the closed form; plans f on first use."""
     if f._plan is None:
         f._plan = plan_conv_exp(f)
-        if f._plan.strategy == "degree_truncated":
-            f._masks = {}
     return f._plan.strategy == "closed_form_grouplike"
 
 
-def _support_mask(f: Cochain, keys: tuple) -> int:
-    """The support mask of f's powers on u: bit k is set when f^{⋆k}(u) can be nonzero.
+def _series(f: Cochain, keys: tuple) -> tuple:
+    """u's powers under a polynomial plan, as ``(powers, end)``, filled recursively.
 
-    Bit 1 is set when f(u) ≠ 0, and bit k+1 when bit k is set on the right
-    tuple of any of f's nonzero legs of u.  A leg whose weight ``c·f(left)``
-    is not finite gives the full mask, -1: there a power with a clear bit
-    would read inf·0 = NaN, not 0.  Only for a degree-truncated plan, where
-    f is normalized, so each nonzero leg lowers the degree and the recursion
-    ends; on a closed form or a finite plan the legs may cycle.
+    ``powers`` runs from f^{⋆0}(u) to the last nonzero power, each power
+    k ≥ 2 the ``0j``-started sum of w·f^{⋆(k−1)}(right) over f's nonzero
+    legs of u, a right tuple's power past its series read as its ``end``.
+    ``end``, the value of every later power, is ``0j``, or NaN when a leg
+    weight ``c·f(left)`` is not finite or a right tuple's ``end`` is NaN;
+    then ``powers`` runs to deg(u), as the full series does (inf·0 = NaN).
+    Each leg lowers the degree of a normalized f, so the recursion ends.
     """
-    table = f._masks
-    if keys in table:
-        return table[keys]
-    mask = 2 if f.value(keys) != 0 else 0
+    if keys in f._powers:
+        return f._powers[keys]
+    rights, top, finite = [], 1, True
     for right, w in f._legs[keys]:
-        if not cmath.isfinite(w):
-            mask = -1
-            break
-        mask |= _support_mask(f, right) << 1
-    table[keys] = mask
-    return mask
+        p, end = _series(f, right)
+        rights.append((w, p, end))
+        top = max(top, len(p))
+        finite = finite and end == 0 and cmath.isfinite(w)
+    if not finite:
+        top = tuple_degree(f.instance, keys)
+    powers = [tuple_counit(f.instance, keys), f.value(keys)]
+    powers += [_scalar(w * (p[k - 1] if k <= len(p) else end) for w, p, end in rights) for k in range(2, top + 1)]
+    while finite and len(powers) > 1 and powers[-1] == 0:
+        powers.pop()
+    f._powers[keys] = series = (tuple(powers), 0j if finite else complex(math.nan, math.nan))
+    return series
 
 
 def conv_power(f: Cochain, k: int, keys: tuple) -> complex:
     """k-th convolution power f^{⋆k} on a basis tuple (f^{⋆0} is the counit).
 
-    For k ≥ 2 it reads f's table of f^{⋆k}, first filling the tuple's entry
-    by f^{⋆k}(u) = Σ (c·f(u₍₁₎))·f^{⋆(k−1)}(u₍₂₎) over f's nonzero legs of u.
-    Under a degree-truncated plan a power whose bit of :func:`_support_mask`
-    is clear is ``0j`` at once and is not stored: summed in full it would be
-    a ``0j``-started sum of finite weights times exact zeros, which is ``+0j``.
+    f is certified first, as for :func:`conv_exp`.  Under a polynomial plan
+    the power is read from u's series (:func:`_series`), past whose end it is
+    the series's ``end``.  Under the closed form a power k ≥ 2 is
+    Σ (c·f(u₍₁₎))·f^{⋆(k−1)}(u₍₂₎) over u's one leg, recursed, stored nowhere.
     """
-    if k < 2:
-        if k < 0:
-            raise AlgebraError(f"no convolution power {k} of {f.name!r}")
-        return f.value(keys) if k == 1 else tuple_counit(f.instance, keys)
-    table = f._powers[k]
+    if k < 0:
+        raise AlgebraError(f"no convolution power {k} of {f.name!r}")
     keys = tuple(keys)
-    if keys not in table:
-        if f._masks is not None and not _support_mask(f, keys) >> k & 1:
-            return 0j
-        table[keys] = _scalar(f._legs[keys], f.value if k == 2 else partial(conv_power, f, k - 1))
-    return table[keys]
+    if not _closed_form(f):
+        powers, end = _series(f, keys)
+        return powers[k] if k < len(powers) else end
+    if k < 2:
+        return f.value(keys) if k == 1 else tuple_counit(f.instance, keys)
+    return _scalar(f._legs[keys], partial(conv_power, f, k - 1))
 
 
 def conv_exp_coeffs(f: Cochain, keys: tuple) -> tuple:
     """Taylor coefficients in t of e_⋆^{tf}(u), where its form is a polynomial.
 
-    On a graded connected instance the tuple ends at the highest power that
-    :func:`_support_mask` lets be nonzero, or at f(u), and never past
-    deg(u), where the powers vanish by degree; a power below that end whose
-    bit is clear is stored as ``0j``.  The powers left off are exact zeros,
-    and in Horner's rule ``0j·t + 0j`` is ``0j``, so :func:`conv_exp` reads
-    the same bits as from the full tuple of length deg(u)+1.  For the zero
-    functional on a finite instance it is ``(δ(u),)``.  It refuses what
-    :func:`conv_exp` refuses, and a grouplike closed form, which has no
-    polynomial.
+    They are ``f^{⋆k}(u)/k!`` over u's series (:func:`_series`), so they
+    end at u's last nonzero power, or with ``(δ(u),)`` for the zero
+    functional on a finite instance.  On a graded connected instance the
+    powers left off are ``+0j`` and a counit value has no −0 part, so
+    :func:`conv_exp` reads the same bits as from all deg(u)+1 of them.  It
+    refuses what :func:`conv_exp` refuses, and a grouplike closed form,
+    which has no polynomial.
     """
     if _closed_form(f):
         raise CapabilityMissingError(f"exp of {f.name!r} on {f.instance.name!r} is a closed form, not a polynomial")
     keys = tuple(keys)
     if keys not in f._coeffs:
-        top = 0
-        if f._masks is not None:
-            top = tuple_degree(f.instance, keys)
-            if top > 1 and (mask := _support_mask(f, keys)) >= 0:
-                top = min(top, max(1, mask.bit_length() - 1))
-        f._coeffs[keys] = tuple(conv_power(f, k, keys) / math.factorial(k) for k in range(top + 1))
+        size = len(_series(f, keys)[0])
+        f._coeffs[keys] = tuple(conv_power(f, k, keys) / math.factorial(k) for k in range(size))
     return f._coeffs[keys]
 
 
@@ -448,7 +442,9 @@ class LinMap:
         Its table takes that dict over and cleans it in place, at the
         threshold read at fill time, where :class:`LinMap` copies the rule's
         pairs first.  The package's own rules are built here: μⁿ, the scalar
-        convolutions and the maps of :func:`map_conv_exp`.
+        convolutions and the maps of :func:`map_conv_exp`.  The copying fill
+        in its place read cold-sweep ``job_s.p50`` +2.5% and ``job_s.tail``
+        +6.3%, slower in all four alternating 10-s perfbench pairs.
         """
         A = cls(instance, rank, rule, name)
         A._cache.compute = lambda keys: tuple(

@@ -85,9 +85,11 @@ value is stored only once computed, so an overflowing input raises the same
 table row into a slot (the coboundary, σ and its flipped form,
 ``compose_antipode_flip``, ``hermitian_conjugate``) read each row as the
 element ``dict(row)`` (:func:`_row_items`: the last duplicate key wins, then
-checked and pruned) and sum as the slot loop of ``Cochain.eval_mixed`` does,
-the coboundary in one pass over its row: weights ``(1+0j)·w₁·…·wₙ``
-multiplied left to right, a zero weight skipped, the sum from ``0j``.
+checked and pruned) and sum as the slot loop of ``Cochain.eval_mixed`` does:
+weights ``(1+0j)·w₁·…·wₙ`` multiplied left to right, a zero weight skipped,
+the sum from ``0j``.  The coboundary sums in one pass over its row, each
+term weighed by its finite coefficient alone, since the ``1+0j`` factors
+would change only a zero's sign, which the ``0j``-started sum drops.
 
 A sampled law's residual ``x.distance(y)`` equals ``(x - y).norm_inf()``
 but builds no difference element: it reads the difference coefficient by

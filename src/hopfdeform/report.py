@@ -13,22 +13,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 
-def fold_residuals(residuals) -> tuple[int, float]:
-    """Count a stream of samples and keep its largest residual.
-
-    Each item is one sample's residual, or a tuple of its residuals.  A
-    NaN residual is kept as the result, so the law it belongs to fails.
-    """
-    samples = 0
-    worst = 0.0
-    for item in residuals:
-        samples += 1
-        for r in item if isinstance(item, tuple) else (item,):
-            if r > worst or r != r:
-                worst = r
-    return samples, worst
-
-
 @dataclass(frozen=True)
 class Law:
     """A sampled law: ``residual(case, *args)`` at each case, ``per_case`` times.
@@ -50,10 +34,22 @@ class Law:
     draw: Callable = lambda stream: ()
 
     def fold(self, sampler) -> tuple[int, float]:
-        """Draw and evaluate every sample; return the count and the largest residual."""
+        """Draw and evaluate every sample, each giving a residual or a tuple of them.
+
+        Returns the sample count and the largest residual; a NaN residual is kept, so the law fails.
+        """
         stream = sampler if self.salt is None else sampler.spawn(self.salt)
         residual, draw, per_case = self.residual, self.draw, self.per_case
-        return fold_residuals(residual(case, *draw(stream)) for case in self.cases for _ in range(per_case))
+        samples = 0
+        worst = 0.0
+        for case in self.cases:
+            for _ in range(per_case):
+                item = residual(case, *draw(stream))
+                samples += 1
+                for r in item if isinstance(item, tuple) else (item,):
+                    if r > worst or r != r:
+                        worst = r
+        return samples, worst
 
 
 def run_laws(report: Report, sampler, laws) -> None:

@@ -219,6 +219,12 @@ def test_conv_exp_coeffs_refuse_what_conv_exp_refuses(osc, cubic):
     nonzero = hd.Cochain(h4, 2, lambda ks: 1.0 if ks == ("x", "x") else 0.0, name="xx")
     with pytest.raises(hd.CapabilityMissingError):
         conv_exp_coeffs(nonzero, ("g", "g"))
+    # conv_power certifies too, at every k, before it reads a series
+    for k in (0, 1, 2):
+        with pytest.raises(hd.NormalizationError):
+            hd.conv_power(hd.Cochain(osc, 1, lambda ks: 1.0, name="const1"), k, ((1, 0),))
+        with pytest.raises(hd.CapabilityMissingError):
+            hd.conv_power(hd.Cochain(h4, 2, lambda ks: 1.0 if ks == ("x", "x") else 0.0, name="xx"), k, ("g", "g"))
     L, _ = cubic
     with pytest.raises(hd.CapabilityMissingError):
         conv_exp_coeffs(L, ((1,), (2,)))
@@ -269,20 +275,44 @@ def _box(inst, top=4):
 
 
 def _dense(inst):
-    """A normalized arity-1 functional, nonzero off the unit with non-dyadic parts: every bit of its mask is set."""
+    """A normalized arity-1 functional, nonzero off the unit with non-dyadic parts: each series runs to the degree."""
     return hd.Cochain(inst, 1, lambda ks: 0j if ks[0] == inst.unit else complex(
         math.sin(1.3 * sum(i * e for i, e in enumerate(ks[0], 2))), -0.7 / (1 + sum(ks[0]))), name="dense")
 
 
-@pytest.mark.parametrize("case", ["oscillator", "three_generators", "dense", "near_limit"])
+def _shrinking():
+    """A graded instance on keys (n,) of degree n, not a bialgebra, whose coproduct coefficients shrink.
+
+    Δ(1) ∋ 2·(1)⊗(0) and Δ(3) ∋ 1e-300·(2)⊗(1), and f(1) = 1e308, f(2) = 1:
+    the leg of (1) overflows, while the one leg of (3) where f is nonzero is
+    finite, so the powers of (3) past the degree of (1) read inf·0 = NaN.
+    """
+    legs = {1: [((1,), (0,), 2.0)], 3: [((3,), (0,), 1.0), ((2,), (1,), 1e-300)]}  # each before (0)⊗(n)
+    inst = hd.BialgebraInstance(
+        "shrinking", hd.Kind.GRADED_CONNECTED, (0,),
+        mul_basis=lambda k1, k2: [((k1[0] + k2[0],), 1.0)],
+        comul_basis=lambda k: legs.get(k[0], [(k, (0,), 1.0)]) + [((0,), k, 1.0)] if k[0] else [(k, k, 1.0)],
+        counit_basis=lambda k: 0.0 if k[0] else 1.0,
+        degree=lambda k: k[0],
+    )
+    return inst, hd.Cochain(inst, 1, lambda ks: {1: 1e308, 2: 1.0}.get(ks[0][0], 0.0), name="shrinking")
+
+
+@pytest.mark.parametrize("case", ["oscillator", "three_generators", "dense", "near_limit",
+                                  "near_limit_three_generators", "shrinking"])
 def test_conv_exp_matches_the_full_series_on_a_box(osc, case):
     # the model sums every power up to the degree, so it is the oracle for the
-    # series that stops at the support mask's highest bit
+    # series that stops at each tuple's last nonzero power
     if case == "three_generators":
         inst = hd.symmetric_star_algebra(("x", "y", "z"))
         f = hd.make_primitive_bilinear_cocycle(inst, [[0.0, 0.3, -0.7j], [-0.3, 0.1, 1.3], [0.7j, -1.3, 0.0]])
     elif case == "near_limit":
         inst, f = osc, hd.make_primitive_bilinear_cocycle(osc, [[0.0, 1e308], [-1e308, 0.0]])
+    elif case == "near_limit_three_generators":
+        inst = hd.symmetric_star_algebra(("x", "y", "z"))
+        f = hd.make_primitive_bilinear_cocycle(inst, [[0.0, 1e308, -1e308j], [-1e308, 0.0, 0.5], [1e308j, -0.5, 0.0]])
+    elif case == "shrinking":
+        inst, f = _shrinking()
     else:
         inst = osc
         f = _dense(inst) if case == "dense" else hd.oscillator_cocycle(inst)
@@ -294,7 +324,7 @@ def test_conv_exp_matches_the_full_series_on_a_box(osc, case):
         coeffs = conv_exp_coeffs(f, u)
         if case == "dense":
             assert len(coeffs) == sum(degrees) + 1, u
-        elif case != "near_limit":
+        elif not case.startswith(("near_limit", "shrinking")):
             # L^{⋆k}(a⊗b) = 0 for k > min(deg a, deg b): L lives on degree (1, 1)
             assert len(coeffs) <= max(1, min(degrees)) + 1, (u, coeffs)
         for t in DEFAULT_T_GRID:
