@@ -496,7 +496,8 @@ def antipode_map(instance: BialgebraInstance) -> LinMap:
 
 def mu_n_map(instance: BialgebraInstance, n: int) -> LinMap:
     """Left-to-right product of n tensor slots."""
-    return LinMap._owned(instance, n, lambda keys: _key_product_terms(instance, keys), f"mul^{n}")
+    return LinMap._owned(instance, n, lambda keys: _key_product_terms(instance._mul_cache, instance.prune_eps, keys),
+                         f"mul^{n}")
 
 
 def map_conv_functional(A: LinMap, f: Cochain, name=None) -> LinMap:

@@ -53,8 +53,15 @@ changes between versions.
 The structure maps read one memo table per map on the instance (product,
 coproduct, counit, antipode, star) and feed its rows to a kernel; the
 iterated coproduct is Δ with its last slot expanded again by
-:func:`tensor_expand_slot`.  Λ, the coproduct of the tensor square, is read
-from the coproduct table when needed and kept nowhere.
+:func:`tensor_expand_slot`.  One more memo, per threshold, keeps the cleaned
+product of each basis tuple's elements (:func:`_key_product`), which
+:func:`tensor_mul_all` reads for each term of a tensor: in the seed-1
+perfbench batches its 12,220 terms fell on 70 distinct pairs on
+oscillator-full and 8,604 on 37 on group-full.  μ²'s table
+(``convolution.mu_n_map``) fills its own rows and does not read this one: a
+variant that did read cold-sweep ``wall_s`` +5% (worse in 4 of 4 alternating
+10-s pairs).  Λ, the coproduct of the tensor square, is read from the
+coproduct table when needed and kept nowhere.
 These loops stay hand-written, with the kernels' store pattern and their own
 grouping, each for the reason measured (paired perfbench ``wall_s``):
 
@@ -322,7 +329,10 @@ class BialgebraInstance:
         # instance, so an instance is freed as soon as its last user drops it
         self._counit_cache = Memo(lambda k: complex(counit_basis(k)))
         self._comul_pairs = Memo(lambda k: tuple(((a, b), complex(c)) for a, b, c in comul_basis(k)))
-        self._mul_cache = Memo(lambda pair: tuple((k, complex(c)) for k, c in mul_basis(*pair)))
+        mul_cache = self._mul_cache = Memo(lambda pair: tuple((k, complex(c)) for k, c in mul_basis(*pair)))
+        # per threshold, the product of each basis tuple's elements as a cleaned row (_key_product)
+        self._key_products = Memo(lambda prune: Memo(
+            lambda keys: tuple(_clean_terms(_key_product_terms(mul_cache, prune, keys), prune).items())))
         self._antipode_cache = Memo(lambda k: tuple((kk, complex(c)) for kk, c in antipode_basis(k)))
         self._star_cache = Memo(lambda k: tuple((kk, complex(c)) for kk, c in star_basis(k)))
 
@@ -709,14 +719,19 @@ def _key_product(instance: BialgebraInstance, keys) -> dict:
     """The terms of the product of basis keys, left to right, read from the product table.
 
     Each step multiplies the running product by the next key with
-    coefficient ``1+0j`` and prunes the result, as :func:`mul` would.
+    coefficient ``1+0j`` and prunes the result, as :func:`mul` would.  The
+    result is kept as a row in the instance's key-product table at the
+    current threshold, so each tuple is multiplied once per threshold; this
+    returns a copy.
     """
-    return _clean_terms(_key_product_terms(instance, keys), instance.prune_eps)
+    return dict(instance._key_products[instance.prune_eps][tuple(keys)])
 
 
-def _key_product_terms(instance: BialgebraInstance, keys) -> dict:
-    """:func:`_key_product` before the last step's check and pruning, a fresh dict for a caller that cleans it."""
-    table, prune = instance._mul_cache, instance.prune_eps
+def _key_product_terms(table: Memo, prune: float, keys) -> dict:
+    """:func:`_key_product` on a product table at a threshold, before the last step's check and pruning.
+
+    A fresh dict for a caller that cleans it.
+    """
     # the basis element 1·k₀ checked and pruned (1+0j is finite, of modulus 1);
     # each later running product is checked and pruned before the next step
     acc = {keys[0]: _ONE} if 1.0 >= prune else {}
@@ -729,12 +744,13 @@ def tensor_mul_all(u: TensorElement) -> Element:
     """Multiply the two slots of a tensor square together.
 
     Each term ``c·k₁⊗k₂`` adds c times the product of the basis elements
-    1·k₁ and 1·k₂, checked and pruned as :func:`_key_product` builds it.
+    1·k₁ and 1·k₂, read from the key-product table of :func:`_key_product`
+    at the current threshold.
     """
     if u.rank != 2:
         raise AlgebraError("tensor_mul_all is defined on rank-2 tensors")
     inst = u.instance
-    return _element(inst, _linear(u.terms.items(), lambda pair: _key_product(inst, pair).items()))
+    return _element(inst, _linear(u.terms.items(), inst._key_products[inst.prune_eps].__getitem__))
 
 
 # -- canonical rendering -----------------------------------------------------

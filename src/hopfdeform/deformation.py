@@ -19,14 +19,19 @@ S_t = S ⋆ e_⋆^{−tσ} and Φ_t = id ⋆ e_⋆^{tψ}
 (:func:`~hopfdeform.convolution.map_conv_exp`).  t enters only through the
 scalar exponential, so each basis tuple's coproduct expansion is computed
 once and shared by every t; the map for each t is still built once per
-deformation and memoized there.
+deformation and memoized there.  For the antipode identity a deformation
+also keeps, per t and threshold, two tables on basis pairs,
+μ_t(S_t(k₁)⊗k₂) and μ_t(k₁⊗S_t(k₂)), each filled from the S_t and μ_t
+tables and closing over nothing else.
 
 Every theorem-shaped statement is realized as a sampled law check that
 reports a max residual against a tolerance; the verification suites never
 raise on failure.  Each suite is a table of :class:`~hopfdeform.report.Law`
 records, each with its own salt, cases and argument draw, and
 :func:`~hopfdeform.report.run_laws` records them in table order, so reports
-are deterministic for a given (seed, budget).
+are deterministic for a given (seed, budget).  Each residual is a pure
+function of its case and drawn arguments, so a law evaluates a repeated key
+draw once per case (:meth:`~hopfdeform.report.Law.fold`).
 """
 from __future__ import annotations
 
@@ -119,6 +124,8 @@ class Deformation:
         self._mul_maps = map_conv_exp(mu_n_map(instance, 2), generator)
         # S ⋆ e_⋆^{sσ} per s, built on first use since σ is computed lazily
         self._antipode_maps: Memo | None = None
+        # per (t, prune_eps), the tables of μ_t(S_t(k₁)⊗k₂) and μ_t(k₁⊗S_t(k₂)) on basis pairs
+        self._antipode_rows: dict = {}
         self._phis = None if witness is None else map_conv_exp(identity_map(instance), witness)
 
     def sigma(self) -> Cochain:
@@ -215,34 +222,59 @@ def _antipode_sides(D: Deformation, t: float, a: Element) -> tuple[dict, dict]:
     """μ_t∘(S_t⊗id)∘Δ(a) and μ_t∘(id⊗S_t)∘Δ(a) as terms dicts, summed leg by leg.
 
     A leg c·k₁⊗k₂ of Δ(a) adds c·μ_t(S_t(k₁)⊗k₂) to the left side and
-    c·μ_t(k₁⊗S_t(k₂)) to the right, read from the S_t and μ_t tables.  Each
-    product of the element chain S_t(e₁), μ_t(·⊗e₂), c·(·), side + (·) is
-    kept, the coefficient 1+0j of the basis elements e = 1·k included, and
-    each dict is cleaned where that chain built an element, so every
-    coefficient has the chain's bits.
+    c·μ_t(k₁⊗S_t(k₂)) to the right, each read from D's table of them at t
+    and the current threshold (:func:`_antipode_row_tables`).  A leg reads
+    its left row, adds it, then reads its right row and adds it, so a
+    non-finite value raises where the element chain meets it.  Each product
+    of the element chain S_t(e₁), μ_t(·⊗e₂), c·(·), side + (·) is kept, the
+    coefficient 1+0j of the basis elements e = 1·k included, and each dict
+    is cleaned where that chain built an element, so every coefficient has
+    the chain's bits.
     """
     prune = D.instance.prune_eps
-    s_t, mu_t = deformed_antipode(D, t)._cache, D._mul_maps[t]._cache
+    s_t = deformed_antipode(D, t)
     lhs: dict = {}
     rhs: dict = {}
     if not 1.0 >= prune:  # every basis element 1·k is pruned to zero, and with it every leg
         return lhs, rhs
-    for (k1, k2), c in comul(a).terms.items():
-        s1 = _clean_terms({key: _ONE * w for key, w in s_t[k1]}, prune)
-        _add_scaled(lhs, c, _bilinear(s1.items(), ((k2, _ONE),), mu_t), prune)
-        s2 = _clean_terms({key: _ONE * w for key, w in s_t[k2]}, prune)
-        _add_scaled(rhs, c, _bilinear(((k1, _ONE),), s2.items(), mu_t), prune)
+    tables = D._antipode_rows
+    if (t, prune) not in tables:
+        tables[t, prune] = _antipode_row_tables(s_t._cache, D._mul_maps[t]._cache, prune)
+    left, right = tables[t, prune]
+    for pair, c in comul(a).terms.items():
+        _add_scaled(lhs, c, left[pair], prune)
+        _add_scaled(rhs, c, right[pair], prune)
     return lhs, rhs
 
 
-def _add_scaled(acc: dict, c: complex, terms: dict, prune: float) -> None:
-    """Add c·terms into ``acc``, cleaning ``terms``, the scaled dict and ``acc`` as the elements were.
+def _antipode_row_tables(s_t: Memo, mu_t: Memo, prune: float) -> tuple[Memo, Memo]:
+    """The tables of μ_t(S_t(k₁)⊗k₂) and μ_t(k₁⊗S_t(k₂)) on basis pairs, from the S_t and μ_t tables.
 
-    ``acc`` is clean before the leg, so only the keys the leg touches are
-    checked; a non-finite one sends ``acc`` through :func:`_clean_terms`,
-    which names the first non-finite coefficient in its dict order.
+    Each row is the element chain's cleaned terms dict: S_t(1·k) from S_t's
+    row with the weights (1+0j)·w, cleaned, then μ_t of it and the other
+    basis element, cleaned.  A row is kept only once computed, so a
+    non-finite one raises again on every read.
     """
-    scaled = _clean_terms({k: c * v for k, v in _clean_terms(terms, prune).items()}, prune)
+    def left(pair):
+        s1 = _clean_terms({key: _ONE * w for key, w in s_t[pair[0]]}, prune)
+        return _clean_terms(_bilinear(s1.items(), ((pair[1], _ONE),), mu_t), prune)
+
+    def right(pair):
+        s2 = _clean_terms({key: _ONE * w for key, w in s_t[pair[1]]}, prune)
+        return _clean_terms(_bilinear(((pair[0], _ONE),), s2.items(), mu_t), prune)
+
+    return Memo(left), Memo(right)
+
+
+def _add_scaled(acc: dict, c: complex, terms: dict, prune: float) -> None:
+    """Add c·terms into ``acc``, cleaning the scaled dict and ``acc`` as the elements were.
+
+    ``terms`` is clean and is not changed.  ``acc`` is clean before the
+    leg, so only the keys the leg touches are checked; a non-finite one
+    sends ``acc`` through :func:`_clean_terms`, which names the first
+    non-finite coefficient in its dict order.
+    """
+    scaled = _clean_terms({k: c * v for k, v in terms.items()}, prune)
     for key, v in scaled.items():
         cur = acc.get(key)
         acc[key] = v if cur is None else cur + v

@@ -6,6 +6,14 @@ Reports serialize to JSON with sorted keys so that identical inputs give
 byte-identical output.  Every sampled check is a :class:`Law` record:
 :meth:`Law.fold` draws, evaluates and folds one law, and :func:`run_laws`
 records a suite's law table in order.
+
+A residual is a pure function of its case and its drawn arguments, and
+never draws from a stream itself, so :meth:`Law.fold` evaluates it once per
+distinct draw in a case: a sample whose arguments are hashable and equal an
+earlier sample's in the same case adds that sample's residual, which is
+already folded, and is not evaluated again.  Element draws are unhashable
+and evaluate every sample.  Fewer evaluations change no report byte, since
+the fold keeps the largest residual and a NaN.
 """
 from __future__ import annotations
 
@@ -21,7 +29,8 @@ class Law:
     A law with a ``salt`` draws each sample's arguments as ``draw(stream)``
     from its own stream ``sampler.spawn(salt)``, so laws sharing a salt see
     the same draws; a law without one draws from ``sampler`` as given, and
-    the default draw takes nothing.
+    the default draw takes nothing.  ``residual`` is a pure function of the
+    case and the drawn arguments and draws from no stream itself.
     """
 
     law_id: str
@@ -34,22 +43,48 @@ class Law:
     draw: Callable = lambda stream: ()
 
     def fold(self, sampler) -> tuple[int, float]:
-        """Draw and evaluate every sample, each giving a residual or a tuple of them.
+        """Draw every sample and fold its residual, or its tuple of residuals.
 
-        Returns the sample count and the largest residual; a NaN residual is kept, so the law fails.
+        Returns the sample count and the largest residual; a NaN residual is
+        kept, so the law fails.  Within a case, a draw equal to an earlier
+        one is counted but not evaluated again: its residual is folded
+        already, and folding it twice changes nothing.  Whether draws are
+        kept is decided once, on the law's first draw: only when there are
+        several samples per case and that draw is hashable.  A later draw
+        that cannot be hashed is evaluated and not kept.
         """
         stream = sampler if self.salt is None else sampler.spawn(self.salt)
         residual, draw, per_case = self.residual, self.draw, self.per_case
         samples = 0
         worst = 0.0
+        keep = None
         for case in self.cases:
+            seen = set()  # this case's draws so far; 0.0 and -0.0 are two cases
             for _ in range(per_case):
-                item = residual(case, *draw(stream))
+                args = draw(stream)
                 samples += 1
+                if keep is None:
+                    keep = per_case > 1 and _hashable(args)
+                if keep:
+                    try:
+                        if args in seen:
+                            continue
+                        seen.add(args)
+                    except TypeError:  # unhashable after all
+                        pass
+                item = residual(case, *args)
                 for r in item if isinstance(item, tuple) else (item,):
                     if r > worst or r != r:
                         worst = r
         return samples, worst
+
+
+def _hashable(args) -> bool:
+    try:
+        hash(args)
+    except TypeError:
+        return False
+    return True
 
 
 def run_laws(report: Report, sampler, laws) -> None:

@@ -169,6 +169,59 @@ def test_a_non_finite_leg_raises_the_error_of_the_element_chain(z2_deformation):
     assert str(got.value) == str(want.value)
 
 
+def _lopsided(left=2.0, big=1e200):
+    """A finite instance, no bialgebra, with one leg p ↦ q⊗r whose left and right rows are set apart.
+
+    Every other key k has Δ(k) = k⊗1 and δ(k) = 0, so with L = 0 each S_t
+    and μ_t row is the S and μ row: μ_t(S_t(q)⊗r) = μ(q⊗r) = left·m, and
+    μ_t(q⊗S_t(r)) = μ(q⊗big·s) = big·big·n, which overflows at the default.
+    """
+    keys = ("1", "p", "q", "r", "s", "m", "n")
+    products = {("q", "r"): [("m", left)], ("q", "s"): [("n", big)]}
+    inst = hd.BialgebraInstance(
+        "lopsided", hd.Kind.FINITE, "1",
+        mul_basis=lambda a, b: [(b, 1.0)] if a == "1" else [(a, 1.0)] if b == "1" else products.get((a, b), []),
+        comul_basis=lambda k: [("q", "r", 1.0)] if k == "p" else [(k, "1", 1.0)],
+        counit_basis=lambda k: 1.0 if k == "1" else 0.0,
+        antipode_basis=lambda k: [("s", big)] if k == "r" else [(k, 1.0)],
+        basis_iter=lambda: keys,
+    )
+    return inst, hd.Deformation(inst, hd.zero_cochain(inst, 2), None, hd.ElementSampler(inst, seed=5, budget=20))
+
+
+def test_a_left_add_that_overflows_raises_before_the_right_row():
+    # the leg's left row is finite and its add overflows; reading the right
+    # row first would raise the right row's error, at key n, instead
+    inst, D = _lopsided()
+    m = ref.Model(inst)
+    a = inst.element({"p": 1e308})
+    with pytest.raises(NonFiniteError) as want:
+        _model_sides(m, D, 0.5)(a)
+    with pytest.raises(NonFiniteError) as got:
+        _antipode_sides(D, 0.5, a)
+    assert str(got.value) == str(want.value)
+    assert "at basis key 'm'" in str(got.value)
+    # at a finite coefficient the left side is the row, and the right row still overflows
+    with pytest.raises(NonFiniteError, match="at basis key 'n'"):
+        _antipode_sides(D, 0.5, inst.element({"p": 1.0}))
+
+
+def test_the_antipode_tables_are_read_at_the_current_threshold():
+    # the left row 0.5·m is kept at the default threshold and pruned at 0.75,
+    # though twice it, the leg's term, is not
+    inst, D = _lopsided(left=0.5, big=1.0)
+    m = ref.Model(inst)
+    a = inst.element({"p": 2.0})
+    _same_sides(m, D, 0.5, [a])
+    assert _antipode_sides(D, 0.5, a)[0] == {"m": 1.0}
+    inst.prune_eps = 0.75
+    try:
+        _same_sides(m, D, 0.5, [a])
+        assert _antipode_sides(D, 0.5, a) == ({}, {"n": 2.0})
+    finally:
+        inst.prune_eps = EPS_PRUNE
+
+
 def test_a_running_sum_names_its_first_non_finite_key_in_dict_order():
     m = ref.Model(hd.group_algebra_zd(2))  # the default threshold
     # the leg touches y before x, but x comes first in the running dict

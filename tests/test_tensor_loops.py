@@ -3,7 +3,7 @@ import pytest
 
 import hopfdeform as hd
 from hopfdeform.convolution import tuple_comul_terms
-from hopfdeform.core import AlgebraError, TensorElement, _key_product, tensor_apply, tensor_mul
+from hopfdeform.core import EPS_PRUNE, AlgebraError, TensorElement, _key_product, tensor_apply, tensor_mul, tensor_mul_all
 from hopfdeform.deformation import _deformed_mul_square
 
 import reference as ref
@@ -93,6 +93,25 @@ def test_a_key_product_prunes_after_each_step():
         ref.same(_key_product(inst, keys), ref.Model(inst).key_product(keys))
     assert not _key_product(inst, (1, 1, 1))
     assert _key_product(inst, (2, 1)) == {3: 1e3 + 0j}
+
+
+def test_tensor_mul_all_reads_the_threshold_of_each_call():
+    # 1·1 = 1e-13·2 is pruned at the default threshold and kept at 0
+    inst = hd.BialgebraInstance(
+        "tiny", hd.Kind.FINITE, 0,
+        mul_basis=lambda a, b: [(a + b, 1e-13 if (a, b) == (1, 1) else 1e3)],
+        comul_basis=lambda k: [(k, k, 1.0)], counit_basis=lambda k: 1.0,
+    )
+    m = ref.Model(inst)
+    u = hd.TensorElement(inst, 2, {(1, 1): 1.0, (2, 1): 0.5})
+    for prune in (EPS_PRUNE, 0.0, EPS_PRUNE):
+        inst.prune_eps = prune
+        try:
+            got = tensor_mul_all(u)
+            ref.same(got.terms, m.mul_all(u.terms))
+            assert (2 in got.terms) == (prune == 0.0)
+        finally:
+            inst.prune_eps = EPS_PRUNE
 
 
 def test_rank_three_tensors_are_refused():
