@@ -17,15 +17,14 @@ forms:
   ``f^{⋆k}(u)/k!`` are cached per tuple.  On ``GRADED_CONNECTED``
   instances a normalized functional vanishes on the unique degree-0 basis
   tuple, so ``f^{⋆k}(u) = 0`` exactly for k above the total degree of u.
-  Each tuple keeps its own series of powers (:func:`_series`): f^{⋆0}(u)
-  up to its last nonzero power, and the one value every later power has,
-  ``0j``, or NaN where a leg weight overflowed on u or below it (such a
-  series runs to deg(u), as the full one does, since there inf·0 = NaN).
-  A power left off is a ``0j``-started sum of finite weights times exact
-  zeros, ``+0j``, and dropping trailing ``0j`` coefficients changes no bit
-  of Horner's rule, so every value is the one the full series up to the
-  degree gives; the reference model of the tests keeps that full series as
-  the oracle.  On ``FINITE`` instances only the zero functional is
+  Each tuple keeps its own series of powers (:func:`_series`), f^{⋆0}(u)
+  up to its last nonzero power, and a leg weight that is not finite is
+  refused where it is made, with :class:`NonFiniteError`.  A power left off
+  is then a ``0j``-started sum of finite weights times exact zeros,
+  ``+0j``, and dropping trailing ``0j`` coefficients changes no bit of
+  Horner's rule, so every value is the one the full series up to the degree
+  gives; the reference model of the tests keeps that full series as the
+  oracle.  On ``FINITE`` instances only the zero functional is
   certified, and its exponential is the counit, the polynomial of degree
   0.  Anything else is refused, by :func:`conv_power` too.
 
@@ -42,11 +41,12 @@ read the rows directly.  A row is filled in one of two ways:
 
 * a ``LinMap`` built by a user (and the identity and antipode maps) copies
   its rule's pairs, then checks and prunes the copy;
-* the package's own rules, μⁿ, the scalar convolutions and the maps of
+* the package's own rules, μ¹, the scalar convolutions and the maps of
   :func:`map_conv_exp`, return a fresh terms dict that nothing else holds,
   and ``LinMap._owned`` has the table check and prune that dict in place,
-  so each row is cleaned once and never copied (μ²'s pair row comes from
-  ``core._key_product_terms``, which leaves its last clean to the table).
+  so each row is cleaned once and never copied; μⁿ for n ≥ 2 reads the
+  instance's key-product table, filled the same way from
+  ``core._key_product_terms`` at the threshold of the map's build.
 
 Both check and prune at the threshold read at fill time and give the same
 row.  Together with the Λ filter below and the loop-form cocycle rules of
@@ -154,10 +154,6 @@ def tuple_counit(instance: BialgebraInstance, keys: tuple) -> complex:
     for k in keys:
         c *= table[k]
     return c
-
-
-def tuple_degree(instance: BialgebraInstance, keys: tuple) -> int:
-    return sum(instance.degree_key(k) for k in keys)
 
 
 class Cochain:
@@ -322,31 +318,29 @@ def _closed_form(f: Cochain) -> bool:
 
 
 def _series(f: Cochain, keys: tuple) -> tuple:
-    """u's powers under a polynomial plan, as ``(powers, end)``, filled recursively.
+    """u's powers under a polynomial plan, f^{⋆0}(u) up to the last nonzero one, filled recursively.
 
-    ``powers`` runs from f^{⋆0}(u) to the last nonzero power, each power
-    k ≥ 2 the ``0j``-started sum of w·f^{⋆(k−1)}(right) over f's nonzero
-    legs of u, a right tuple's power past its series read as its ``end``.
-    ``end``, the value of every later power, is ``0j``, or NaN when a leg
-    weight ``c·f(left)`` is not finite or a right tuple's ``end`` is NaN;
-    then ``powers`` runs to deg(u), as the full series does (inf·0 = NaN).
-    Each leg lowers the degree of a normalized f, so the recursion ends.
+    Each power k ≥ 2 is the ``0j``-started sum of w·f^{⋆(k−1)}(right) over
+    f's nonzero legs of u, a right tuple's power past its series read as
+    ``0j``.  A leg weight ``w = c·f(left)`` that is not finite raises
+    :class:`NonFiniteError` naming f, u and w, before its right tuple is
+    expanded, as the closed form refuses an overflowing ``exp``.  Each leg
+    lowers the degree of a normalized f, so the recursion ends.
     """
     if keys in f._powers:
         return f._powers[keys]
-    rights, top, finite = [], 1, True
+    rights, top = [], 1
     for right, w in f._legs[keys]:
-        p, end = _series(f, right)
-        rights.append((w, p, end))
+        if not cmath.isfinite(w):
+            raise NonFiniteError(f"non-finite leg weight {w!r} of {f.name} on {keys!r}, right tuple {right!r}")
+        p = _series(f, right)
+        rights.append((w, p))
         top = max(top, len(p))
-        finite = finite and end == 0 and cmath.isfinite(w)
-    if not finite:
-        top = tuple_degree(f.instance, keys)
     powers = [tuple_counit(f.instance, keys), f.value(keys)]
-    powers += [_scalar(w * (p[k - 1] if k <= len(p) else end) for w, p, end in rights) for k in range(2, top + 1)]
-    while finite and len(powers) > 1 and powers[-1] == 0:
+    powers += [_scalar(w * p[k - 1] for w, p in rights if k <= len(p)) for k in range(2, top + 1)]
+    while len(powers) > 1 and powers[-1] == 0:
         powers.pop()
-    f._powers[keys] = series = (tuple(powers), 0j if finite else complex(math.nan, math.nan))
+    f._powers[keys] = series = tuple(powers)
     return series
 
 
@@ -355,15 +349,15 @@ def conv_power(f: Cochain, k: int, keys: tuple) -> complex:
 
     f is certified first, as for :func:`conv_exp`.  Under a polynomial plan
     the power is read from u's series (:func:`_series`), past whose end it is
-    the series's ``end``.  Under the closed form a power k ≥ 2 is
+    ``0j``.  Under the closed form a power k ≥ 2 is
     Σ (c·f(u₍₁₎))·f^{⋆(k−1)}(u₍₂₎) over u's one leg, recursed, stored nowhere.
     """
     if k < 0:
         raise AlgebraError(f"no convolution power {k} of {f.name!r}")
     keys = tuple(keys)
     if not _closed_form(f):
-        powers, end = _series(f, keys)
-        return powers[k] if k < len(powers) else end
+        powers = _series(f, keys)
+        return powers[k] if k < len(powers) else 0j
     if k < 2:
         return f.value(keys) if k == 1 else tuple_counit(f.instance, keys)
     return _scalar(f._legs[keys], partial(conv_power, f, k - 1))
@@ -384,7 +378,7 @@ def conv_exp_coeffs(f: Cochain, keys: tuple) -> tuple:
         raise CapabilityMissingError(f"exp of {f.name!r} on {f.instance.name!r} is a closed form, not a polynomial")
     keys = tuple(keys)
     if keys not in f._coeffs:
-        size = len(_series(f, keys)[0])
+        size = len(_series(f, keys))
         f._coeffs[keys] = tuple(conv_power(f, k, keys) / math.factorial(k) for k in range(size))
     return f._coeffs[keys]
 
@@ -495,9 +489,16 @@ def antipode_map(instance: BialgebraInstance) -> LinMap:
 
 
 def mu_n_map(instance: BialgebraInstance, n: int) -> LinMap:
-    """Left-to-right product of n tensor slots."""
-    return LinMap._owned(instance, n, lambda keys: _key_product_terms(instance._mul_cache, instance.prune_eps, keys),
-                         f"mul^{n}")
+    """Left-to-right product of n tensor slots.
+
+    For n ≥ 2 its table is the instance's key-product table at the threshold
+    of this call, so every μⁿ of an instance shares its rows, each filled once.
+    """
+    A = LinMap._owned(instance, n, lambda keys: _key_product_terms(instance._mul_cache, instance.prune_eps, keys),
+                      f"mul^{n}")
+    if n > 1:
+        A._cache = instance._key_products[instance.prune_eps]
+    return A
 
 
 def map_conv_functional(A: LinMap, f: Cochain, name=None) -> LinMap:

@@ -22,13 +22,13 @@ The tables of the linear maps, the instance's product, coproduct, antipode
 and star tables and a ``LinMap``'s table alike, hold one row format: a tuple
 of ``(key, w)`` pairs, keyed by the bare basis key on rank 1 and by the
 basis tuple above it.  Every table rule returns the value's ``(key, coeff)``
-pairs, as a row or a mapping, never an element, as :func:`_key_product` does.
-A ``LinMap`` copies a user rule's pairs before it cleans them; the package's
-own map rules hand their fresh dict over to be cleaned in place, as the
-structure maps do (``convolution.LinMap._owned``).  μ²'s rule is
-:func:`_key_product_terms`, the key product before its last clean, so its
-row on a pair is cleaned once, by the table, where the copying fill cleaned
-it three times and copied it once.
+pairs, as a row or a mapping, never an element, as :func:`_key_product_terms`
+does.  A ``LinMap`` copies a user rule's pairs before it cleans them; the
+package's own map rules hand their fresh dict over to be cleaned in place, as
+the structure maps do (``convolution.LinMap._owned``), and so does the
+instance's key-product table, whose rule is :func:`_key_product_terms`, the
+key product before its last clean, so each row is cleaned once, where the
+copying fill cleaned it three times and copied it once.
 
 Sums go through four kernels under one summation-order contract, which fixes
 the last bit of every coefficient and so the bytes of every report: each
@@ -43,8 +43,8 @@ changes between versions.
   of a ``LinMap`` on an element or a tensor.
 * :func:`_bilinear`: Σ (ca·cb)·table[ka, kb] over two term lists, read from
   a rank-2 table, ``(ca * cb) * w``; :func:`mul`, a ``LinMap`` on a pair and
-  each step of :func:`_key_product`, whose products :func:`tensor_mul_all`
-  sums through :func:`_linear`.
+  each step of :func:`_key_product_terms`, whose products
+  :func:`tensor_mul_all` sums through :func:`_linear`.
 * :func:`_row_pairs`: Σ c·(row₁⊗row₂) over ``(c, row₁, row₂)`` legs,
   ``(c * w₁) * w₂`` at ``(k₁, k₂)``; the rank-2 sums :func:`tensor_mul`,
   :func:`tensor_apply` and the deformed antipode's (S_t⊗S_r)∘τ∘Δ.
@@ -54,14 +54,17 @@ The structure maps read one memo table per map on the instance (product,
 coproduct, counit, antipode, star) and feed its rows to a kernel; the
 iterated coproduct is Δ with its last slot expanded again by
 :func:`tensor_expand_slot`.  One more memo, per threshold, keeps the cleaned
-product of each basis tuple's elements (:func:`_key_product`), which
+product of each basis tuple's elements (:func:`_key_product_terms`), which
 :func:`tensor_mul_all` reads for each term of a tensor: in the seed-1
 perfbench batches its 12,220 terms fell on 70 distinct pairs on
-oscillator-full and 8,604 on 37 on group-full.  μ²'s table
-(``convolution.mu_n_map``) fills its own rows and does not read this one: a
-variant that did read cold-sweep ``wall_s`` +5% (worse in 4 of 4 alternating
-10-s pairs).  Λ, the coproduct of the tensor square, is read from the
-coproduct table when needed and kept nowhere.
+oscillator-full and 8,604 on 37 on group-full.  It is also the table of μⁿ
+for n ≥ 2 (``convolution.mu_n_map``), so the commuting residual and a
+deformation's base map share μ²'s rows, each filled once per instance.
+Against a μ² that filled its own rows this read cold-sweep ``wall_s`` +0.4%
+(inside the quartiles) and ``peak_rss_mb`` −0.8% (lower in all ten
+alternating 10-s perfbench pairs), oscillator-full ``wall_s`` −0.7% and
+group-full +0.0% (five pairs each).  Λ, the coproduct of the tensor square,
+is read from the coproduct table when needed and kept nowhere.
 These loops stay hand-written, with the kernels' store pattern and their own
 grouping, each for the reason measured (paired perfbench ``wall_s``):
 
@@ -330,7 +333,7 @@ class BialgebraInstance:
         self._counit_cache = Memo(lambda k: complex(counit_basis(k)))
         self._comul_pairs = Memo(lambda k: tuple(((a, b), complex(c)) for a, b, c in comul_basis(k)))
         mul_cache = self._mul_cache = Memo(lambda pair: tuple((k, complex(c)) for k, c in mul_basis(*pair)))
-        # per threshold, the product of each basis tuple's elements as a cleaned row (_key_product)
+        # per threshold, the product of each basis tuple's elements as a cleaned row (_key_product_terms)
         self._key_products = Memo(lambda prune: Memo(
             lambda keys: tuple(_clean_terms(_key_product_terms(mul_cache, prune, keys), prune).items())))
         self._antipode_cache = Memo(lambda k: tuple((kk, complex(c)) for kk, c in antipode_basis(k)))
@@ -715,22 +718,14 @@ def tensor_contract_slot(u: TensorElement, slot: int) -> TensorElement | Element
     return TensorElement(inst, rank - 1, acc)  # refuses rank 0
 
 
-def _key_product(instance: BialgebraInstance, keys) -> dict:
-    """The terms of the product of basis keys, left to right, read from the product table.
+def _key_product_terms(table: Memo, prune: float, keys) -> dict:
+    """The terms of the product of basis keys, left to right, read from a product table at a threshold.
 
     Each step multiplies the running product by the next key with
-    coefficient ``1+0j`` and prunes the result, as :func:`mul` would.  The
-    result is kept as a row in the instance's key-product table at the
-    current threshold, so each tuple is multiplied once per threshold; this
-    returns a copy.
-    """
-    return dict(instance._key_products[instance.prune_eps][tuple(keys)])
-
-
-def _key_product_terms(table: Memo, prune: float, keys) -> dict:
-    """:func:`_key_product` on a product table at a threshold, before the last step's check and pruning.
-
-    A fresh dict for a caller that cleans it.
+    coefficient ``1+0j`` and prunes the result, as :func:`mul` would, but
+    the last step's result is neither checked nor pruned: a fresh dict for a
+    caller that cleans it, as the instance's key-product table does, so each
+    tuple is multiplied once per threshold.
     """
     # the basis element 1·k₀ checked and pruned (1+0j is finite, of modulus 1);
     # each later running product is checked and pruned before the next step
@@ -744,8 +739,8 @@ def tensor_mul_all(u: TensorElement) -> Element:
     """Multiply the two slots of a tensor square together.
 
     Each term ``c·k₁⊗k₂`` adds c times the product of the basis elements
-    1·k₁ and 1·k₂, read from the key-product table of :func:`_key_product`
-    at the current threshold.
+    1·k₁ and 1·k₂, read from the instance's key-product table at the
+    current threshold.
     """
     if u.rank != 2:
         raise AlgebraError("tensor_mul_all is defined on rank-2 tensors")

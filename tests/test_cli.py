@@ -190,19 +190,20 @@ def test_h4_report_digest(command):
 
 
 # sha256 of report_json for the oscillator with pairing entries at ±1e308, at
-# budget 25: σ and the convolution powers overflow, and a power that would be
-# 0 on finite values turns NaN through inf·0, so these pin where each run meets
-# its first non-finite value and what it reports there.  With only
-# L(x⊗x*) = 1e308 and degree ≤ 2, that first value is such a NaN power.
+# budget 25, and the number of results each report holds: σ and the
+# convolution powers overflow, so these pin where each run meets its first
+# non-finite value and what it reports there.  With only L(x⊗x*) = 1e308 and
+# degree ≤ 2, that first value is a leg weight 2·1e308 on the tuple xx*⊗x*²,
+# which the convolution exponential refuses.
 NEAR_LIMIT_PAIRINGS = {
     "antisymmetric": ([[[0.0, 0.0], [1e308, 0.0]], [[-1e308, 0.0], [0.0, 0.0]]], 4),
     "one_sided": ([[[0.0, 0.0], [1e308, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], 2),
 }
 NEAR_LIMIT_DIGESTS = {
-    ("antisymmetric", "antipode"): "c47c404e5d94b791b18d8a12506809111e441d83fc924cdb8c2a0b1a604f5520",
-    ("antisymmetric", "full-report"): "29ca6fa004fa1c8e28e17db9635d948040d98f36979f9a376d234ccac79d1343",
-    ("one_sided", "antipode"): "2d6afe897c64b1f515f68b9015ca49d61afac3d2bdbc5a5ffaf8fe0336a9189e",
-    ("one_sided", "full-report"): "ed00f1f33acdca893477fd0024f98d8af65a4da9a5a188b2bbc4d71707ab35d0",
+    ("antisymmetric", "antipode"): ("c47c404e5d94b791b18d8a12506809111e441d83fc924cdb8c2a0b1a604f5520", 1),
+    ("antisymmetric", "full-report"): ("29ca6fa004fa1c8e28e17db9635d948040d98f36979f9a376d234ccac79d1343", 1),
+    ("one_sided", "antipode"): ("f4392ebd4bb00cae23483bdd535250356e8f4ac9dfa6ca65f6a55ad4db026881", 4),
+    ("one_sided", "full-report"): ("a9bc6878b4d801cc8cf873ea9c61ed1d384a5eaf28561dd11101f6b3dfc928e8", 16),
 }
 
 
@@ -218,9 +219,14 @@ def test_near_limit_pairing_report_digest(pairing, command):
         "command": command,
     })
     report = run_config(cfg)
+    digest, results = NEAR_LIMIT_DIGESTS[pairing, command]
     assert [r.law_id for r in report.failures()] == ["non_finite"]
+    assert len(report.results) == results
+    if pairing == "one_sided":
+        assert report.extras["non_finite"].startswith(
+            "non-finite leg weight (inf+0j) of primitive_bilinear on ((1, 1), (0, 2))")
     text = report_json(cfg, report)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == NEAR_LIMIT_DIGESTS[pairing, command]
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_deep_pair_report_digest(tmp_path):
@@ -950,7 +956,7 @@ def test_an_oscillator_deform_run_stores_few_convolution_powers(monkeypatch):
     cfg = RunConfig.from_dict({**_fast(example_config("oscillator"), samples=200), "command": "deform"})
     assert run_config(cfg).overall_pass
     L, = built
-    assert 0 < sum(max(0, len(powers) - 2) for powers, _ in L._powers.values()) < 7390 / 4
+    assert 0 < sum(max(0, len(powers) - 2) for powers in L._powers.values()) < 7390 / 4
 
 
 def test_a_huge_integer_power_ends_at_once(tmp_path):

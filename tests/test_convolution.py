@@ -1,4 +1,5 @@
 """Star products of functionals, convolution exponentials, and maps convolved with functionals."""
+import cmath
 import itertools
 import math
 
@@ -13,6 +14,7 @@ from hopfdeform.convolution import (
     tuple_counit,
     mu_n_map,
 )
+from hopfdeform.core import NonFiniteError
 from hopfdeform.deformation import DEFAULT_T_GRID
 
 import reference as ref
@@ -285,7 +287,8 @@ def _shrinking():
 
     Δ(1) ∋ 2·(1)⊗(0) and Δ(3) ∋ 1e-300·(2)⊗(1), and f(1) = 1e308, f(2) = 1:
     the leg of (1) overflows, while the one leg of (3) where f is nonzero is
-    finite, so the powers of (3) past the degree of (1) read inf·0 = NaN.
+    finite, so in the full series the powers of (3) past the degree of (1)
+    read inf·0 = NaN.  The series refuses (1) and (3) alike.
     """
     legs = {1: [((1,), (0,), 2.0)], 3: [((3,), (0,), 1.0), ((2,), (1,), 1e-300)]}  # each before (0)⊗(n)
     inst = hd.BialgebraInstance(
@@ -296,6 +299,12 @@ def _shrinking():
         degree=lambda k: k[0],
     )
     return inst, hd.Cochain(inst, 1, lambda ks: {1: 1e308, 2: 1.0}.get(ks[0][0], 0.0), name="shrinking")
+
+
+# the overflow cases refuse these many tuples of their box (tests below), and
+# the tuples listed here are refused though the full series is finite on them
+REFUSED_TUPLES = {"near_limit": 149, "near_limit_three_generators": 859, "shrinking": 2}
+OWN_LEG_ONLY = {"shrinking": [((1,),)]}
 
 
 @pytest.mark.parametrize("case", ["oscillator", "three_generators", "dense", "near_limit",
@@ -319,9 +328,20 @@ def test_conv_exp_matches_the_full_series_on_a_box(osc, case):
     model = ref.Model(inst)
     keys = _box(inst)
     tuples = [(k,) for k in _box(inst, 8)] if f.arity == 1 else list(itertools.product(keys, repeat=2))
+    refused = []
     for u in tuples:
         degrees = [sum(k) for k in u]
-        coeffs = conv_exp_coeffs(f, u)
+        try:
+            coeffs = conv_exp_coeffs(f, u)
+        except NonFiniteError:
+            # a leg weight on u or below it overflows: the full series is then non-finite
+            # at u, except on a tuple of OWN_LEG_ONLY, whose series never reads that weight
+            refused.append(u)
+            for t in DEFAULT_T_GRID:
+                with pytest.raises(NonFiniteError, match="non-finite leg weight"):
+                    hd.conv_exp(f, t, u)
+                assert u in OWN_LEG_ONLY.get(case, ()) or not cmath.isfinite(model.conv_exp(f, t, u)), (case, u, t)
+            continue
         if case == "dense":
             assert len(coeffs) == sum(degrees) + 1, u
         elif not case.startswith(("near_limit", "shrinking")):
@@ -329,3 +349,28 @@ def test_conv_exp_matches_the_full_series_on_a_box(osc, case):
             assert len(coeffs) <= max(1, min(degrees)) + 1, (u, coeffs)
         for t in DEFAULT_T_GRID:
             assert repr(hd.conv_exp(f, t, u)) == repr(model.conv_exp(f, t, u)), (case, u, t)
+    assert len(refused) == REFUSED_TUPLES.get(case, 0)
+    for u in OWN_LEG_ONLY.get(case, ()):
+        assert u in refused and all(cmath.isfinite(model.conv_exp(f, t, u)) for t in DEFAULT_T_GRID)
+
+
+def test_an_overflowing_leg_weight_is_refused_naming_the_tuple_and_the_weight(osc):
+    _, shrinking = _shrinking()
+    one_sided = hd.make_primitive_bilinear_cocycle(osc, [[0.0, 1e308], [0.0, 0.0]])
+    # (3) reaches the overflowing leg 2·(1)⊗(0) of (1) through its finite leg to (1); x²⊗x* has
+    # the leg 2·(x⊗x*)⊗(x⊗1), of weight 2·1e308
+    for f, u, where in ((shrinking, ((3,),), "of shrinking on ((1,),), right tuple ((0,),)"),
+                        (shrinking, ((1,),), "of shrinking on ((1,),), right tuple ((0,),)"),
+                        (one_sided, ((2, 0), (0, 1)),
+                         "of primitive_bilinear on ((2, 0), (0, 1)), right tuple ((1, 0), (0, 0))")):
+        message = f"non-finite leg weight (inf+0j) {where}"
+        for read in (lambda: hd.conv_exp(f, 0.0, u), lambda: hd.conv_power(f, 2, u), lambda: conv_exp_coeffs(f, u)):
+            with pytest.raises(NonFiniteError) as got:
+                read()
+            assert str(got.value) == message
+        assert u not in f._powers and u not in f._coeffs
+    # a tuple whose legs are finite keeps its series, trimmed at its last nonzero power
+    assert conv_exp_coeffs(shrinking, ((2,),)) == (0j, 1 + 0j)
+    assert shrinking._powers[(2,),] == (0j, 1 + 0j)
+    assert hd.conv_power(shrinking, 5, ((2,),)) == 0j
+    assert conv_exp_coeffs(one_sided, ((1, 0), (0, 1))) == (0j, 1e308 + 0j)

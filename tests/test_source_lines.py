@@ -1,5 +1,6 @@
 """The package's source: no line longer than 120 characters, no import that
-its module never reads, and no export that nothing uses or documents."""
+its module never reads, and no export or module-level definition that nothing
+uses or documents."""
 import ast
 import re
 from pathlib import Path
@@ -55,17 +56,30 @@ def test_every_import_of_a_package_module_is_read():
     assert unread == []
 
 
-def test_every_export_is_used_or_documented():
-    # an export counts as used when a package module, a demo or a benchmark
-    # script reads it, and as documented when the README names it in a code span
+def _used_or_documented() -> set:
+    """The names a package module other than ``__init__``, a demo or a benchmark
+    script reads, and the names the README writes in a code span."""
     sources = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
     sources += [*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")]
     read = set().union(*(_read_names(_tree(path)) for path in sources))
     spans = re.findall(r"`+([^`]+?)`+", (ROOT / "README.md").read_text(encoding="utf-8"))
-    documented = {name for span in spans for name in re.findall(r"[A-Za-z_]\w*", span)}
-    unused = [
-        f"{module}.{name}"
-        for name, module in _imports(_tree(PACKAGE / "__init__.py"))
-        if name not in read | documented
-    ]
+    return read | {name for span in spans for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def test_every_export_is_used_or_documented():
+    known = _used_or_documented()
+    unused = [f"{module}.{name}" for name, module in _imports(_tree(PACKAGE / "__init__.py")) if name not in known]
     assert unused == []
+
+
+def test_every_module_level_function_and_class_is_reached():
+    # a definition that no package module, demo or benchmark script reads, and
+    # the README does not name, is dead code, whatever the tests still call
+    known = _used_or_documented()
+    unreached = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in _tree(path).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name not in known
+    ]
+    assert unreached == []

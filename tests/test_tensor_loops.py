@@ -3,7 +3,7 @@ import pytest
 
 import hopfdeform as hd
 from hopfdeform.convolution import tuple_comul_terms
-from hopfdeform.core import EPS_PRUNE, AlgebraError, TensorElement, _key_product, tensor_apply, tensor_mul, tensor_mul_all
+from hopfdeform.core import EPS_PRUNE, AlgebraError, TensorElement, tensor_apply, tensor_mul, tensor_mul_all
 from hopfdeform.deformation import _deformed_mul_square
 
 import reference as ref
@@ -14,6 +14,11 @@ def case(request):
     inst, L = ref.CASES[request.param]()
     sampler = hd.ElementSampler(inst, seed=41, budget=40, coord_bound=2, max_degree=3, max_support=3)
     return inst, ref.Model(inst), L, sampler
+
+
+def _key_product_row(inst, keys) -> dict:
+    """The product of the basis keys, read from the instance's key-product table at the current threshold."""
+    return dict(inst._key_products[inst.prune_eps][tuple(keys)])
 
 
 def test_tensor_mul_matches_the_slot_product_sum(case):
@@ -45,7 +50,7 @@ def test_key_product_matches_the_element_products(case):
     for n in (1, 2, 3, 4):
         for _ in range(15):
             keys = sampler.keys(n)
-            ref.same(_key_product(inst, keys), m.key_product(keys))
+            ref.same(_key_product_row(inst, keys), m.key_product(keys))
 
 
 def test_lambda_expansion_matches_the_slot_product_legs(case):
@@ -90,9 +95,9 @@ def test_a_key_product_prunes_after_each_step():
         comul_basis=lambda k: [(k, k, 1.0)], counit_basis=lambda k: 1.0,
     )
     for keys in ((1, 1, 1), (1, 1), (0, 1, 1), (2, 1)):
-        ref.same(_key_product(inst, keys), ref.Model(inst).key_product(keys))
-    assert not _key_product(inst, (1, 1, 1))
-    assert _key_product(inst, (2, 1)) == {3: 1e3 + 0j}
+        ref.same(_key_product_row(inst, keys), ref.Model(inst).key_product(keys))
+    assert not _key_product_row(inst, (1, 1, 1))
+    assert _key_product_row(inst, (2, 1)) == {3: 1e3 + 0j}
 
 
 def test_tensor_mul_all_reads_the_threshold_of_each_call():
