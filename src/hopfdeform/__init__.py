@@ -30,7 +30,6 @@ from .core import (
 from .sampling import ElementSampler
 from .convolution import (
     Cochain,
-    ConvExpPlan,
     LinMap,
     NormalizationError,
     conv_exp,

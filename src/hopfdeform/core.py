@@ -39,8 +39,9 @@ changes between versions.
 
 * :func:`_linear`: Σ c·rule(k) over ``(k, c)`` items, ``c * w`` per
   ``(key, w)`` of rule(k); with no rule each item is a term.  A table's
-  ``__getitem__`` is the rule of the coproduct, antipode and star maps and
-  of a ``LinMap`` on an element or a tensor.
+  ``__getitem__`` is the rule of the coproduct, antipode and star maps, of
+  a ``LinMap`` on an element or a tensor, and of the antipode identity's
+  sides (``deformation._antipode_sides``).
 * :func:`_bilinear`: Σ (ca·cb)·table[ka, kb] over two term lists, read from
   a rank-2 table, ``(ca * cb) * w``; :func:`mul`, a ``LinMap`` on a pair and
   each step of :func:`_key_product_terms`, whose products
@@ -55,38 +56,27 @@ coproduct, counit, antipode, star) and feed its rows to a kernel; the
 iterated coproduct is Δ with its last slot expanded again by
 :func:`tensor_expand_slot`.  One more memo, per threshold, keeps the cleaned
 product of each basis tuple's elements (:func:`_key_product_terms`), which
-:func:`tensor_mul_all` reads for each term of a tensor: in the seed-1
-perfbench batches its 12,220 terms fell on 70 distinct pairs on
-oscillator-full and 8,604 on 37 on group-full.  It is also the table of μⁿ
-for n ≥ 2 (``convolution.mu_n_map``), so the commuting residual and a
-deformation's base map share μ²'s rows, each filled once per instance.
-Against a μ² that filled its own rows this read cold-sweep ``wall_s`` +0.4%
-(inside the quartiles) and ``peak_rss_mb`` −0.8% (lower in all ten
-alternating 10-s perfbench pairs), oscillator-full ``wall_s`` −0.7% and
-group-full +0.0% (five pairs each).  Λ, the coproduct of the tensor square,
-is read from the coproduct table when needed and kept nowhere.
-These loops stay hand-written, with the kernels' store pattern and their own
-grouping, each for the reason measured (paired perfbench ``wall_s``):
+:func:`tensor_mul_all` reads for each term of a tensor, since a tensor's
+terms fall on few distinct pairs.  It is also the table of μⁿ for n ≥ 2
+(``convolution.mu_n_map``), so the commuting residual and a deformation's
+base map share μ²'s rows, each filled once per instance.  Λ, the coproduct
+of the tensor square, is read from the coproduct table when needed and kept
+nowhere.  These loops stay hand-written, with the kernels' store pattern and
+their own grouping, because the kernel form was measured slower:
 
 * :func:`tensor_expand_slot` and :func:`tensor_contract_slot` splice a slot
   into each key; as a kernel rule that is a closure and a generator per
-  term, 1.4-1.6 times the time per call on oscillator and Z² coproducts
-  (a paired micro-benchmark).
+  term.
 * ``deformation._deformed_mul_square``, (μ_t⊗μ_s)∘Λ with the grouping
   ``(((ca·cb)·c)·w₁)·w₂``, Λ from ``tuple_comul_terms`` (c =
-  ``((1+0j)·c₁)·c₂`` from the coproduct rows):
-  through :func:`_row_pairs`, oscillator-full +1.4% (better in 2 of 6
-  pairs), and +2.2% and +2.4% in earlier sets.
-* ``deformation._add_scaled`` merges a scaled, cleaned dict into a clean
-  running sum and checks only the keys it touched: a merge, not a sum of
-  products.
+  ``((1+0j)·c₁)·c₂`` from the coproduct rows).
 * the rule of each map of ``convolution.map_conv_exp`` (μ_t, S_t, Φ_t) sums
-  ``(c·e)·w`` over its shared expansion's legs; as ``_linear`` over a
-  generator of legs, cold-sweep +2.4%.
+  ``(c·e)·w`` over its shared expansion's legs.
 
-``tests/test_sum_loops.py`` names each of these loops, so a new hand-written
-sum must be named there with its reason.  Horner's rule and the slot loop of
-``Cochain.eval_mixed`` are scalar loops with contracts of their own.
+``tests/test_sum_loops.py`` names each of these loops with its measured
+reason, so a new hand-written sum must be named there.  Horner's rule and
+the slot loop of ``Cochain.eval_mixed`` are scalar loops with contracts of
+their own.
 
 :func:`check_structure` computes each drawn triple's a·b and Δ(a) once, in
 the first law that reads them, and the later laws read the stored value; a

@@ -43,7 +43,6 @@ from .core import (
     Element,
     Kind,
     Memo,
-    _INF,
     _ONE,
     _bilinear,
     _clean_terms,
@@ -219,77 +218,50 @@ def _deformed_mul_square(D: Deformation, t: float, s: float, a: Element, b: Elem
 
 
 def _antipode_sides(D: Deformation, t: float, a: Element) -> tuple[dict, dict]:
-    """μ_t∘(S_t⊗id)∘Δ(a) and μ_t∘(id⊗S_t)∘Δ(a) as terms dicts, summed leg by leg.
+    """μ_t∘(S_t⊗id)∘Δ(a) and μ_t∘(id⊗S_t)∘Δ(a) as terms dicts, each one ``_linear`` sum, cleaned once.
 
-    A leg c·k₁⊗k₂ of Δ(a) adds c·μ_t(S_t(k₁)⊗k₂) to the left side and
-    c·μ_t(k₁⊗S_t(k₂)) to the right, each read from D's table of them at t
-    and the current threshold (:func:`_antipode_row_tables`).  A leg reads
-    its left row, adds it, then reads its right row and adds it, so a
-    non-finite value raises where the element chain meets it.  Each product
-    of the element chain S_t(e₁), μ_t(·⊗e₂), c·(·), side + (·) is kept, the
-    coefficient 1+0j of the basis elements e = 1·k included, and each dict
-    is cleaned where that chain built an element, so every coefficient has
-    the chain's bits.
+    Over the legs c·k₁⊗k₂ of Δ(a) the left side sums c·μ_t(S_t(k₁)⊗k₂) and
+    the right one c·μ_t(k₁⊗S_t(k₂)), the rows read from D's tables at t and
+    the current threshold (:func:`_antipode_row_tables`).  The left side is
+    summed and cleaned before any right row is read, so a non-finite left
+    side raises first.  Each side is pruned once, at its end: a leg's c·row
+    below the threshold still adds to its key, and a key whose running sum
+    cancels on the way keeps its place.  The element chain S_t(1·k₁),
+    μ_t(·⊗1·k₂), c·(·), side + (·) prunes at every step instead, so where a
+    term or a running sum falls below the threshold the two can differ at a
+    key by a few times the threshold, and in which keys they keep.
     """
     prune = D.instance.prune_eps
     s_t = deformed_antipode(D, t)
-    lhs: dict = {}
-    rhs: dict = {}
-    if not 1.0 >= prune:  # every basis element 1·k is pruned to zero, and with it every leg
-        return lhs, rhs
+    if not 1.0 >= prune:  # every basis element 1·k is pruned to zero, and with it every row
+        return {}, {}
     tables = D._antipode_rows
     if (t, prune) not in tables:
         tables[t, prune] = _antipode_row_tables(s_t._cache, D._mul_maps[t]._cache, prune)
     left, right = tables[t, prune]
-    for pair, c in comul(a).terms.items():
-        _add_scaled(lhs, c, left[pair], prune)
-        _add_scaled(rhs, c, right[pair], prune)
-    return lhs, rhs
+    legs = comul(a).terms.items()
+    lhs = _clean_terms(_linear(legs, left.__getitem__), prune)
+    return lhs, _clean_terms(_linear(legs, right.__getitem__), prune)
 
 
 def _antipode_row_tables(s_t: Memo, mu_t: Memo, prune: float) -> tuple[Memo, Memo]:
     """The tables of μ_t(S_t(k₁)⊗k₂) and μ_t(k₁⊗S_t(k₂)) on basis pairs, from the S_t and μ_t tables.
 
-    Each row is the element chain's cleaned terms dict: S_t(1·k) from S_t's
-    row with the weights (1+0j)·w, cleaned, then μ_t of it and the other
-    basis element, cleaned.  A row is kept only once computed, so a
-    non-finite one raises again on every read.
+    Each row is the cleaned ``_bilinear`` of S_t's row on one key, the
+    weights (1+0j)·w of modulus at least the threshold, with the other key
+    at weight 1+0j, read from μ_t's table: the bits of μ_t(S_t(1·k₁)⊗1·k₂)
+    and μ_t(1·k₁⊗S_t(1·k₂)) on elements.  A row is a tuple of ``(key, w)``
+    pairs, so a table's ``__getitem__`` is a ``_linear`` rule, and it is kept
+    only once computed, so a non-finite one raises again on every read.
     """
-    def left(pair):
-        s1 = _clean_terms({key: _ONE * w for key, w in s_t[pair[0]]}, prune)
-        return _clean_terms(_bilinear(s1.items(), ((pair[1], _ONE),), mu_t), prune)
+    def image(k):
+        return ((key, _ONE * w) for key, w in s_t[k] if abs(w) >= prune)
 
-    def right(pair):
-        s2 = _clean_terms({key: _ONE * w for key, w in s_t[pair[1]]}, prune)
-        return _clean_terms(_bilinear(((pair[0], _ONE),), s2.items(), mu_t), prune)
+    def row(terms):
+        return tuple(_clean_terms(terms, prune).items())
 
-    return Memo(left), Memo(right)
-
-
-def _add_scaled(acc: dict, c: complex, terms: dict, prune: float) -> None:
-    """Add c·terms into ``acc``, cleaning the scaled dict and ``acc`` as the elements were.
-
-    ``terms`` is clean and is not changed.  ``acc`` is clean before the
-    leg, so only the keys the leg touches are checked; a non-finite one
-    sends ``acc`` through :func:`_clean_terms`, which names the first
-    non-finite coefficient in its dict order.
-    """
-    scaled = _clean_terms({k: c * v for k, v in terms.items()}, prune)
-    for key, v in scaled.items():
-        cur = acc.get(key)
-        acc[key] = v if cur is None else cur + v
-    pruned = []
-    for key in scaled:
-        try:
-            size = abs(acc[key])
-        except OverflowError:  # both parts finite, the modulus is not
-            size = _INF
-        if not size < _INF:
-            _clean_terms(acc, prune)  # raises
-        if not size >= prune:
-            pruned.append(key)
-    for key in pruned:
-        del acc[key]
+    return (Memo(lambda pair: row(_bilinear(image(pair[0]), ((pair[1], _ONE),), mu_t))),
+            Memo(lambda pair: row(_bilinear(((pair[0], _ONE),), image(pair[1]), mu_t))))
 
 
 def _flipped_antipodes(D: Deformation, t: float, r: float, a: Element) -> dict:

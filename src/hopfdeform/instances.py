@@ -17,10 +17,8 @@ Cocycle constructors return arity-2 functionals ready for
 which makes the normal ordering (and the trivializing functional built
 from it) deterministic.  The ``zd_matrix`` and ``z_polynomial`` rules sum
 in plain loops, in index (table) order from ``0j``, the order of
-``core._scalar`` that fixes the last bit of L: written as ``_scalar`` over a
-generator per sum, a Z³ ``zd_matrix`` evaluation took 3.3-3.5 µs against
-1.9 µs (micro-benchmark), and in a first-t μ_t fill on a grouplike basis
-the rule was about a quarter of the cost.
+``core._scalar`` that fixes the last bit of L; they are plain loops, not
+``_scalar`` over a generator per sum, because that is faster.
 """
 from __future__ import annotations
 

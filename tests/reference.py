@@ -285,7 +285,7 @@ class Model:
         """S_t = S ⋆ e_⋆^{−tσ}."""
         return self.map_conv_exp(self.antipode_map(), self.sigma(L), -t)
 
-    # -- the element chains of the deformation laws
+    # -- the sides of the deformation laws
 
     def mul_square(self, mu_t, mu_s, a, b):
         """(μ_t⊗μ_s)∘Λ(a⊗b); each term is (((ca·cb)·c)·w₁)·w₂."""
@@ -295,13 +295,17 @@ class Model:
             for k1, w1 in mu_t.row(left) for k2, w2 in mu_s.row(right)))
 
     def antipode_sides(self, mu_t, s_t, a):
-        """μ_t∘(S_t⊗id)∘Δ(a) and μ_t∘(id⊗S_t)∘Δ(a) leg by leg: S_t(e), μ_t(·⊗·), c·(·) and side + (·) on elements."""
-        lhs, rhs = {}, {}
-        for (k1, k2), c in self.comul(a).items():
-            e1, e2 = self.clean({k1: 1.0}), self.clean({k2: 1.0})
-            lhs = self.add(lhs, self.scale(c, mu_t.on_pair(s_t(e1), e2)))
-            rhs = self.add(rhs, self.scale(c, mu_t.on_pair(e1, s_t(e2))))
-        return lhs, rhs
+        """μ_t∘(S_t⊗id)∘Δ(a) and μ_t∘(id⊗S_t)∘Δ(a): Σ c·row over the legs c·k₁⊗k₂ of Δ(a), each side cleaned once.
+
+        The rows are μ_t(S_t(e₁)⊗e₂) and μ_t(e₁⊗S_t(e₂)) on the basis elements
+        eᵢ = 1·kᵢ; the left side is summed and cleaned before the right one.
+        """
+        def basis(k):
+            return self.clean({k: 1.0})
+
+        legs = self.comul(a).items()
+        lhs = self.clean(linear(legs, lambda ks: mu_t.on_pair(s_t(basis(ks[0])), basis(ks[1])).items()))
+        return lhs, self.clean(linear(legs, lambda ks: mu_t.on_pair(basis(ks[0]), s_t(basis(ks[1]))).items()))
 
     def flipped_antipodes(self, s_t, s_r, a):
         """(S_t⊗S_r)∘τ∘Δ(a)."""

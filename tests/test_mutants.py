@@ -22,6 +22,18 @@ Three cases are known and are not rows here:
   in its last bits at most.  Where they disagree the unmutated run already
   fails its ``sigma_flip`` flag, which the mutant turns into a pass; the
   σ-flip tests of ``tests/test_cli.py`` catch it there.
+
+Two defects of the antipode identity's sides are equivalent for the
+reports, since each still satisfies the identity:
+
+* both sides read from the left table: S_t is the left ⋆_t-inverse of the
+  identity, so the left side is δ(a)·1 as the right one is;
+* the sides evaluated at −t: S_{−t} is the ⋆_{−t}-inverse of the identity
+  for μ_{−t}, so both sides are still δ(a)·1.
+
+``tests/test_pair_loops.py`` catches both: its ``_lopsided`` instance sets
+the two tables apart, and the sides on the ``signed_zeros`` instance, no
+bialgebra, depend on t.
 """
 import sys
 from dataclasses import replace
@@ -44,6 +56,12 @@ _SIGMA_LAWS = ["hopf:antipode_identity", "hopf:algebra_antihomomorphism",
 _AT_MINUS_T = ("antipode_at_minus_t", deformation, "deformed_antipode", lambda D, t: _antipode(D, -t))
 
 _coboundary = cohomology.coboundary
+_sides = deformation._antipode_sides
+
+
+def _sides_of_ones(D, t, a):
+    """The antipode identity's sides for the element with a's keys and every coefficient 1."""
+    return _sides(D, t, a.instance.element({k: 1.0 for k in a.terms}))
 
 
 def _coboundary_first_sign_flipped(f, name=None):
@@ -74,6 +92,10 @@ MUTANTS = [
     ("coboundary_sign", cohomology, "coboundary", _coboundary_first_sign_flipped, "z_cubic_small",
      ["cocycle", "witness"]),
     ("star_unconjugated", core, "star", _star_unconjugated, "group_hermitian_small", ["star:star_compatibility"]),
+    ("antipode_sides_of_ones", deformation, "_antipode_sides", _sides_of_ones, "zd_matrix_small",
+     ["hopf:antipode_identity"]),
+    ("antipode_sides_of_ones", deformation, "_antipode_sides", _sides_of_ones, "oscillator_small",
+     ["hopf:antipode_identity"]),
 ]
 
 

@@ -4,7 +4,7 @@ import pytest
 import hopfdeform as hd
 from hopfdeform.convolution import LinMap, antipode_map, map_conv_functional, mu_n_map
 from hopfdeform.core import EPS_PRUNE, NonFiniteError
-from hopfdeform.deformation import (_add_scaled, _antipode_sides, _deformed_mul_square, deformed_antipode,
+from hopfdeform.deformation import (_antipode_sides, _deformed_mul_square, deformed_antipode,
                                     deformed_mul_map)
 
 import reference as ref
@@ -82,7 +82,7 @@ def test_deformed_square_binds_one_table_for_equal_parameters(case):
 
 
 def _model_sides(m, D, t):
-    """The model's chain for the antipode identity's sides at t, on the terms of an element."""
+    """The model's sums for the antipode identity's sides at t, on the terms of an element."""
     mu_t, s_t = m.deformed_mul(D.generator, t), m.deformed_antipode(D.generator, t)
     return lambda a: m.antipode_sides(mu_t, s_t, a.terms)
 
@@ -98,6 +98,16 @@ def test_antipode_sides_match_the_element_chain(case):
     _, m, D, sampler = case
     for t, _ in T_PAIRS:
         _same_sides(m, D, t, (sampler.element() for _ in range(10)))
+
+
+def test_antipode_sides_with_signed_zeros_match_the_model():
+    # no bialgebra: its sides depend on t and carry -0.0 parts, so a side
+    # read at another t shows
+    inst, L = ref.signed_zeros()
+    sampler = hd.ElementSampler(inst, seed=43, budget=40, coord_bound=2, max_support=3)
+    D = hd.Deformation(inst, L, None, sampler)
+    for t, _ in T_PAIRS:
+        _same_sides(ref.Model(inst), D, t, (sampler.element() for _ in range(10)))
 
 
 # -- sums that cancel below prune_eps, and a running side that overflows
@@ -137,7 +147,7 @@ def test_a_map_sum_that_cancels_is_pruned():
 
 def test_an_antipode_side_that_cancels_is_pruned_and_refilled(z2_deformation):
     inst, m, D = z2_deformation
-    # the unit's coefficient cancels after the second leg and comes back with the third
+    # the unit's running sum cancels after the second leg, and the third leg adds to it in its place
     a = inst.element({(1, 0): 1.0, (0, 1): -1.0, (1, 1): 0.5})
     for t in (-1.0, 0.0, 0.5):
         _same_sides(m, D, t, [a])
@@ -170,12 +180,13 @@ def test_a_non_finite_leg_raises_the_error_of_the_element_chain(z2_deformation):
     assert str(got.value) == str(want.value)
 
 
-def _lopsided(left=2.0, big=1e200):
+def _lopsided(left=2.0, big=1e200, s_weight=None):
     """A finite instance, no bialgebra, with one leg p ↦ q⊗r whose left and right rows are set apart.
 
     Every other key k has Δ(k) = k⊗1 and δ(k) = 0, so with L = 0 each S_t
     and μ_t row is the S and μ row: μ_t(S_t(q)⊗r) = μ(q⊗r) = left·m, and
     μ_t(q⊗S_t(r)) = μ(q⊗big·s) = big·big·n, which overflows at the default.
+    ``s_weight``, when given, is S(r)'s weight in place of big.
     """
     keys = ("1", "p", "q", "r", "s", "m", "n")
     products = {("q", "r"): [("m", left)], ("q", "s"): [("n", big)]}
@@ -184,7 +195,7 @@ def _lopsided(left=2.0, big=1e200):
         mul_basis=lambda a, b: [(b, 1.0)] if a == "1" else [(a, 1.0)] if b == "1" else products.get((a, b), []),
         comul_basis=lambda k: [("q", "r", 1.0)] if k == "p" else [(k, "1", 1.0)],
         counit_basis=lambda k: 1.0 if k == "1" else 0.0,
-        antipode_basis=lambda k: [("s", big)] if k == "r" else [(k, 1.0)],
+        antipode_basis=lambda k: [("s", big if s_weight is None else s_weight)] if k == "r" else [(k, 1.0)],
         basis_iter=lambda: keys,
     )
     return inst, hd.Deformation(inst, hd.zero_cochain(inst, 2), None, hd.ElementSampler(inst, seed=5, budget=20))
@@ -223,20 +234,31 @@ def test_the_antipode_tables_are_read_at_the_current_threshold():
         inst.prune_eps = EPS_PRUNE
 
 
-def test_a_running_sum_names_its_first_non_finite_key_in_dict_order():
-    m = ref.Model(hd.group_algebra_zd(2))  # the default threshold
-    # the leg touches y before x, but x comes first in the running dict
-    acc = {"x": 1e308 + 0j, "y": 1e308 + 0j, "z": 1.0 + 0j}
-    leg = {"y": 1e308 + 0j, "z": -1.0 + 0j, "x": 1e308 + 0j}
-    with pytest.raises(NonFiniteError, match="at basis key 'x'") as want:
-        m.add(acc, m.scale(ref.ONE, m.clean(leg)))
-    with pytest.raises(NonFiniteError) as got:
-        _add_scaled(dict(acc), ref.ONE, dict(leg), EPS_PRUNE)
-    assert str(got.value) == str(want.value)
-    # without the overflow, z cancels and is pruned where it stood
-    acc["x"] = acc["y"] = ref.ONE
-    got_acc = dict(acc)
-    _add_scaled(got_acc, ref.ONE, dict(leg), EPS_PRUNE)
-    ref.same(got_acc, m.add(acc, m.scale(ref.ONE, m.clean(leg))))
-    assert list(got_acc) == ["x", "y"]
+def test_a_stored_antipode_row_is_read_at_the_current_threshold():
+    # S_t(r) = 0.5·s is stored at the default threshold; at 0.75 the basis
+    # element's image S_t(1·r) is zero, though μ_t(q⊗0.5·s) = 2·n is not
+    inst, D = _lopsided(left=1.0, big=4.0, s_weight=0.5)
+    m = ref.Model(inst)
+    a = inst.element({"p": 1.0})
+    assert _antipode_sides(D, 0.5, a) == ({"m": 1.0}, {"n": 2.0})
+    inst.prune_eps = 0.75
+    try:
+        _same_sides(m, D, 0.5, [a])
+        assert _antipode_sides(D, 0.5, a) == ({"m": 1.0}, {})
+    finally:
+        inst.prune_eps = EPS_PRUNE
 
+
+def test_a_side_is_pruned_once_not_leg_by_leg(z2_deformation):
+    inst, m, D = z2_deformation
+    # at t = 0 every leg adds its coefficient at the unit; at the threshold 0.3
+    # the running sum 0.5 - 0.35 = 0.15 is below it after the second leg, so
+    # pruning leg by leg would give 0.4, where the side is δ(a) = 0.55
+    inst.prune_eps = 0.3
+    try:
+        a = inst.element({(1, 0): 0.5, (0, 1): -0.35, (1, 1): 0.4})
+        _same_sides(m, D, 0.0, [a])
+        for side in _antipode_sides(D, 0.0, a):
+            assert list(side) == [inst.unit] and abs(side[inst.unit] - 0.55) < 1e-12
+    finally:
+        inst.prune_eps = EPS_PRUNE

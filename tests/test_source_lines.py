@@ -1,6 +1,6 @@
-"""The package's source: no line longer than 120 characters, no import that
-its module never reads, and no export or module-level definition that nothing
-uses or documents."""
+"""The package's source: no line longer than 120 characters, no line that
+quotes the benchmark, no import that its module never reads, and no export or
+module-level definition that nothing uses or documents."""
 import ast
 import re
 from pathlib import Path
@@ -20,6 +20,21 @@ def test_no_source_line_is_longer_than_the_limit():
         if len(line) > MAX_LINE
     ]
     assert long_lines == []
+
+
+# the end-to-end metrics of the benchmark, and its directory
+BENCHMARK_WORDS = re.compile(r"wall_s|job_s|peak_rss_mb|setup_s|perfbench")
+
+
+def test_no_source_line_quotes_the_benchmark():
+    # a docstring states a contract; measurements belong in CHANGES.md
+    quoting = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if BENCHMARK_WORDS.search(line)
+    ]
+    assert quoting == []
 
 
 def _tree(path: Path) -> ast.Module:
